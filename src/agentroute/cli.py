@@ -11,9 +11,9 @@ from pathlib import Path
 from .config import RunConfig
 from .encoder import RoutingPolicy
 from .harness import (emit_report, evaluate, pareto_sweep, report_rows,
-                      run_ablation, write_csv)
+                      run_ablation)
 from .memory import deserialize
-from .ppo import load_policy, train
+from .ppo import load_policy, train, write_csv
 from .tensor import load_params
 
 

@@ -1,11 +1,14 @@
 """Dual-graph state encoder and the (role, model) policy head.
 
-Node features are projected per type, mixed with one residual mean-message
-round, and the history graph's hub rows are injected as the workflow hub
-inputs (nested encoding). Action scores are dot products between the fused
-query representation and the workflow hub rows; a two-layer head on pooled
-hub rows estimates the state value. Ablation variants swap this wiring for a
-single merged graph with shared or per-type projections.
+Node features are projected per type and mixed with one residual
+mean-message round. Only hub rows are read downstream, so the round computes
+them alone, as one product with a constant row-normalised count matrix. The
+history graph's hub rows are injected as the workflow hub inputs (nested
+encoding). Action scores are dot products between the fused query
+representation and the workflow hub rows; a two-layer head on pooled hub rows
+estimates the state value. Ablation variants swap this wiring for one
+encoding of the union of the history and workflow graphs, with shared or
+per-type projections.
 """
 
 from __future__ import annotations
@@ -72,80 +75,46 @@ def _project(feats: np.ndarray, n: int, W: Tensor) -> Tensor:
     return T.matmul(Tensor(feats), W)
 
 
-def encode_graph(inp: EncoderInput, W_q: Tensor, W_r: Tensor, W_m: Tensor,
-                 beta: float, hub_override: Tensor | None = None) -> Tensor:
-    """One round of residual mean message passing over a frozen graph.
+def encode_graph(graphs: list[EncoderInput], W_q: Tensor, W_r: Tensor,
+                 W_m: Tensor, beta: float,
+                 hub_override: Tensor | None = None) -> Tensor:
+    """Hub rows after one round of residual mean message passing.
 
-    h0 projects each node by its type's matrix; every node then adds beta
-    times the mean of its neighbors' h0. Isolated nodes keep h0 unchanged.
-    hub_override replaces the raw hub features with rows already produced by
-    another encoding pass; W_m then projects those rows (hidden by hidden)
-    instead of the raw features.
+    h0 projects each node by its type's matrix; each hub then adds beta times
+    the mean of h0 over its incoming edges, as h_hub + beta * M @ h0 with M
+    the row-normalised hub rows of the edge-count matrix. Hubs without edges
+    keep h0. The graphs share one hub set and are encoded as their union:
+    hub-hub counts add up, and the other nodes line up as every graph's
+    queries, then every graph's responses. hub_override replaces the raw hub
+    features with rows already produced by another encoding pass; W_m then
+    projects those rows (hidden by hidden) instead of the raw features.
     """
-    if hub_override is not None:
-        h_hub = T.matmul(hub_override, W_m)
-    else:
-        h_hub = T.matmul(Tensor(inp.hub_feats), W_m)
-    parts = [h_hub,
-             _project(inp.query_feats, inp.n_queries, W_q),
-             _project(inp.response_feats, inp.n_responses, W_r)]
-    h0 = T.concat(parts, axis=0)
-    if beta == 0.0 or inp.edge_src.size == 0:
-        return h0
-    gathered = T.gather_rows(h0, inp.edge_src)
-    msgs = T.group_mean(gathered, inp.edge_dst, inp.n_nodes)
-    return T.add(h0, T.scale(msgs, beta))
-
-
-def merge_inputs(a: EncoderInput, b: EncoderInput) -> EncoderInput:
-    """Union of two graphs over the same hubs, for merged-graph variants."""
-    if a.n_hubs != b.n_hubs:
-        raise ValueError("hub sets differ between the graphs being merged")
-    H = a.n_hubs
-
-    def feats(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if x.size == 0 and y.size == 0:
-            return np.zeros((0, 0))
-        if x.size == 0:
-            return y
-        if y.size == 0:
-            return x
-        return np.concatenate([x, y], axis=0)
-
-    nqa, nqb = a.n_queries, b.n_queries
-    nra = a.n_responses
-
-    def remap_a(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[x >= H + nqa] += nqb  # a's responses shift past b's queries
-        return out
-
-    def remap_b(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        is_query = (x >= H) & (x < H + nqb)
-        out[is_query] += nqa
-        out[x >= H + nqb] += nqa + nra
-        return out
-
-    return EncoderInput(
-        hub_feats=a.hub_feats,
-        query_feats=feats(a.query_feats, b.query_feats),
-        response_feats=feats(a.response_feats, b.response_feats),
-        edge_src=np.concatenate([remap_a(a.edge_src), remap_b(b.edge_src)]),
-        edge_dst=np.concatenate([remap_a(a.edge_dst), remap_b(b.edge_dst)]),
-        n_hubs=H,
-        n_queries=nqa + nqb,
-        n_responses=a.n_responses + b.n_responses,
-    )
+    hubs = Tensor(graphs[0].hub_feats) if hub_override is None else hub_override
+    H = hubs.shape[0]
+    if any(g.n_hubs != H for g in graphs):
+        raise ValueError("hub sets differ between the graphs being encoded")
+    h_hub = T.matmul(hubs, W_m)
+    if beta == 0.0:
+        return h_hub
+    q_end = [H + g.n_queries for g in graphs]
+    counts = np.concatenate(
+        [sum(g.hub_counts[:, :H] for g in graphs)]
+        + [g.hub_counts[:, H:e] for g, e in zip(graphs, q_end)]
+        + [g.hub_counts[:, e:] for g, e in zip(graphs, q_end)], axis=1)
+    M = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
+    h0 = T.concat([h_hub]
+                  + [_project(g.query_feats, g.n_queries, W_q) for g in graphs]
+                  + [_project(g.response_feats, g.n_responses, W_r)
+                     for g in graphs], axis=0)
+    return T.add(h_hub, T.scale(T.matmul(Tensor(M), h0), beta))
 
 
 def history_hub_rows(params: dict[str, Tensor], variant: str, beta: float,
                      hist_input: EncoderInput) -> Tensor | None:
     """History-encoded hub rows (full variant); merged variants return None."""
     if variant == "full":
-        all_rows = encode_graph(hist_input, params["his.W_q"], params["his.W_r"],
-                                params["his.W_m"], beta)
-        return T.gather_rows(all_rows, np.arange(hist_input.n_hubs))
+        return encode_graph([hist_input], params["his.W_q"], params["his.W_r"],
+                            params["his.W_m"], beta)
     if variant in ("homo", "hetero"):
         return None
     raise ValueError(f"unknown encoder variant: {variant!r}")
@@ -159,24 +128,17 @@ def step_outputs(params: dict[str, Tensor], variant: str, beta: float,
     if variant == "full":
         if his_hubs is None:
             raise ValueError("full variant needs history hub rows")
-        if his_hubs.shape[0] != wf_input.n_hubs:
-            raise ValueError("hub sets differ between history and workflow")
-        loc_all = encode_graph(wf_input, params["loc.W_q"], params["loc.W_r"],
-                               params["loc.W_m"], beta, hub_override=his_hubs)
-        loc_hubs = T.gather_rows(loc_all, np.arange(wf_input.n_hubs))
+        loc_hubs = encode_graph([wf_input], params["loc.W_q"], params["loc.W_r"],
+                                params["loc.W_m"], beta, hub_override=his_hubs)
         score_hubs, value_his = loc_hubs, his_hubs
     elif variant in ("homo", "hetero"):
         if hist_input is None:
             raise ValueError("merged variants need the history input")
-        if hist_input.n_hubs != wf_input.n_hubs:
-            raise ValueError("hub sets differ between history and workflow")
-        merged = merge_inputs(hist_input, wf_input)
         if variant == "homo":
             Wq = Wr = Wm = params["enc.W"]
         else:
             Wq, Wr, Wm = params["enc.W_q"], params["enc.W_r"], params["enc.W_m"]
-        all_rows = encode_graph(merged, Wq, Wr, Wm, beta)
-        hubs = T.gather_rows(all_rows, np.arange(merged.n_hubs))
+        hubs = encode_graph([hist_input, wf_input], Wq, Wr, Wm, beta)
         score_hubs, value_his = hubs, hubs
     else:
         raise ValueError(f"unknown encoder variant: {variant!r}")

@@ -8,9 +8,8 @@ without touching learned weights.
 
 from __future__ import annotations
 
-import csv
+import copy
 import json
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from .encoder import RoutingPolicy
 from .env import EnvConfig, Episode, RoutingEnv, absorb_episode, trace_lines
 from .memory import (HeteroGraph, ResponseNode, deserialize, rebase_history,
                      update_hub_stats)
-from .ppo import TrainConfig, train
+from .ppo import TrainConfig, train, write_csv
 from .streams import det_rng
 
 PROTOCOLS = ("inductive", "transductive")
@@ -72,7 +71,8 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
     Inductive runs build memory only from their own episodes (when absorb is
     on) and by construction never read a persisted history. Transductive
     runs resume from the training-time memory, passed either as a live graph
-    or as a file path.
+    or as a file path; a live graph is copied first, so absorbing episodes
+    never changes the caller's graph or its hub statistics.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {protocol!r}")
@@ -81,6 +81,8 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
             if history_path is None:
                 raise ValueError("transductive evaluation needs a history")
             history = deserialize(Path(history_path).read_bytes())
+        else:
+            history = copy.deepcopy(history)
         hubs = history.hubs
     else:
         # never opens history_path, even when one is supplied
@@ -91,7 +93,8 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
 
     report = EvalReport(protocol=protocol)
     for i in range(n_episodes):
-        policy.prepare(history.freeze())
+        if i == 0 or absorb:
+            policy.prepare(history.freeze())
         env = RoutingEnv(env_cfg, benchmark, hubs)
         root = benchmark.eval_query(i)
         rng = det_rng(seed, "eval", protocol, i)
@@ -326,18 +329,6 @@ def new_role_eval(policy_params, variant: str, beta: float,
 
 
 # -- report emission ---------------------------------------------------------------
-
-
-def write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
-    """Atomic CSV write; floats use repr so they round-trip exactly."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                             else row[c] for c in columns])
-    os.replace(tmp, path)
 
 
 def report_rows(report: EvalReport, *, variant: str, phase: str, alpha: float,

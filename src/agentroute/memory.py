@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,18 @@ class EncoderInput:
     def n_nodes(self) -> int:
         return self.n_hubs + self.n_queries + self.n_responses
 
+    @cached_property
+    def hub_counts(self) -> np.ndarray:
+        """(n_hubs, n_nodes) float counts of edges from each node into each hub.
+
+        Cached because a training window re-encodes the same input once per
+        epoch.
+        """
+        into_hub = self.edge_dst < self.n_hubs
+        flat = self.edge_dst[into_hub] * self.n_nodes + self.edge_src[into_hub]
+        counts = np.bincount(flat, minlength=self.n_hubs * self.n_nodes)
+        return counts.reshape(self.n_hubs, self.n_nodes).astype(np.float64)
+
 
 class HeteroGraph:
     """Typed node/edge store for one workflow episode or the shared history."""
@@ -214,9 +227,6 @@ class HeteroGraph:
 
     def enforce_capacity(self) -> None:
         """Evict oldest episodes until the interaction budget is met."""
-        self._evict_to_capacity()
-
-    def _evict_to_capacity(self) -> None:
         if self.capacity is None:
             return
         # Whole oldest episodes go first; a single over-large episode is then
@@ -399,7 +409,7 @@ def consolidate(workflow: HeteroGraph, history: HeteroGraph) -> str:
         clone = replace(r, id=rename(r.id), embedding=r.embedding.copy())
         # statuses and answer pointers were already cloned on the query side
         history.add_response(rename(qid), clone, answers=False, episode=tag)
-    history._evict_to_capacity()
+    history.enforce_capacity()
     return tag
 
 

@@ -10,7 +10,6 @@ count yields identical trajectories.
 
 from __future__ import annotations
 
-import copy
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -281,14 +280,15 @@ def train(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
     return result
 
 
-def write_curve_csv(path: Path, rows: list[dict]) -> None:
+def write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Atomic CSV write; floats use repr so they round-trip exactly."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
             writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                             else row[c] for c in CURVE_COLUMNS])
+                             else row[c] for c in columns])
     os.replace(tmp, path)
 
 
@@ -297,7 +297,7 @@ def write_artifacts(out_dir: Path, result: TrainResult) -> None:
     save_params(out_dir / "params.json", result.params, meta=result.meta)
     save_params(out_dir / "best_params.json", result.best_params,
                 meta=result.meta)
-    write_curve_csv(out_dir / "curve.csv", result.curve)
+    write_csv(out_dir / "curve.csv", CURVE_COLUMNS, result.curve)
     if result.history is not None:
         blob = serialize(result.history)
         tmp = out_dir / "history.json.tmp"

@@ -284,46 +284,6 @@ def pick(a: Tensor, index: int) -> Tensor:
     return _make(np.asarray(a.data[index]), [(a, bw)])
 
 
-def gather_rows(a: Tensor, idx: Array) -> Tensor:
-    """Row gather a[idx]; backward scatter-adds into the source rows."""
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def bw(g: Array) -> Array:
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return out
-
-    return _make(a.data[idx], [(a, bw)])
-
-
-def group_mean(values: Tensor, groups: Array, num_groups: int) -> Tensor:
-    """Mean of rows of `values` per group id; empty groups give zero rows.
-
-    values: (n, d) or (n,). groups: (n,) ints in [0, num_groups).
-    """
-    groups = np.asarray(groups, dtype=np.int64)
-    if groups.ndim != 1 or groups.shape[0] != values.data.shape[0]:
-        raise ValueError("groups must be 1-d and align with the value rows")
-    if groups.size and (groups.min() < 0 or groups.max() >= num_groups):
-        raise ValueError("group id out of range")
-    counts = np.bincount(groups, minlength=num_groups).astype(np.float64)
-    vec = values.data.ndim == 1
-    d = 1 if vec else values.data.shape[1]
-    sums = np.zeros((num_groups, d), dtype=np.float64)
-    vdata = values.data.reshape(-1, d)
-    np.add.at(sums, groups, vdata)
-    denom = np.maximum(counts, 1.0)[:, None]
-    out = sums / denom
-
-    def bw(g: Array) -> Array:
-        g2 = g.reshape(num_groups, d)
-        back = g2[groups] / denom[groups]
-        return back.reshape(values.data.shape)
-
-    res = out[:, 0] if vec else out
-    return _make(res, [(values, bw)])
-
-
 def row_normalize(a: Tensor, eps: float = 1e-6) -> Tensor:
     """Per-row x / (||x||_2 + eps) for an (n, d) matrix."""
     if a.data.ndim != 2:

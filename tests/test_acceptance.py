@@ -190,15 +190,6 @@ def _op_battery(seed):
     run(lambda: T.dot(T.row_mean(a), wrm), [a])
     run(lambda: T.pick(T.reshape(a, (12,)), 7), [a])
 
-    idx = np.array([0, 2, 2, 1, 0], dtype=np.int64)  # repeats accumulate
-    wg = Tensor(rng.normal(size=(5, 4)))
-    run(lambda: T.total_sum(T.mul(T.gather_rows(a, idx), wg)), [a])
-
-    groups = np.array([0, 1, 2, 0, 1], dtype=np.int64)
-    g5 = _signed(rng, (5, 3))
-    wgm = Tensor(rng.normal(size=(3, 3)))
-    run(lambda: T.total_sum(T.mul(T.group_mean(g5, groups, 3), wgm)), [g5])
-
     rn = Tensor(rng.normal(size=(3, 4)) + np.sign(rng.normal(size=(3, 4))) * 0.5,
                 requires_grad=True)
     run(lambda: T.total_sum(T.mul(T.row_normalize(rn), w)), [rn])

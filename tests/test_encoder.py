@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentroute import tensor as T
 from agentroute.backend import BenchmarkSpec, make_benchmark
@@ -14,7 +16,6 @@ from agentroute.encoder import (
     history_hub_rows,
     init_params,
     logprob_of,
-    merge_inputs,
     step_outputs,
 )
 from agentroute.memory import EncoderInput, HeteroGraph, new_workflow
@@ -103,23 +104,23 @@ def test_init_params_deterministic():
 
 def test_encode_graph_frozen_values():
     # 2 hubs, 1 query, identity projection, beta 0.5:
-    # node 0 <- mean of {query}, node 2 <- mean of {hub0}, node 1 isolated
+    # hub 0 <- mean of {query}, hub 1 isolated
     inp = raw_input(hub_feats=[[1.0, 0.0], [0.0, 1.0]],
                     query_feats=[[2.0, 2.0]],
                     response_feats=np.zeros((0, 0)),
                     edges=[(2, 0)])
     eye = Tensor(np.eye(2))
-    rows = encode_graph(inp, eye, eye, eye, beta=0.5).data
+    rows = encode_graph([inp], eye, eye, eye, beta=0.5).data
+    assert rows.shape == (2, 2)
     assert np.allclose(rows[0], [2.0, 1.0])
     assert np.allclose(rows[1], [0.0, 1.0])
-    assert np.allclose(rows[2], [2.5, 2.0])
 
 
 def test_encode_graph_beta_zero_is_projection_only():
     inp = raw_input([[1.0, 0.0]], [[3.0, 4.0]], np.zeros((0, 0)), [(1, 0)])
     eye = Tensor(np.eye(2))
-    rows = encode_graph(inp, eye, eye, eye, beta=0.0).data
-    assert np.allclose(rows, [[1.0, 0.0], [3.0, 4.0]])
+    rows = encode_graph([inp], eye, eye, eye, beta=0.0).data
+    assert np.allclose(rows, [[1.0, 0.0]])
 
 
 def test_encode_graph_mean_over_multiple_neighbors():
@@ -128,29 +129,98 @@ def test_encode_graph_mean_over_multiple_neighbors():
                     response_feats=np.zeros((0, 0)),
                     edges=[(1, 0), (2, 0)])
     eye = Tensor(np.eye(2))
-    rows = encode_graph(inp, eye, eye, eye, beta=1.0).data
-    assert np.allclose(rows[0], [1.0, 2.0])  # mean of the two queries
+    rows = encode_graph([inp], eye, eye, eye, beta=1.0).data
+    assert np.allclose(rows, [[1.0, 2.0]])  # mean of the two queries
 
 
-# -- merging -----------------------------------------------------------------------
+# -- graph unions ------------------------------------------------------------------
 
 
-def test_merge_inputs_remaps_edges():
-    a = raw_input([[1.0], [2.0]], [[3.0]], [[4.0]], [(2, 3), (2, 0)])
-    b = raw_input([[1.0], [2.0]], [[5.0]], np.zeros((0, 0)), [(2, 1)])
-    m = merge_inputs(a, b)
-    assert (m.n_hubs, m.n_queries, m.n_responses) == (2, 2, 1)
-    # layout: hubs 0-1, a query 2, b query 3, a response 4
-    assert np.allclose(m.query_feats, [[3.0], [5.0]])
-    pairs = set(zip(m.edge_src.tolist(), m.edge_dst.tolist()))
-    assert (2, 4) in pairs and (2, 0) in pairs and (3, 1) in pairs
+def test_encode_graph_union_matches_merged_graph():
+    # both graphs carry a hub-hub edge, so hub 0 hears hub 1 twice
+    a = raw_input([[1.0], [2.0]], [[3.0]], [[4.0]], [(2, 3), (2, 0), (0, 1)])
+    b = raw_input([[1.0], [2.0]], [[5.0]], np.zeros((0, 0)), [(2, 1), (0, 1)])
+    # merged layout: hubs 0-1, a query 2, b query 3, a response 4
+    merged = raw_input([[1.0], [2.0]], [[3.0], [5.0]], [[4.0]],
+                       [(2, 4), (2, 0), (0, 1), (3, 1), (0, 1)])
+    one = Tensor(np.eye(1))
+    rows = encode_graph([a, b], one, one, one, beta=1.0).data
+    assert np.allclose(rows, [[1.0 + 7.0 / 3.0], [2.0 + 7.0 / 3.0]])
+    assert np.allclose(rows, encode_graph([merged], one, one, one, 1.0).data,
+                       rtol=0.0, atol=1e-12)
 
 
-def test_merge_inputs_hub_mismatch():
+def test_encode_graph_hub_mismatch():
     a = raw_input([[1.0]], np.zeros((0, 0)), np.zeros((0, 0)), [])
     b = raw_input([[1.0], [2.0]], np.zeros((0, 0)), np.zeros((0, 0)), [])
+    one = Tensor(np.eye(1))
     with pytest.raises(ValueError):
-        merge_inputs(a, b)
+        encode_graph([a, b], one, one, one, 1.0)
+    with pytest.raises(ValueError):
+        encode_graph([b], one, one, one, 1.0, hub_override=Tensor(np.ones((1, 1))))
+
+
+def dense_reference(graphs, W_q, W_r, W_m, beta):
+    """Every node's h0 + beta * mean of h0 over incoming edges, on the merged
+    layout [hubs, all queries, all responses]; returns the hub rows."""
+    H = graphs[0].n_hubs
+    nq = [g.n_queries for g in graphs]
+    q_off = H + np.concatenate([[0], np.cumsum(nq)])
+    r_off = H + sum(nq) + np.concatenate(
+        [[0], np.cumsum([g.n_responses for g in graphs])])
+    rows = [graphs[0].hub_feats @ W_m]
+    rows += [g.query_feats @ W_q for g in graphs if g.n_queries]
+    rows += [g.response_feats @ W_r for g in graphs if g.n_responses]
+    h0 = np.concatenate(rows, axis=0)
+    sums = np.zeros_like(h0)
+    counts = np.zeros(h0.shape[0])
+    for k, g in enumerate(graphs):
+        def place(i):
+            if i < H:
+                return i
+            if i < H + g.n_queries:
+                return q_off[k] + i - H
+            return r_off[k] + i - H - g.n_queries
+        for s, d in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+            sums[place(d)] += h0[place(s)]
+            counts[place(d)] += 1
+    out = h0 + beta * sums / np.maximum(counts, 1.0)[:, None]
+    return out[:H]
+
+
+@st.composite
+def hub_graph_lists(draw):
+    """One or two graphs over one hub set: empty graphs, duplicate edges and
+    hub-hub edges included."""
+    n_hubs = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graphs = []
+    for _ in range(draw(st.integers(1, 2))):
+        nq, nr = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        n = n_hubs + nq + nr
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=12))
+        if draw(st.booleans()):
+            edges = edges + edges
+        src = np.asarray([e[0] for e in edges], dtype=np.int64)
+        dst = np.asarray([e[1] for e in edges], dtype=np.int64)
+        graphs.append(EncoderInput(
+            hub_feats=rng.normal(size=(n_hubs, 3)),
+            query_feats=rng.normal(size=(nq, 3)) if nq else np.zeros((0, 0)),
+            response_feats=rng.normal(size=(nr, 3)) if nr else np.zeros((0, 0)),
+            edge_src=src, edge_dst=dst,
+            n_hubs=n_hubs, n_queries=nq, n_responses=nr))
+    weights = [rng.normal(size=(3, 2)) for _ in range(3)]
+    return graphs, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_graph_lists(), st.sampled_from([0.0, 0.7, 1.0]))
+def test_encode_graph_matches_dense_reference(case, beta):
+    graphs, (W_q, W_r, W_m) = case
+    got = encode_graph(graphs, Tensor(W_q), Tensor(W_r), Tensor(W_m), beta).data
+    want = dense_reference(graphs, W_q, W_r, W_m, beta)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # -- action head -------------------------------------------------------------------
@@ -257,6 +327,56 @@ def test_history_hub_rows_by_variant():
     assert rows.shape == (6, 8)
     assert history_hub_rows(init_params(DIMS, "hetero"), "hetero", 1.0,
                             hist) is None
+
+
+def random_input(rng, d, n_hubs, n_queries, n_responses, n_edges):
+    n = n_hubs + n_queries + n_responses
+    pairs = [tuple(int(x) for x in rng.integers(0, n, size=2))
+             for _ in range(n_edges)]
+    return raw_input(rng.normal(size=(n_hubs, d)),
+                     rng.normal(size=(n_queries, d)),
+                     rng.normal(size=(n_responses, d)),
+                     [(i, j) for i, j in pairs if i != j])
+
+
+def fd_worst(make_loss, leaves, h=1e-5):
+    """Max relative error between reverse-mode and central differences."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    T.backward(make_loss())
+    worst = 0.0
+    for leaf in leaves:
+        grad = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
+        flat = leaf.data.reshape(-1)
+        for j, g in enumerate(grad.reshape(-1)):
+            keep = flat[j]
+            flat[j] = keep + h
+            up = float(make_loss().data)
+            flat[j] = keep - h
+            dn = float(make_loss().data)
+            flat[j] = keep
+            fd = (up - dn) / (2 * h)
+            worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("variant", ["hetero", "homo"])
+def test_merged_variant_gradients_match_finite_differences(variant):
+    dims = EncoderDims(d_q=5, d_r=5, d_hub=5, hidden=4)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        params = init_params(dims, variant, seed=seed)
+        hist = random_input(rng, 5, 6, 2, 2, 8)
+        wf = random_input(rng, 5, 6, 2, 1, 7)
+        q = rng.normal(size=5)
+        mask = np.array([True, False, True, True, False, True])
+
+        def loss():
+            probs, value = step_outputs(params, variant, 0.7, wf, q, mask,
+                                        None, hist)
+            return T.add(logprob_of(probs, 2), value)
+
+        assert fd_worst(loss, list(params.values())) <= 1e-4
 
 
 # -- policy wrapper --------------------------------------------------------------------

@@ -21,10 +21,9 @@ from agentroute.harness import (
     report_rows,
     run_ablation,
     unseen_llm_eval,
-    write_csv,
 )
 from agentroute.memory import HeteroGraph, serialize
-from agentroute.ppo import TrainConfig
+from agentroute.ppo import TrainConfig, write_csv
 
 
 def make_bench(kind="uniform", families=2, seed=8, k_models=2):
@@ -113,13 +112,30 @@ def test_evaluate_rows_and_determinism():
         np.mean([r["utility"] for r in a.rows]))
 
 
+class RecordingRouter(RandomRouter):
+    """RandomRouter that remembers the history size at every prepare()."""
+
+    def __init__(self):
+        self.seen_queries = []
+
+    def prepare(self, hist_input) -> None:
+        self.seen_queries.append(hist_input.n_queries)
+
+
 def test_evaluate_absorb_grows_memory():
+    # absorb grows the evaluation's own memory, never the caller's graph
     bench = make_bench()
     history = trained_like_history(bench, CFG)
-    before = history.interaction_count
-    evaluate(RandomRouter(), bench, CFG, 2, protocol="transductive",
-             history=history, absorb=True)
-    assert history.interaction_count > before
+    before = serialize(history)
+    router = RecordingRouter()
+    first = evaluate(router, bench, CFG, 3, protocol="transductive",
+                     history=history, absorb=True)
+    assert serialize(history) == before
+    assert len(router.seen_queries) == 3
+    assert router.seen_queries[0] < router.seen_queries[1] < router.seen_queries[2]
+    second = evaluate(RandomRouter(), bench, CFG, 3, protocol="transductive",
+                      history=history, absorb=True)
+    assert first.rows == second.rows
 
 
 def test_evaluate_with_learned_policy_smoke():

@@ -1,10 +1,15 @@
 """Trainer tests: GAE oracle, frozen-window ratios, determinism, artifacts."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import agentroute
 from agentroute import tensor as T
 from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.encoder import (
@@ -239,3 +244,33 @@ def test_artifacts_identical_across_reruns(tmp_path):
                  "history.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+# trains the criterion-10 configuration into the directory given as argv[1]
+BLAS_RUN = """
+import sys
+from agentroute.backend import BenchmarkSpec, make_benchmark
+from agentroute.env import EnvConfig
+from agentroute.ppo import TrainConfig, train
+bench = make_benchmark(BenchmarkSpec(kind="uniform", families=(0, 1),
+                                     queries_per_family=30,
+                                     width_profile=(1, 2), seed=8), k_models=2)
+train(bench, EnvConfig(n_models=2, p_max=1),
+      TrainConfig(max_episodes=24, episodes_per_update=8, hidden=16, seed=0),
+      out_dir=sys.argv[1])
+"""
+
+
+def test_artifacts_identical_across_blas_thread_counts(tmp_path):
+    # numpy reads the BLAS thread count once at import, hence one process each
+    src = str(Path(agentroute.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        subprocess.run([sys.executable, "-c", BLAS_RUN, str(tmp_path / threads)],
+                       env=env, check=True, timeout=300)
+    for name in ("params.json", "best_params.json", "curve.csv",
+                 "history.json"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), f"{name} depends on BLAS threads"

@@ -72,18 +72,6 @@ def test_masked_softmax_requires_an_allowed_entry():
         T.masked_softmax(Tensor(np.zeros(3)), np.zeros(3, dtype=bool))
 
 
-def test_group_mean_frozen_values():
-    values = Tensor(np.array([[1.0], [3.0], [5.0]]))
-    out = T.group_mean(values, np.array([0, 0, 1]), 2)
-    np.testing.assert_allclose(out.data, [[2.0], [5.0]])
-
-
-def test_group_mean_empty_group_is_zero():
-    values = Tensor(np.array([[4.0, 2.0]]))
-    out = T.group_mean(values, np.array([2]), 3)
-    np.testing.assert_array_equal(out.data, [[0, 0], [0, 0], [4, 2]])
-
-
 def test_row_mean_of_empty_is_zeros():
     out = T.row_mean(Tensor(np.zeros((0, 4))))
     np.testing.assert_array_equal(out.data, np.zeros(4))
@@ -154,16 +142,6 @@ def test_grad_clip_and_minimum():
              rng.normal(size=(6,)) * 2)
     check_op(lambda a, b: T.total_sum(T.minimum(a, b)),
              rng.normal(size=(6,)), rng.normal(size=(6,)))
-
-
-def test_grad_gather_and_group_mean():
-    rng = np.random.default_rng(5)
-    idx = np.array([0, 2, 2, 1])
-    groups = np.array([1, 0, 1, 1])
-    check_op(lambda a: T.total_sum(T.gather_rows(a, idx)),
-             rng.normal(size=(3, 4)))
-    check_op(lambda a: T.total_sum(T.group_mean(a, groups, 3)),
-             rng.normal(size=(4, 3)))
 
 
 def test_grad_row_normalize():
