@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import RoutingEnv
+from . import fields
 from .memory import EncoderInput, QueryNode
 
 KNN_FORMAT_VERSION = 1
@@ -76,13 +77,16 @@ class KnnStore:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "KnnStore":
-        version = obj.get("format_version")
+        """Store from to_jsonable() output; a malformed blob raises
+        ValueError naming the offending field."""
+        version = fields.field(obj, "format_version", int, "kNN store")
         if version != KNN_FORMAT_VERSION:
             raise ValueError(f"unsupported store format version: {version!r}")
         store = cls()
-        for rec in obj["records"]:
-            store.add(np.asarray(rec["embedding"], dtype=np.float64),
-                      rec["actions"])
+        for i, rec in enumerate(fields.field(obj, "records", list, "kNN store")):
+            where = f"kNN record {i}"
+            store.add(fields.floats(rec, "embedding", where),
+                      fields.ints(rec, "actions", where))
         return store
 
     def save(self, path) -> None:

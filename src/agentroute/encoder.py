@@ -1,14 +1,20 @@
 """Dual-graph state encoder and the (role, model) policy head.
 
 Node features are projected per type and mixed with one residual
-mean-message round. Only hub rows are read downstream, so the round computes
-them alone, as one product with a constant row-normalised count matrix. The
-history graph's hub rows are injected as the workflow hub inputs (nested
-encoding). Action scores are dot products between the fused query
-representation and the workflow hub rows; a two-layer head on pooled hub rows
-estimates the state value. Ablation variants swap this wiring for one
-encoding of the union of the history and workflow graphs, with shared or
-per-type projections.
+mean-message round. Only hub rows are read downstream, and mean aggregation
+is linear, so the round aggregates first and projects after: each hub's
+incoming edges are averaged over the raw features once per frozen graph
+(cached on the `EncoderInput`), and every weight then costs one matmul over
+all decision points of a batch. The history graph's hub rows are injected as
+the workflow hub inputs (nested encoding). Action scores are dot products
+between the fused query representation and the workflow hub rows; a
+two-layer head on pooled hub rows estimates the state value. Ablation
+variants swap this wiring for one encoding of the union of the history and
+workflow graphs, with shared or per-type projections.
+
+`encoder` maps a stack of decision points to masked action distributions and
+values. Rollouts call it with a batch of one and the PPO update with a whole
+window, so both run the same code.
 """
 
 from __future__ import annotations
@@ -69,68 +75,95 @@ def init_params(dims: EncoderDims, variant: str = "full", seed: int = 0,
     return params
 
 
-def _project(feats: np.ndarray, n: int, W: Tensor) -> Tensor:
-    if n == 0:
-        return Tensor(np.zeros((0, W.shape[1])))
-    return T.matmul(Tensor(feats), W)
+def _stack(parts: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
+    """Stack per-graph sums; None (no such node) stacks as zeros, all-None as None."""
+    present = [p for p in parts if p is not None]
+    if not present:
+        return None
+    if len(parts) == 1:
+        return parts[0][None]
+    if len(present) < len(parts):
+        zero = np.zeros_like(present[0])
+        parts = [zero if p is None else p for p in parts]
+    return np.stack(parts)
 
 
-def encode_graph(graphs: list[EncoderInput], W_q: Tensor, W_r: Tensor,
-                 W_m: Tensor, beta: float,
-                 hub_override: Tensor | None = None) -> Tensor:
-    """Hub rows after one round of residual mean message passing.
+def encode_graph(hubs: Tensor, graphs: list[EncoderInput], W_q: Tensor,
+                 W_r: Tensor, W_m: Tensor, beta: float,
+                 shared: EncoderInput | None = None) -> Tensor:
+    """(N, H, hidden) hub rows of N graphs after one residual mean-message round.
 
-    h0 projects each node by its type's matrix; each hub then adds beta times
-    the mean of h0 over its incoming edges, as h_hub + beta * M @ h0 with M
-    the row-normalised hub rows of the edge-count matrix. Hubs without edges
-    keep h0. The graphs share one hub set and are encoded as their union:
-    hub-hub counts add up, and the other nodes line up as every graph's
-    queries, then every graph's responses. hub_override replaces the raw hub
-    features with rows already produced by another encoding pass; W_m then
-    projects those rows (hidden by hidden) instead of the raw features.
+    Every graph starts from the same (H, d) hub rows `hubs`: raw hub features,
+    or rows already produced by another encoding pass. Mean aggregation is
+    linear, so it runs on the raw features before the projection: graph i's
+    rows are h + beta * [M_i | S_q,i | S_r,i] @ [h; W_q; W_r], where h = hubs
+    @ W_m, M_i holds the hub-hub edge counts and S_q,i, S_r,i the summed query
+    and response features of each hub's incoming edges, all divided by the
+    hub's in-degree; one matmul covers all N graphs. Hubs without edges keep
+    h. `shared` is encoded as part of every graph (its sums add to each
+    graph's): the merged variants pass the history there. A weight whose node
+    kind is absent from every graph, and every weight but W_m at beta = 0,
+    stays off the tape.
     """
-    hubs = Tensor(graphs[0].hub_feats) if hub_override is None else hub_override
     H = hubs.shape[0]
-    if any(g.n_hubs != H for g in graphs):
+    if any(g.n_hubs != H for g in [*graphs, shared] if g is not None):
         raise ValueError("hub sets differ between the graphs being encoded")
     h_hub = T.matmul(hubs, W_m)
+    N, h = len(graphs), h_hub.shape[1]
+    base = T.reshape(h_hub, (1, H, h))
     if beta == 0.0:
-        return h_hub
-    q_end = [H + g.n_queries for g in graphs]
-    counts = np.concatenate(
-        [sum(g.hub_counts[:, :H] for g in graphs)]
-        + [g.hub_counts[:, H:e] for g, e in zip(graphs, q_end)]
-        + [g.hub_counts[:, e:] for g, e in zip(graphs, q_end)], axis=1)
-    M = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
-    h0 = T.concat([h_hub]
-                  + [_project(g.query_feats, g.n_queries, W_q) for g in graphs]
-                  + [_project(g.response_feats, g.n_responses, W_r)
-                     for g in graphs], axis=0)
-    return T.add(h_hub, T.scale(T.matmul(Tensor(M), h0), beta))
+        return T.broadcast_to(base, (N, H, h))
+    sums = [_stack(parts) for parts in zip(*(g.hub_sums for g in graphs))]
+    if shared is not None:
+        sums = [b if s is None else s if b is None else s + b
+                for s, b in zip(sums, shared.hub_sums)]
+    hh, deg, q_sum, r_sum = sums
+    kept = [(s, W) for s, W in ((hh, h_hub), (q_sum, W_q), (r_sum, W_r))
+            if s is not None]
+    means = np.concatenate([np.broadcast_to(s, (N,) + s.shape) if s.ndim == 2
+                            else s for s, _ in kept], axis=2)
+    means *= (beta / np.maximum(deg, 1.0))[:, :, None]
+    msg = T.matmul(Tensor(means.reshape(N * H, -1)),
+                   T.concat([W for _, W in kept], axis=0))
+    return T.add(base, T.reshape(msg, (N, H, h)))
 
 
 def history_hub_rows(params: dict[str, Tensor], variant: str, beta: float,
                      hist_input: EncoderInput) -> Tensor | None:
-    """History-encoded hub rows (full variant); merged variants return None."""
+    """(H, hidden) history-encoded hub rows (full variant); merged variants
+    return None."""
     if variant == "full":
-        return encode_graph([hist_input], params["his.W_q"], params["his.W_r"],
+        rows = encode_graph(Tensor(hist_input.hub_feats), [hist_input],
+                            params["his.W_q"], params["his.W_r"],
                             params["his.W_m"], beta)
+        return T.reshape(rows, rows.shape[1:])
     if variant in ("homo", "hetero"):
         return None
     raise ValueError(f"unknown encoder variant: {variant!r}")
 
 
-def step_outputs(params: dict[str, Tensor], variant: str, beta: float,
-                 wf_input: EncoderInput, query_embedding: np.ndarray,
-                 mask: np.ndarray, his_hubs: Tensor | None,
-                 hist_input: EncoderInput | None) -> tuple[Tensor, Tensor]:
-    """Masked action distribution and value estimate for one decision point."""
+def encoder(params: dict[str, Tensor], variant: str, beta: float,
+            hist_input: EncoderInput | None, wf_inputs: list[EncoderInput],
+            queries: np.ndarray, masks: np.ndarray,
+            his_hubs: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """Masked action distributions (N, R*K) and values (N,) of N decision
+    points that share one history snapshot.
+
+    Row i scores wf_inputs[i] against queries[i] under masks[i]. Rollouts
+    pass one decision point, the update a whole window; every weight is
+    applied with one matmul whatever N is. The full variant encodes the
+    history once (or takes its cached rows as his_hubs) and feeds those rows
+    to every workflow pass as hub inputs; merged variants encode each
+    workflow together with the history.
+    """
     if variant == "full":
         if his_hubs is None:
-            raise ValueError("full variant needs history hub rows")
-        loc_hubs = encode_graph([wf_input], params["loc.W_q"], params["loc.W_r"],
-                                params["loc.W_m"], beta, hub_override=his_hubs)
-        score_hubs, value_his = loc_hubs, his_hubs
+            if hist_input is None:
+                raise ValueError("the full variant needs the history input")
+            his_hubs = history_hub_rows(params, variant, beta, hist_input)
+        score_rows = encode_graph(his_hubs, wf_inputs, params["loc.W_q"],
+                                  params["loc.W_r"], params["loc.W_m"], beta)
+        value_rows = T.reshape(his_hubs, (1,) + his_hubs.shape)
     elif variant in ("homo", "hetero"):
         if hist_input is None:
             raise ValueError("merged variants need the history input")
@@ -138,51 +171,47 @@ def step_outputs(params: dict[str, Tensor], variant: str, beta: float,
             Wq = Wr = Wm = params["enc.W"]
         else:
             Wq, Wr, Wm = params["enc.W_q"], params["enc.W_r"], params["enc.W_m"]
-        hubs = encode_graph([hist_input, wf_input], Wq, Wr, Wm, beta)
-        score_hubs, value_his = hubs, hubs
+        score_rows = encode_graph(Tensor(hist_input.hub_feats), wf_inputs,
+                                  Wq, Wr, Wm, beta, shared=hist_input)
+        value_rows = score_rows
     else:
         raise ValueError(f"unknown encoder variant: {variant!r}")
-    return act(query_embedding, score_hubs, value_his, mask, params)
+    return _head(params, score_rows, value_rows, queries, masks)
 
 
-def act(query_embedding: np.ndarray, score_hubs: Tensor, his_hubs: Tensor,
-        mask: np.ndarray, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Score hubs against the fused query; returns (probs, value)."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape[0] != score_hubs.shape[0]:
-        raise ValueError("mask length does not match the hub count")
-    if not mask.any():
-        raise ValueError("no action is allowed by the mask")
-    h = params["fuse.W"].shape[1]
-    q = Tensor(query_embedding.reshape(1, -1))
-    z_row = T.relu(T.row_normalize(T.matmul(q, params["fuse.W"])))
-    z = T.reshape(z_row, (h,))
-    scores = T.reshape(T.matmul(score_hubs, T.reshape(z, (h, 1))), (mask.shape[0],))
-    probs = T.masked_softmax(scores, mask)
+def _head(params: dict[str, Tensor], score_rows: Tensor, value_rows: Tensor,
+          queries: np.ndarray, masks: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Score each point's hub rows against its fused query; a two-layer head
+    on [query, pooled score rows, pooled value rows] gives the value."""
+    N, H, h = score_rows.shape
+    z = T.relu(T.row_normalize(T.matmul(Tensor(queries), params["fuse.W"])))
+    scores = T.sum_axis(T.mul(score_rows, T.reshape(z, (N, 1, h))), axis=2)
+    probs = T.masked_softmax(scores, masks)
 
-    feat = T.concat([z, T.row_mean(score_hubs), T.row_mean(his_hubs)])
-    hidden = T.relu(T.add(T.reshape(T.matmul(T.reshape(feat, (1, 3 * h)),
-                                             params["value.W1"]), (h,)),
-                          params["value.b1"]))
-    value = T.add(T.reshape(T.matmul(T.reshape(hidden, (1, h)),
-                                     params["value.W2"]), (1,)),
-                  params["value.b2"])
-    return probs, T.reshape(value, ())
+    pooled = [T.broadcast_to(T.scale(T.sum_axis(rows, axis=1), 1.0 / H), (N, h))
+              for rows in (score_rows, value_rows)]
+    feat = T.concat([z] + pooled, axis=1)
+    hidden = T.relu(T.add(T.matmul(feat, params["value.W1"]), params["value.b1"]))
+    value = T.add(T.matmul(hidden, params["value.W2"]), params["value.b2"])
+    return probs, T.reshape(value, (N,))
 
 
 def entropy_of(probs: Tensor) -> Tensor:
+    """Entropy summed over every row of probs."""
     return T.scale(T.total_sum(T.mul(probs, T.safe_log(probs))), -1.0)
 
 
-def logprob_of(probs: Tensor, action_index: int) -> Tensor:
-    return T.log(T.pick(probs, action_index))
+def logprob_of(probs: Tensor, actions: np.ndarray) -> Tensor:
+    """(N,) log-probability of actions[i] under row i of probs."""
+    return T.log(T.pick_rows(probs, actions))
 
 
 class RoutingPolicy:
-    """Inference-mode policy: shared code path with the training recompute.
+    """Inference-mode policy: `encoder` on a batch of one decision point.
 
     For the full variant the history encoding is cached once per prepare()
-    call; merged variants re-encode history at every step by construction.
+    call; merged variants encode the history with every workflow by
+    construction (its edge sums stay cached on the history input).
     """
 
     def __init__(self, params: dict[str, Tensor], variant: str = "full",
@@ -205,10 +234,12 @@ class RoutingPolicy:
             rng: np.random.Generator | None = None):
         if self.hist_input is None:
             raise RuntimeError("call prepare() with a history snapshot first")
-        probs_t, value_t = step_outputs(self.params, self.variant, self.beta,
-                                        wf_input, query_embedding, mask,
-                                        self._his_hubs, self.hist_input)
-        probs = probs_t.data
+        probs_t, value_t = encoder(self.params, self.variant, self.beta,
+                                   self.hist_input, [wf_input],
+                                   np.asarray(query_embedding)[None, :],
+                                   np.asarray(mask, dtype=bool)[None, :],
+                                   self._his_hubs)
+        probs = probs_t.data[0]
         if mode == "greedy":
             idx = int(np.argmax(probs))
         else:
@@ -218,4 +249,4 @@ class RoutingPolicy:
         pos = probs > 0.0
         entropy = float(-(probs[pos] * np.log(probs[pos])).sum())
         logp = float(np.log(probs[idx]))
-        return idx, logp, float(value_t.data), entropy
+        return idx, logp, float(value_t.data[0]), entropy

@@ -10,10 +10,12 @@ freeze into plain-array encoder inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+
+from .fields import NUMBER, field, floats, ints
 
 FORMAT_VERSION = 1
 
@@ -115,16 +117,26 @@ class EncoderInput:
         return self.n_hubs + self.n_queries + self.n_responses
 
     @cached_property
-    def hub_counts(self) -> np.ndarray:
-        """(n_hubs, n_nodes) float counts of edges from each node into each hub.
+    def hub_sums(self) -> tuple[np.ndarray, np.ndarray,
+                                np.ndarray | None, np.ndarray | None]:
+        """Edges into each hub, summed by the kind of node they come from.
 
-        Cached because a training window re-encodes the same input once per
-        epoch.
+        Returns the (n_hubs, n_hubs) hub-hub edge counts, the (n_hubs,)
+        in-degrees, and the sums of the raw query and response features over
+        each hub's incoming edges, (n_hubs, d_q) and (n_hubs, d_r), or None
+        when the graph has no node of that kind. Sums of several graphs over
+        one hub set add up. Cached because a training window encodes the
+        same input once per epoch.
         """
-        into_hub = self.edge_dst < self.n_hubs
+        H = self.n_hubs
+        into_hub = self.edge_dst < H
         flat = self.edge_dst[into_hub] * self.n_nodes + self.edge_src[into_hub]
-        counts = np.bincount(flat, minlength=self.n_hubs * self.n_nodes)
-        return counts.reshape(self.n_hubs, self.n_nodes).astype(np.float64)
+        counts = np.bincount(flat, minlength=H * self.n_nodes)
+        counts = counts.reshape(H, self.n_nodes).astype(np.float64)
+        q_end = H + self.n_queries
+        q_sum = counts[:, H:q_end] @ self.query_feats if self.n_queries else None
+        r_sum = counts[:, q_end:] @ self.response_feats if self.n_responses else None
+        return counts[:, :H], counts.sum(axis=1), q_sum, r_sum
 
 
 class HeteroGraph:
@@ -539,64 +551,69 @@ def serialize(g: HeteroGraph) -> bytes:
 
 
 def deserialize(data: bytes) -> HeteroGraph:
+    """Graph from serialize() bytes; a malformed blob raises ValueError
+    naming the offending field."""
     try:
         blob = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"truncated or corrupt graph stream: {exc}") from exc
-    if not isinstance(blob, dict) or blob.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported graph format version: {blob.get('format_version')!r}")
-    hubs = HubSet(
-        [
-            RoleHubNode(
-                role_index=h["role_index"],
-                model_index=h["model_index"],
-                role_name=h["role_name"],
-                model_name=h["model_name"],
-                role_embedding=np.asarray(h["role_embedding"], dtype=np.float64),
-                utility_ema=h["utility_ema"],
-                cost_ema=h["cost_ema"],
-            )
-            for h in blob["hubs"]
-        ],
-        n_roles=blob["n_roles"],
-        n_models=blob["n_models"],
-    )
-    g = HeteroGraph(blob["kind"], hubs, capacity=blob["capacity"])
-    g._episode_counter = blob["episode_counter"]
-    g.episode_order = list(blob["episode_order"])
-    for q in blob["queries"]:
+    version = field(blob, "format_version", int, "graph")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported graph format version: {version!r}")
+    opt_str = (str, type(None))
+    hub_list = []
+    for i, h in enumerate(field(blob, "hubs", list, "graph")):
+        where = f"graph hub {i}"
+        hub_list.append(RoleHubNode(
+            role_index=field(h, "role_index", int, where),
+            model_index=field(h, "model_index", int, where),
+            role_name=field(h, "role_name", str, where),
+            model_name=field(h, "model_name", str, where),
+            role_embedding=floats(h, "role_embedding", where),
+            utility_ema=field(h, "utility_ema", NUMBER, where),
+            cost_ema=field(h, "cost_ema", NUMBER, where),
+        ))
+    hubs = HubSet(hub_list, n_roles=field(blob, "n_roles", int, "graph"),
+                  n_models=field(blob, "n_models", int, "graph"))
+    g = HeteroGraph(field(blob, "kind", str, "graph"), hubs,
+                    capacity=field(blob, "capacity", (int, type(None)), "graph"))
+    g._episode_counter = field(blob, "episode_counter", int, "graph")
+    g.episode_order = list(field(blob, "episode_order", list, "graph"))
+    for i, q in enumerate(field(blob, "queries", list, "graph")):
+        where = f"graph query {i}"
         node = QueryNode(
-            id=q["id"],
-            embedding=np.asarray(q["embedding"], dtype=np.float64),
-            depth=q["depth"],
-            parent=q["parent"],
-            family=q["family"],
-            status=q["status"],
-            is_summary=q["is_summary"],
-            width_hint=q["width_hint"],
-            answer_id=q["answer_id"],
+            id=field(q, "id", str, where),
+            embedding=floats(q, "embedding", where),
+            depth=field(q, "depth", int, where),
+            parent=field(q, "parent", opt_str, where),
+            family=field(q, "family", int, where),
+            status=field(q, "status", str, where),
+            is_summary=field(q, "is_summary", bool, where),
+            width_hint=field(q, "width_hint", int, where),
+            answer_id=field(q, "answer_id", opt_str, where),
         )
         g.queries[node.id] = node
         if q.get("episode") is not None:
-            g.episode_of[node.id] = q["episode"]
-    for r in blob["responses"]:
+            g.episode_of[node.id] = field(q, "episode", str, where)
+    for i, r in enumerate(field(blob, "responses", list, "graph")):
+        where = f"graph response {i}"
         node = ResponseNode(
-            id=r["id"],
-            embedding=np.asarray(r["embedding"], dtype=np.float64),
-            produced_by=tuple(r["produced_by"]),
-            tokens_in=r["tokens_in"],
-            tokens_out=r["tokens_out"],
-            quality=r["quality"],
+            id=field(r, "id", str, where),
+            embedding=floats(r, "embedding", where),
+            produced_by=tuple(ints(r, "produced_by", where)),
+            tokens_in=field(r, "tokens_in", int, where),
+            tokens_out=field(r, "tokens_out", int, where),
+            quality=field(r, "quality", NUMBER, where),
         )
         g.responses[node.id] = node
         if r.get("episode") is not None:
-            g.episode_of[node.id] = r["episode"]
-    g.edges = {
-        EDGE_QUERY_HUB: [tuple(e) for e in blob["edges"][EDGE_QUERY_HUB]],
-        EDGE_RESPONSE_HUB: [tuple(e) for e in blob["edges"][EDGE_RESPONSE_HUB]],
-        EDGE_QUERY_RESPONSE: [tuple(e) for e in blob["edges"][EDGE_QUERY_RESPONSE]],
-        EDGE_QUERY_PARENT: [tuple(e) for e in blob["edges"][EDGE_QUERY_PARENT]],
-    }
+            g.episode_of[node.id] = field(r, "episode", str, where)
+    edges = field(blob, "edges", dict, "graph")
+    for kind in g.edges:
+        entries = field(edges, kind, list, "graph edges")
+        if not all(isinstance(e, list) for e in entries):
+            raise ValueError(f"graph edges: field {kind!r} must hold lists only")
+        g.edges[kind] = [tuple(e) for e in entries]
     return g
 
 

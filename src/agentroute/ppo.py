@@ -1,11 +1,15 @@
 """Clipped-surrogate policy optimization over routing episodes.
 
 Collection windows are frozen: parameters and the history snapshot taken at
-the start of a window are used for every rollout in it, and the update that
-follows recomputes log-probabilities through the same code path, so the
-importance ratio is exactly one on the first epoch. Per-episode RNG streams
-are keyed by (seed, update, episode index), never by worker, so any worker
-count yields identical trajectories.
+the start of a window are used for every rollout in it. The update runs one
+batched forward per epoch over all decision points of the window, through
+the same `encoder` the rollouts call with a batch of one. Its old
+log-probabilities are the first epoch's own, detached, so the importance
+ratio is exactly one on the first epoch by construction (a batch-of-one
+recompute can differ from the batched one in the last bit, so the rollout's
+values are not reused). Per-episode RNG streams are keyed by (seed, update,
+episode index), never by worker, so any worker count yields identical
+trajectories.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .backend import Benchmark
-from .encoder import (EncoderDims, RoutingPolicy, entropy_of, history_hub_rows,
-                      init_params, step_outputs)
+from .encoder import (EncoderDims, RoutingPolicy, encoder, entropy_of,
+                      init_params, logprob_of)
 from .env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from .memory import HeteroGraph, serialize
 from .streams import det_rng
@@ -141,33 +145,31 @@ def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
                episodes: list[Episode], advantages: np.ndarray,
                returns: np.ndarray, hist_input, cfg: TrainConfig,
                update: int) -> dict[str, float]:
-    """Run cfg.epochs whole-buffer epochs; returns the last epoch's losses."""
+    """Run cfg.epochs whole-window epochs, each one batched forward over
+    every decision point of the window; returns the last epoch's losses."""
     records = [rec for ep in episodes for rec in ep.records]
     n = len(records)
+    wf_inputs = [rec.wf_input for rec in records]
+    queries = np.stack([rec.query_embedding for rec in records])
+    masks = np.stack([rec.mask for rec in records])
+    actions = np.asarray([rec.action_index for rec in records])
+    adv = Tensor(advantages)
+    ret = Tensor(returns)
+    old_logp = None
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     for epoch in range(cfg.epochs):
-        # one shared history encoding per epoch; gradients still reach it
-        his_hubs = history_hub_rows(params, cfg.variant, cfg.beta, hist_input)
-        surr_sum = None
-        vloss_sum = None
-        ent_sum = None
-        for rec, adv, ret in zip(records, advantages, returns):
-            probs, value = step_outputs(params, cfg.variant, cfg.beta,
-                                        rec.wf_input, rec.query_embedding,
-                                        rec.mask, his_hubs, hist_input)
-            logp = T.log(T.pick(probs, rec.action_index))
-            ratio = T.exp(T.add(logp, Tensor(np.asarray(-rec.logp))))
-            clipped = T.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-            surr = T.minimum(T.scale(ratio, adv), T.scale(clipped, adv))
-            err = T.sub(value, Tensor(np.asarray(ret)))
-            vloss = T.mul(err, err)
-            ent = entropy_of(probs)
-            surr_sum = surr if surr_sum is None else T.add(surr_sum, surr)
-            vloss_sum = vloss if vloss_sum is None else T.add(vloss_sum, vloss)
-            ent_sum = ent if ent_sum is None else T.add(ent_sum, ent)
-        policy_loss = T.scale(surr_sum, -1.0 / n)
-        value_loss = T.scale(vloss_sum, 1.0 / n)
-        entropy = T.scale(ent_sum, 1.0 / n)
+        probs, values = encoder(params, cfg.variant, cfg.beta, hist_input,
+                                wf_inputs, queries, masks)
+        logp = logprob_of(probs, actions)
+        if old_logp is None:  # detached: first-epoch ratios are exactly 1
+            old_logp = Tensor(logp.data)
+        ratio = T.exp(T.sub(logp, old_logp))
+        clipped = T.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+        surr = T.minimum(T.mul(ratio, adv), T.mul(clipped, adv))
+        err = T.sub(values, ret)
+        policy_loss = T.scale(T.total_sum(surr), -1.0 / n)
+        value_loss = T.scale(T.total_sum(T.mul(err, err)), 1.0 / n)
+        entropy = T.scale(entropy_of(probs), 1.0 / n)
         loss = T.add(T.add(policy_loss, T.scale(value_loss, cfg.value_coef)),
                      T.scale(entropy, -cfg.entropy_coef))
         if not np.isfinite(loss.data):

@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .fields import field, floats, ints
+
 Array = np.ndarray
 
 
@@ -86,7 +88,8 @@ def _make(data: Array, parents: list[tuple[Tensor, Callable[[Array], Array]]]) -
 def backward(loss: Tensor) -> None:
     """Reverse-mode accumulation from a scalar loss over the recorded tape.
 
-    Visits each node exactly once in reverse topological order. Raises on a
+    Visits each node exactly once in reverse topological order and skips
+    constants (parents that do not require grad) altogether. Raises on a
     non-scalar loss because the seed gradient would be ambiguous.
     """
     if loss.data.shape != ():
@@ -105,7 +108,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
     grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
@@ -116,6 +119,8 @@ def backward(loss: Tensor) -> None:
         if node.requires_grad and not node._parents:
             node.grad = g if node.grad is None else node.grad + g
         for parent, fn in node._parents:
+            if not parent.requires_grad:
+                continue  # a constant: its gradient would only be dropped
             contrib = fn(g)
             key = id(parent)
             if key in grads:
@@ -198,11 +203,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat of zero tensors")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
     parents = []
-    for i, p in enumerate(parts):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
+    hi = 0
+    for p in parts:
+        lo, hi = hi, hi + p.data.shape[axis]
 
         def bw(g: Array, lo=lo, hi=hi) -> Array:
             sl = [slice(None)] * g.ndim
@@ -259,29 +263,34 @@ def total_mean(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.mean()), [(a, lambda g: g * np.ones_like(a.data) / n)])
 
 
-def row_mean(a: Tensor) -> Tensor:
-    """Mean over rows of an (n, d) matrix; returns shape (d,)."""
-    if a.data.ndim != 2:
-        raise ValueError("row_mean expects a 2-d operand")
-    n = a.data.shape[0]
-    if n == 0:
-        return _make(np.zeros(a.data.shape[1]), [(a, lambda g: np.zeros_like(a.data))])
-    out = a.data.mean(axis=0)
-    return _make(out, [(a, lambda g: np.broadcast_to(g / n, a.data.shape).copy())])
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    """Sum over one axis; the result drops that axis."""
+    out = a.data.sum(axis=axis)
+    return _make(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis),
+                                                     a.data.shape).copy())])
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select a single entry of a 1-d tensor as a scalar."""
-    if a.data.ndim != 1:
-        raise ValueError("pick expects a 1-d operand")
-    index = int(index)
+def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Repeat a along its size-1 (or missing leading) axes up to shape."""
+    if a.data.shape == tuple(shape):
+        return a
+    out = np.broadcast_to(a.data, shape).copy()
+    return _make(out, [(a, lambda g: _unbroadcast(g, a.data.shape))])
+
+
+def pick_rows(a: Tensor, indices: Array) -> Tensor:
+    """Entry indices[i] of row i of an (n, k) matrix; returns shape (n,)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if a.data.ndim != 2 or indices.shape != (a.data.shape[0],):
+        raise ValueError("pick_rows expects an (n, k) operand and n indices")
+    rows = np.arange(indices.size)
 
     def bw(g: Array) -> Array:
         out = np.zeros_like(a.data)
-        out[index] = g
+        out[rows, indices] = g
         return out
 
-    return _make(np.asarray(a.data[index]), [(a, bw)])
+    return _make(a.data[rows, indices], [(a, bw)])
 
 
 def row_normalize(a: Tensor, eps: float = 1e-6) -> Tensor:
@@ -302,23 +311,23 @@ def row_normalize(a: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def masked_softmax(scores: Tensor, mask: Array) -> Tensor:
-    """Softmax over entries where mask is True; masked entries get exactly 0.
+    """Softmax along the last axis over entries where mask is True; masked
+    entries get exactly 0.
 
-    Raises if no entry is allowed. Max-subtraction is applied over the allowed
-    entries only, so the value is the plain renormalized softmax.
+    Raises if some row allows no entry. Max-subtraction is applied over the
+    allowed entries only, so each row is the plain renormalized softmax.
     """
     mask = np.asarray(mask, dtype=bool)
-    if scores.data.ndim != 1 or mask.shape != scores.data.shape:
-        raise ValueError("scores and mask must be aligned 1-d arrays")
-    if not mask.any():
-        raise ValueError("masked_softmax with an empty mask")
-    shifted = scores.data - scores.data[mask].max()
-    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    total = e.sum()
-    p = e / total
+    if scores.data.ndim == 0 or mask.shape != scores.data.shape:
+        raise ValueError("scores and mask must be aligned arrays")
+    if not mask.any(axis=-1).all():
+        raise ValueError("masked_softmax with an empty mask row")
+    top = np.where(mask, scores.data, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, scores.data - top, 0.0)), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g: Array) -> Array:
-        inner = (g * p).sum()
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return p * (g - inner)
 
     return _make(p, [(scores, bw)])
@@ -395,15 +404,19 @@ def params_to_jsonable(params: dict[str, Tensor]) -> dict:
 
 
 def params_from_jsonable(obj: dict, requires_grad: bool = True) -> dict[str, Tensor]:
-    if not isinstance(obj, dict) or "tensors" not in obj:
-        raise ValueError("malformed parameter blob")
-    version = obj.get("format_version")
+    """Parameters from params_to_jsonable() output; a malformed blob raises
+    ValueError naming the offending field."""
+    version = field(obj, "format_version", int, "parameters")
     if version != PARAMS_FORMAT_VERSION:
         raise ValueError(f"unsupported parameter format version: {version!r}")
     out: dict[str, Tensor] = {}
-    for name, rec in obj["tensors"].items():
-        arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        out[name] = Tensor(arr, requires_grad=requires_grad)
+    for name, rec in field(obj, "tensors", dict, "parameters").items():
+        where = f"parameter {name!r}"
+        data = floats(rec, "data", where)
+        shape = ints(rec, "shape", where)
+        if data.ndim != 1 or math.prod(shape) != data.size or min(shape, default=0) < 0:
+            raise ValueError(f"{where}: shape {shape} does not fit {data.size} values")
+        out[name] = Tensor(data.reshape(shape), requires_grad=requires_grad)
     return out
 
 

@@ -15,8 +15,8 @@ from agentroute import tensor as T
 from agentroute.backend import (BenchmarkSpec, CatalogEntry, EXECUTOR,
                                 make_benchmark)
 from agentroute.baselines import KnnStore, RandomRouter, oracle_route
-from agentroute.encoder import (EncoderDims, RoutingPolicy, history_hub_rows,
-                                init_params, logprob_of, step_outputs)
+from agentroute.encoder import (EncoderDims, RoutingPolicy, encoder, init_params,
+                                logprob_of)
 from agentroute.env import EnvConfig, RoutingEnv
 from agentroute.harness import (emit_report, evaluate, new_role_eval,
                                 pareto_sweep, report_rows, unseen_llm_eval)
@@ -187,8 +187,9 @@ def _op_battery(seed):
     run(lambda: T.total_sum(a), [a])
     run(lambda: T.total_mean(a), [a])
     wrm = Tensor(rng.normal(size=(4,)))
-    run(lambda: T.dot(T.row_mean(a), wrm), [a])
-    run(lambda: T.pick(T.reshape(a, (12,)), 7), [a])
+    run(lambda: T.dot(T.sum_axis(a, axis=0), wrm), [a])
+    wpick = Tensor(wrm.data[:3])
+    run(lambda: T.total_sum(T.mul(T.pick_rows(a, [3, 0, 2]), wpick)), [a])
 
     rn = Tensor(rng.normal(size=(3, 4)) + np.sign(rng.normal(size=(3, 4))) * 0.5,
                 requires_grad=True)
@@ -199,6 +200,18 @@ def _op_battery(seed):
     mask[[0, 2, 5]] = True
     wsm = Tensor(rng.normal(size=(6,)))
     run(lambda: T.dot(T.masked_softmax(sc, mask), wsm), [sc])
+
+    # row-wise softmax over a batch; a broadcast row and a 3-d axis sum
+    sc2 = _signed(rng, (3, 6), lo=0.2, hi=1.5)
+    mask2 = rng.uniform(size=(3, 6)) < 0.5
+    mask2[:, 1] = True
+    wsm2 = Tensor(rng.normal(size=(3, 6)))
+    run(lambda: T.total_sum(T.mul(T.masked_softmax(sc2, mask2), wsm2)), [sc2])
+    bc = _signed(rng, (1, 4))
+    run(lambda: T.total_sum(T.mul(T.broadcast_to(bc, (3, 4)), w)), [bc])
+    s3 = _signed(rng, (2, 3, 4))
+    w24 = Tensor(wc2.data[:, :4])
+    run(lambda: T.total_sum(T.mul(T.sum_axis(s3, axis=1), w24)), [s3])
     return worst
 
 
@@ -222,27 +235,29 @@ def _graph_input(rng, d_q, d_r, d_hub, n_hubs, n_queries, n_responses, n_edges):
 
 
 def _policy_fd(seed):
-    """Gradcheck the full nested encoder through its action logprob and value."""
+    """Gradcheck the full nested encoder on a batch of two decision points,
+    through their action logprobs and values."""
     rng = det_rng(seed, "policy-fd")
     dims = EncoderDims(d_q=6, d_r=5, d_hub=7, hidden=4)
-    n_roles, k_models = 3, 3
+    n_hubs = 3 * 3  # roles x models
     params = init_params(dims, "full", seed=seed)
-    hist = _graph_input(rng, 6, 5, 7, n_roles * k_models, 2, 2, 8)
-    wf = _graph_input(rng, 6, 5, 7, n_roles * k_models, 2, 1, 7)
-    q_emb = rng.normal(size=6)
-    mask = np.zeros(n_roles * k_models, dtype=bool)
-    mask[rng.choice(n_roles * k_models, size=4, replace=False)] = True
-    legal = np.flatnonzero(mask)
-    action = int(legal[int(rng.integers(0, legal.size))])
+    hist = _graph_input(rng, 6, 5, 7, n_hubs, 2, 2, 8)
+    wfs = [_graph_input(rng, 6, 5, 7, n_hubs, 2, 1, 7),
+           _graph_input(rng, 6, 5, 7, n_hubs, 1, 0, 4)]
+    queries = rng.normal(size=(2, 6))
+    masks = np.zeros((2, n_hubs), dtype=bool)
+    for row in masks:
+        row[rng.choice(n_hubs, size=4, replace=False)] = True
+    actions = [int(rng.choice(np.flatnonzero(row))) for row in masks]
     beta = 0.7
 
     def fwd():
-        his = history_hub_rows(params, "full", beta, hist)
-        return step_outputs(params, "full", beta, wf, q_emb, mask, his, hist)
+        return encoder(params, "full", beta, hist, wfs, queries, masks)
 
     leaves = list(params.values())
-    return max(_fd_worst(lambda: logprob_of(fwd()[0], action), leaves),
-               _fd_worst(lambda: fwd()[1], leaves))
+    return max(_fd_worst(lambda: T.total_sum(logprob_of(fwd()[0], actions)),
+                         leaves),
+               _fd_worst(lambda: T.total_sum(fwd()[1]), leaves))
 
 
 def test_c01_gradients_match_finite_differences():

@@ -1,9 +1,14 @@
 """CLI tests: exit codes, artifact round-trips, config validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agentroute
 from agentroute.cli import main
 from agentroute.config import RunConfig
 
@@ -80,6 +85,33 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
     assert main(["train", "--config", str(bad),
                  "--out", str(tmp_path / "run")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_corrupt_history_file_is_one_line_error(tiny_config, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config),
+                 "--out", str(run_dir)]) == 0
+    blob = json.loads((run_dir / "history.json").read_text())
+    blob["hubs"][0]["role_embedding"] = {"not": "numbers"}
+    corrupt = {  # file name: (content, word the message must contain)
+        "mutated.json": (json.dumps(blob), "role_embedding"),
+        "truncated.json": ((run_dir / "history.json").read_text()[:100],
+                           "corrupt")}
+    src = str(Path(agentroute.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, (text, word) in corrupt.items():
+        (tmp_path / name).write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "agentroute.cli", "eval", "--config",
+             str(tiny_config), "--checkpoint", str(run_dir), "--protocol",
+             "transductive", "--episodes", "2", "--history",
+             str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr and word in lines[0]
 
 
 # -- end-to-end (exit code 0) --------------------------------------------------------

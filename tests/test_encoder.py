@@ -10,13 +10,12 @@ from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.encoder import (
     EncoderDims,
     RoutingPolicy,
-    act,
     encode_graph,
+    encoder,
     entropy_of,
     history_hub_rows,
     init_params,
     logprob_of,
-    step_outputs,
 )
 from agentroute.memory import EncoderInput, HeteroGraph, new_workflow
 from agentroute.tensor import Tensor
@@ -44,6 +43,19 @@ def workflow_and_history(seed=5):
         quality=out.quality), answers=True)
     hist = HeteroGraph("history", hubs, capacity=64)
     return bench, wf.freeze(), hist.freeze()
+
+
+def hub_rows(graphs, W_q, W_r, W_m, beta, shared=None):
+    """Hub rows of each graph, starting from the first graph's raw hubs."""
+    first = graphs[0] if shared is None else shared
+    return encode_graph(Tensor(first.hub_feats), graphs, W_q, W_r, W_m, beta,
+                        shared=shared).data
+
+
+def one_point(params, variant, beta, hist, wf, q, mask, his=None):
+    """Encoder outputs, (1, R*K) probs and (1,) value, of one decision point."""
+    return encoder(params, variant, beta, hist, [wf], q[None, :], mask[None, :],
+                   his)
 
 
 def raw_input(hub_feats, query_feats, response_feats, edges):
@@ -110,7 +122,7 @@ def test_encode_graph_frozen_values():
                     response_feats=np.zeros((0, 0)),
                     edges=[(2, 0)])
     eye = Tensor(np.eye(2))
-    rows = encode_graph([inp], eye, eye, eye, beta=0.5).data
+    rows = hub_rows([inp], eye, eye, eye, beta=0.5)[0]
     assert rows.shape == (2, 2)
     assert np.allclose(rows[0], [2.0, 1.0])
     assert np.allclose(rows[1], [0.0, 1.0])
@@ -119,7 +131,8 @@ def test_encode_graph_frozen_values():
 def test_encode_graph_beta_zero_is_projection_only():
     inp = raw_input([[1.0, 0.0]], [[3.0, 4.0]], np.zeros((0, 0)), [(1, 0)])
     eye = Tensor(np.eye(2))
-    rows = encode_graph([inp], eye, eye, eye, beta=0.0).data
+    rows = hub_rows([inp, inp], eye, eye, eye, beta=0.0)
+    assert rows.shape == (2, 1, 2)
     assert np.allclose(rows, [[1.0, 0.0]])
 
 
@@ -129,7 +142,7 @@ def test_encode_graph_mean_over_multiple_neighbors():
                     response_feats=np.zeros((0, 0)),
                     edges=[(1, 0), (2, 0)])
     eye = Tensor(np.eye(2))
-    rows = encode_graph([inp], eye, eye, eye, beta=1.0).data
+    rows = hub_rows([inp], eye, eye, eye, beta=1.0)[0]
     assert np.allclose(rows, [[1.0, 2.0]])  # mean of the two queries
 
 
@@ -144,9 +157,9 @@ def test_encode_graph_union_matches_merged_graph():
     merged = raw_input([[1.0], [2.0]], [[3.0], [5.0]], [[4.0]],
                        [(2, 4), (2, 0), (0, 1), (3, 1), (0, 1)])
     one = Tensor(np.eye(1))
-    rows = encode_graph([a, b], one, one, one, beta=1.0).data
+    rows = hub_rows([b], one, one, one, beta=1.0, shared=a)[0]
     assert np.allclose(rows, [[1.0 + 7.0 / 3.0], [2.0 + 7.0 / 3.0]])
-    assert np.allclose(rows, encode_graph([merged], one, one, one, 1.0).data,
+    assert np.allclose(rows, hub_rows([merged], one, one, one, 1.0)[0],
                        rtol=0.0, atol=1e-12)
 
 
@@ -155,9 +168,11 @@ def test_encode_graph_hub_mismatch():
     b = raw_input([[1.0], [2.0]], np.zeros((0, 0)), np.zeros((0, 0)), [])
     one = Tensor(np.eye(1))
     with pytest.raises(ValueError):
-        encode_graph([a, b], one, one, one, 1.0)
+        hub_rows([a, b], one, one, one, 1.0)
     with pytest.raises(ValueError):
-        encode_graph([b], one, one, one, 1.0, hub_override=Tensor(np.ones((1, 1))))
+        hub_rows([b], one, one, one, 1.0, shared=a)
+    with pytest.raises(ValueError):
+        encode_graph(Tensor(np.ones((1, 1))), [b], one, one, one, 1.0)
 
 
 def dense_reference(graphs, W_q, W_r, W_m, beta):
@@ -218,7 +233,9 @@ def hub_graph_lists(draw):
 @given(hub_graph_lists(), st.sampled_from([0.0, 0.7, 1.0]))
 def test_encode_graph_matches_dense_reference(case, beta):
     graphs, (W_q, W_r, W_m) = case
-    got = encode_graph(graphs, Tensor(W_q), Tensor(W_r), Tensor(W_m), beta).data
+    shared = graphs[0] if len(graphs) == 2 else None
+    got = hub_rows(graphs[-1:], Tensor(W_q), Tensor(W_r), Tensor(W_m), beta,
+                   shared=shared)[0]
     want = dense_reference(graphs, W_q, W_r, W_m, beta)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -231,40 +248,38 @@ def test_zero_params_give_uniform_over_allowed():
     for p in params.values():
         p.data[...] = 0.0
     _, wf, hist = workflow_and_history()
-    his = history_hub_rows(params, "full", 1.0, hist)
     mask = np.zeros(6, dtype=bool)
     mask[[1, 3, 4]] = True
-    probs, value = step_outputs(params, "full", 1.0, wf,
-                                np.ones(64), mask, his, hist)
+    probs, value = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask)
     want = np.where(mask, 1.0 / 3.0, 0.0)
-    assert np.allclose(probs.data, want)
-    assert value.data == pytest.approx(0.0)
+    assert np.allclose(probs.data[0], want)
+    assert value.data[0] == pytest.approx(0.0)
 
 
 def test_act_validates_mask():
-    params = init_params(DIMS, "full")
-    hubs = Tensor(np.zeros((6, 8)))
+    policy = RoutingPolicy(init_params(DIMS, "full"), "full")
+    _, wf, hist = workflow_and_history()
+    policy.prepare(hist)
     with pytest.raises(ValueError):
-        act(np.ones(64), hubs, hubs, np.zeros(6, dtype=bool), params)
+        policy.act(wf, np.ones(64), np.zeros(6, dtype=bool), mode="greedy")
     with pytest.raises(ValueError):
-        act(np.ones(64), hubs, hubs, np.ones(4, dtype=bool), params)
+        policy.act(wf, np.ones(64), np.ones(4, dtype=bool), mode="greedy")
 
 
 def test_masked_actions_have_zero_probability():
     params = init_params(DIMS, "full", seed=9)
     _, wf, hist = workflow_and_history()
-    his = history_hub_rows(params, "full", 1.0, hist)
     mask = np.array([True, False, True, False, True, False])
-    probs, _ = step_outputs(params, "full", 1.0, wf, np.ones(64), mask,
-                            his, hist)
-    assert np.all(probs.data[~mask] == 0.0)
+    probs, _ = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask)
+    assert np.all(probs.data[0][~mask] == 0.0)
     assert probs.data.sum() == pytest.approx(1.0)
 
 
 def test_entropy_and_logprob_helpers():
-    probs = Tensor(np.array([0.5, 0.5, 0.0]))
+    probs = Tensor(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]]))
     assert entropy_of(probs).data == pytest.approx(np.log(2.0))
-    assert logprob_of(probs, 0).data == pytest.approx(np.log(0.5))
+    np.testing.assert_allclose(logprob_of(probs, [0, 1]).data,
+                               [np.log(0.5), 0.0])
 
 
 # -- variant equivalences -------------------------------------------------------------
@@ -296,28 +311,29 @@ def test_full_matches_hetero_on_empty_history():
     q = np.ones(64)
     mask = np.array([True, True, True, True, False, False])
 
-    his = history_hub_rows(full, "full", 1.0, hist)
-    p_full, _ = step_outputs(full, "full", 1.0, wf, q, mask, his, hist)
-    p_het, _ = step_outputs(het, "hetero", 1.0, wf, q, mask, None, hist)
+    p_full, _ = one_point(full, "full", 1.0, hist, wf, q, mask)
+    p_het, _ = one_point(het, "hetero", 1.0, hist, wf, q, mask)
     assert np.allclose(p_full.data, p_het.data, atol=1e-12)
 
-    his0 = history_hub_rows(full, "full", 0.0, hist)
-    p_full0, v_full0 = step_outputs(full, "full", 0.0, wf, q, mask, his0, hist)
-    p_het0, v_het0 = step_outputs(het, "hetero", 0.0, wf, q, mask, None, hist)
+    p_full0, v_full0 = one_point(full, "full", 0.0, hist, wf, q, mask)
+    p_het0, v_het0 = one_point(het, "hetero", 0.0, hist, wf, q, mask)
     assert np.allclose(p_full0.data, p_het0.data, atol=1e-12)
-    assert v_full0.data == pytest.approx(float(v_het0.data), abs=1e-12)
+    assert v_full0.data[0] == pytest.approx(float(v_het0.data[0]), abs=1e-12)
 
 
-def test_step_outputs_validation():
+def test_encoder_validation():
     params = init_params(DIMS, "full")
     _, wf, hist = workflow_and_history()
+    q, mask = np.ones((1, 64)), np.ones((1, 6), dtype=bool)
     with pytest.raises(ValueError):
-        step_outputs(params, "full", 1.0, wf, np.ones(64),
-                     np.ones(6, dtype=bool), None, hist)
+        encoder(params, "full", 1.0, None, [wf], q, mask)
     het = init_params(DIMS, "hetero")
     with pytest.raises(ValueError):
-        step_outputs(het, "hetero", 1.0, wf, np.ones(64),
-                     np.ones(6, dtype=bool), None, None)
+        encoder(het, "hetero", 1.0, None, [wf], q, mask)
+    with pytest.raises(ValueError):
+        encoder(params, "mega", 1.0, hist, [wf], q, mask)
+    with pytest.raises(ValueError):  # one mask row for two decision points
+        encoder(params, "full", 1.0, hist, [wf, wf], np.ones((2, 64)), mask)
 
 
 def test_history_hub_rows_by_variant():
@@ -368,15 +384,99 @@ def test_merged_variant_gradients_match_finite_differences(variant):
         params = init_params(dims, variant, seed=seed)
         hist = random_input(rng, 5, 6, 2, 2, 8)
         wf = random_input(rng, 5, 6, 2, 1, 7)
-        q = rng.normal(size=5)
-        mask = np.array([True, False, True, True, False, True])
+        wf2 = random_input(rng, 5, 6, 3, 0, 5)
+        q = rng.normal(size=(2, 5))
+        masks = np.array([[True, False, True, True, False, True],
+                          [True, True, False, False, False, True]])
 
         def loss():
-            probs, value = step_outputs(params, variant, 0.7, wf, q, mask,
-                                        None, hist)
-            return T.add(logprob_of(probs, 2), value)
+            probs, values = encoder(params, variant, 0.7, hist, [wf, wf2], q,
+                                    masks)
+            return T.add(T.total_sum(logprob_of(probs, [2, 0])),
+                         T.total_sum(values))
 
         assert fd_worst(loss, list(params.values())) <= 1e-4
+
+
+# -- batching --------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["full", "hetero", "homo"]), st.sampled_from([0.0, 0.7, 1.0]),
+       st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_batched_rows_match_batch_of_one(variant, beta, n_points, responses,
+                                         seed):
+    rng = np.random.default_rng(seed)
+    d, n_hubs = 4, 6
+    dims = EncoderDims(d_q=d, d_r=d, d_hub=d, hidden=3)
+    params = init_params(dims, variant, seed=seed % 7)
+    hist = random_input(rng, d, n_hubs, int(rng.integers(0, 4)),
+                        int(rng.integers(0, 4)), int(rng.integers(0, 12)))
+    wfs = [random_input(rng, d, n_hubs, int(rng.integers(1, 4)),
+                        int(rng.integers(0, 3)) if responses else 0,
+                        int(rng.integers(0, 10)))
+           for _ in range(n_points)]
+    queries = rng.normal(size=(n_points, d))
+    masks = rng.uniform(size=(n_points, n_hubs)) < 0.5
+    masks[np.arange(n_points), rng.integers(0, n_hubs, size=n_points)] = True
+    probs, values = encoder(params, variant, beta, hist, wfs, queries, masks)
+    assert probs.shape == (n_points, n_hubs) and values.shape == (n_points,)
+    for i, wf in enumerate(wfs):
+        p1, v1 = one_point(params, variant, beta, hist, wf, queries[i], masks[i])
+        np.testing.assert_allclose(probs.data[i], p1.data[0], rtol=1e-12,
+                                   atol=1e-12)
+        np.testing.assert_allclose(values.data[i], v1.data[0], rtol=1e-12,
+                                   atol=1e-12)
+
+
+def backward_visiting_every_parent(loss):
+    """Reverse-mode reference that also runs every constant's closure."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p, _ in node._parents
+                         if id(p) not in seen)
+    grads = {id(loss): np.ones(())}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad and not node._parents:
+            node.grad = g if node.grad is None else node.grad + g
+        for parent, fn in node._parents:
+            c = fn(g)
+            grads[id(parent)] = grads[id(parent)] + c if id(parent) in grads else c
+
+
+@pytest.mark.parametrize("variant", ["full", "hetero"])
+def test_skipping_constants_leaves_gradients_bit_identical(variant):
+    rng = np.random.default_rng(3)
+    dims = EncoderDims(d_q=5, d_r=5, d_hub=5, hidden=4)
+    params = init_params(dims, variant, seed=3)
+    hist = random_input(rng, 5, 6, 3, 2, 9)
+    wfs = [random_input(rng, 5, 6, 2, 1, 7), random_input(rng, 5, 6, 1, 0, 3)]
+    queries = rng.normal(size=(2, 5))
+    masks = np.array([[True, False, True, True, False, True],
+                      [True, True, False, False, False, True]])
+
+    def grads(run_backward):
+        for p in params.values():
+            p.zero_grad()
+        probs, values = encoder(params, variant, 0.7, hist, wfs, queries, masks)
+        run_backward(T.add(T.total_sum(logprob_of(probs, [3, 1])),
+                           T.total_sum(T.mul(values, values))))
+        return {k: p.grad for k, p in params.items()}
+
+    want = grads(backward_visiting_every_parent)
+    got = grads(T.backward)
+    assert set(got) == set(want)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
 
 
 # -- policy wrapper --------------------------------------------------------------------
@@ -399,10 +499,10 @@ def test_policy_greedy_is_argmax_and_deterministic():
     idx2, logp2, value2, entropy2 = policy.act(wf, np.ones(64), mask,
                                                mode="greedy")
     assert (idx, logp, value, entropy) == (idx2, logp2, value2, entropy2)
-    probs, _ = step_outputs(params, "full", 1.0, wf, np.ones(64), mask,
-                            policy._his_hubs, hist)
-    assert idx == int(np.argmax(probs.data))
-    assert logp == pytest.approx(float(np.log(probs.data[idx])))
+    probs, _ = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask,
+                         policy._his_hubs)
+    assert idx == int(np.argmax(probs.data[0]))
+    assert logp == float(np.log(probs.data[0, idx]))
     assert entropy == pytest.approx(float(entropy_of(probs).data))
 
 

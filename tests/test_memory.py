@@ -1,5 +1,7 @@
 """Graph store tests: construction, eviction, consolidation, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from agentroute.memory import (
     serialize,
     update_hub_stats,
 )
+from agentroute.baselines import KnnStore
+from agentroute.tensor import Tensor, params_from_jsonable, params_to_jsonable
 
 DIM = 4
 
@@ -416,7 +420,6 @@ def test_serialize_is_deterministic():
 
 
 def test_deserialize_rejects_bad_version():
-    import json
     blob = json.loads(serialize(build_history_for_io()).decode())
     blob["format_version"] = 99
     with pytest.raises(ValueError):
@@ -428,6 +431,60 @@ def test_deserialize_rejects_garbage():
         deserialize(b"\x00\xffnot json")
     with pytest.raises(ValueError):
         deserialize(b'{"truncated": tru')
+
+
+def valid_blobs():
+    """One valid serialized blob per persisted format, with its loader."""
+    store = KnnStore()
+    store.add(np.array([0.5, -1.0]), [1, 0, 2])
+    store.add(np.array([0.0, 2.0]), [3])
+    params = {"a.W": Tensor(np.arange(6.0).reshape(2, 3)),
+              "b": Tensor(np.array([0.25])), "c": Tensor(np.asarray(1.5))}
+    return {
+        "graph": (serialize(build_history_for_io()), deserialize),
+        "params": (json.dumps(params_to_jsonable(params)).encode(),
+                   lambda b: params_from_jsonable(json.loads(b))),
+        "knn": (json.dumps(store.to_jsonable()).encode(),
+                lambda b: KnnStore.from_jsonable(json.loads(b))),
+    }
+
+
+BLOBS = valid_blobs()
+JSON_VALUES = st.sampled_from([None, True, 0, -1, 7, 1.5, 1e308, "", "x",
+                               [], {}, [1, "a"], [[1.0, 2.0], [3.0]], [None],
+                               {"a": 1}, [{"b": [2]}]])
+
+
+def mutated(blob: bytes, data) -> bytes:
+    """Truncate, flip one byte, or delete/replace one value in the JSON tree."""
+    how = data.draw(st.sampled_from(["truncate", "flip", "delete", "replace"]))
+    if how == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1))]
+    if how == "flip":
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        return blob[:pos] + bytes([data.draw(st.integers(0, 255))]) + blob[pos + 1:]
+    root = {"root": json.loads(blob)}
+    parent, key = root, "root"
+    while isinstance(parent[key], (dict, list)) and parent[key] \
+            and data.draw(st.integers(0, 4)) > 0:
+        node = parent[key]
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+    if how == "delete" and parent is not root:
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+    return json.dumps(root["root"]).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(BLOBS)), st.data())
+def test_malformed_blobs_raise_only_value_error(fmt, data):
+    blob, load = BLOBS[fmt]
+    try:
+        load(mutated(blob, data))
+    except ValueError:
+        pass
 
 
 def test_graphs_equal_detects_stat_drift():

@@ -15,9 +15,9 @@ from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.encoder import (
     EncoderDims,
     RoutingPolicy,
-    history_hub_rows,
+    encoder,
     init_params,
-    step_outputs,
+    logprob_of,
 )
 from agentroute.env import Episode, EnvConfig, StepRecord
 from agentroute.memory import HeteroGraph
@@ -28,9 +28,11 @@ from agentroute.ppo import (
     compute_gae,
     load_policy,
     normalize,
+    ppo_update,
     train,
     write_artifacts,
 )
+from agentroute.tensor import Adam
 
 
 def small_bench(seed=6):
@@ -116,28 +118,64 @@ def test_pool_mismatch_rejected():
 # -- frozen windows ------------------------------------------------------------------
 
 
-def test_recomputed_ratio_is_exactly_one():
-    # the update recomputes log-probs through the same code path the rollout
-    # used, so before any step the importance ratio is exactly exp(0)
+def collected_window(beta=1.0, count=3):
+    """Parameters, frozen history and one window of rollouts with them."""
     bench = small_bench()
     env_cfg = EnvConfig(n_models=2, p_max=1)
     hubs = bench.build_hubs(3)
-    history = HeteroGraph("history", hubs, capacity=64)
-    hist_input = history.freeze()
+    hist_input = HeteroGraph("history", hubs, capacity=64).freeze()
     params = init_params(EncoderDims(64, 64, 64, 8), "full", seed=1)
-    policy = RoutingPolicy(params, "full")
+    policy = RoutingPolicy(params, "full", beta)
     policy.prepare(hist_input)
     episodes = collect_window(bench, env_cfg, hubs, policy, update=0,
-                              first_episode=0, count=3, seed=0, workers=1)
-    his_hubs = history_hub_rows(params, "full", 1.0, hist_input)
+                              first_episode=0, count=count, seed=0, workers=1)
+    return params, hist_input, episodes
+
+
+def test_recomputed_ratio_is_exactly_one():
+    # a batch-of-one recompute runs the rollout's own code path, so before
+    # any step the importance ratio is exactly exp(0)
+    params, hist_input, episodes = collected_window()
     for ep in episodes:
         for rec in ep.records:
-            probs, _ = step_outputs(params, "full", 1.0, rec.wf_input,
-                                    rec.query_embedding, rec.mask, his_hubs,
-                                    hist_input)
-            logp = T.log(T.pick(probs, rec.action_index))
-            ratio = float(np.exp(logp.data - rec.logp))
+            probs, _ = encoder(params, "full", 1.0, hist_input, [rec.wf_input],
+                               rec.query_embedding[None, :], rec.mask[None, :])
+            logp = logprob_of(probs, [rec.action_index])
+            ratio = float(np.exp(logp.data[0] - rec.logp))
             assert ratio == 1.0
+
+
+def run_update(params, hist_input, episodes, **kw):
+    cfg = small_cfg(**kw)
+    advantages, returns = compute_gae(episodes, cfg.gamma, cfg.gae_lambda)
+    advantages = normalize(advantages)
+    policy_opt = Adam({k: p for k, p in params.items()
+                       if not k.startswith("value.")}, lr=cfg.policy_lr)
+    value_opt = Adam({k: p for k, p in params.items()
+                      if k.startswith("value.")}, lr=cfg.value_lr)
+    stats = ppo_update(params, policy_opt, value_opt, episodes, advantages,
+                       returns, hist_input, cfg, update=0)
+    return stats, advantages
+
+
+def test_first_epoch_ratios_are_exactly_one_in_the_batched_update():
+    # with every ratio exactly 1 the clipped surrogate is the advantage itself
+    params, hist_input, episodes = collected_window(count=4)
+    assert sum(len(ep.records) for ep in episodes) > len(episodes)
+    stats, advantages = run_update(params, hist_input, episodes, epochs=1)
+    n = advantages.size
+    assert stats["policy_loss"] == (-1.0 / n) * np.sum(advantages)
+
+
+def test_beta_zero_update_leaves_message_weights_alone():
+    params, hist_input, episodes = collected_window(beta=0.0)
+    before = {k: p.data.copy() for k, p in params.items()}
+    run_update(params, hist_input, episodes, beta=0.0)
+    for k in ("his.W_q", "his.W_r", "loc.W_q", "loc.W_r"):
+        assert params[k].grad is None, k
+        assert np.array_equal(params[k].data, before[k]), k
+    for k in ("his.W_m", "loc.W_m", "fuse.W", "value.W1"):
+        assert not np.array_equal(params[k].data, before[k]), k
 
 
 def test_collect_window_worker_invariance():

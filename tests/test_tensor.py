@@ -72,9 +72,31 @@ def test_masked_softmax_requires_an_allowed_entry():
         T.masked_softmax(Tensor(np.zeros(3)), np.zeros(3, dtype=bool))
 
 
-def test_row_mean_of_empty_is_zeros():
-    out = T.row_mean(Tensor(np.zeros((0, 4))))
+def test_masked_softmax_normalises_each_row():
+    scores = Tensor(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+    mask = np.array([[True, True, False], [False, False, True]])
+    out = T.masked_softmax(scores, mask).data
+    np.testing.assert_allclose(out[0], [0.26894142, 0.73105858, 0.0], atol=1e-8)
+    np.testing.assert_array_equal(out[1], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        T.masked_softmax(scores, np.array([[True, False, False],
+                                           [False, False, False]]))
+
+
+def test_sum_axis_of_empty_is_zeros():
+    out = T.sum_axis(Tensor(np.zeros((0, 4))), axis=0)
     np.testing.assert_array_equal(out.data, np.zeros(4))
+
+
+def test_pick_rows_and_broadcast_to_values():
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(T.pick_rows(a, [2, 0]).data, [2.0, 3.0])
+    with pytest.raises(ValueError):
+        T.pick_rows(a, [0])
+    row = Tensor(np.array([[1.0, 2.0]]))
+    np.testing.assert_array_equal(T.broadcast_to(row, (3, 2)).data,
+                                  [[1.0, 2.0]] * 3)
+    assert T.broadcast_to(row, (1, 2)) is row
 
 
 def test_safe_log_zero_is_silent():
@@ -107,6 +129,18 @@ def test_backward_rejects_non_scalar():
     a = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
         T.backward(T.relu(a))
+
+
+def test_backward_never_calls_a_constant_parents_closure():
+    def boom(g):
+        raise AssertionError("gradient of a constant was computed")
+
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 4.0]))
+    out = T._make(x.data * c.data, [(c, boom), (x, lambda g: g * c.data)])
+    T.backward(T.total_sum(out))
+    np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+    assert c.grad is None
 
 
 # -- gradients against finite differences ------------------------------------------
@@ -152,15 +186,18 @@ def test_grad_row_normalize():
 
 def test_grad_masked_softmax_pick():
     rng = np.random.default_rng(7)
-    mask = np.array([True, False, True, True])
-    check_op(lambda a: T.pick(T.masked_softmax(a, mask), 2),
-             rng.normal(size=(4,)))
+    mask = np.array([[True, False, True, True], [False, True, True, False]])
+    check_op(lambda a: T.total_sum(T.pick_rows(T.masked_softmax(a, mask),
+                                               [2, 1])),
+             rng.normal(size=(2, 4)))
 
 
-def test_grad_row_mean_dot():
+def test_grad_sum_axis_broadcast():
     rng = np.random.default_rng(8)
-    check_op(lambda a, b: T.dot(T.row_mean(a), b),
-             rng.normal(size=(4, 3)), rng.normal(size=(3,)))
+    check_op(lambda a, b: T.total_sum(T.mul(T.sum_axis(a, axis=1), b)),
+             rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2)))
+    check_op(lambda a, b: T.total_sum(T.mul(T.broadcast_to(a, (4, 3)), b)),
+             rng.normal(size=(1, 3)), rng.normal(size=(4, 3)))
 
 
 def test_grad_accumulates_across_uses():
