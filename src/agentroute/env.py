@@ -168,19 +168,13 @@ class RoutingEnv:
         self._last_answer_quality = None
 
     def clone(self) -> "RoutingEnv":
-        out = RoutingEnv(self.cfg, self.benchmark, self.hubs)
+        # The shallow copy copy.copy would make, without its dispatch cost (the
+        # oracle clones tens of thousands of times per query batch); every
+        # field but these two is immutable or shared with the original on purpose.
+        out = object.__new__(RoutingEnv)
+        out.__dict__.update(self.__dict__)
         out.workflow = memory.clone_workflow(self.workflow)
-        out.root_id = self.root_id
-        out.current_id = self.current_id
         out.pending = list(self.pending)
-        out.planner_count = self.planner_count
-        out.step_count = self.step_count
-        out.finished = self.finished
-        out.truncated = self.truncated
-        out.summary_used = self.summary_used
-        out.utility = self.utility
-        out._resp_counter = self._resp_counter
-        out._last_answer_quality = self._last_answer_quality
         return out
 
     # -- state helpers -----------------------------------------------------------

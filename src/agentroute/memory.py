@@ -3,8 +3,12 @@
 A workflow graph holds one episode's query/response tree plus a fixed set of
 (role, model) hub nodes. The history graph accumulates consolidated episodes
 across the run and shares the same hub objects by identity, so hub statistics
-written during consolidation are visible from both graphs. Both graph kinds
-freeze into plain-array encoder inputs.
+written during consolidation are visible from both graphs. Edges are not
+stored: each query touches every hub, a response's links follow from its
+(role, model) and the query it attached to, and a child query's from its
+parent, so eviction, cloning and rebasing only touch nodes. Both graph kinds
+freeze into plain-array encoder inputs, and persist as v1 JSON that still
+lists the derived edges.
 """
 
 from __future__ import annotations
@@ -62,9 +66,6 @@ class RoleHubNode:
     utility_ema: float = 0.0
     cost_ema: float = 0.0
 
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.role_embedding, [self.utility_ema, self.cost_ema]])
-
 
 class HubSet:
     """All K*R role hubs, ordered by (role index, model index)."""
@@ -92,7 +93,10 @@ class HubSet:
         return self.hubs[self.index(role_index, model_index)]
 
     def features(self) -> np.ndarray:
-        return np.stack([h.features() for h in self.hubs])
+        """One row per hub: its role embedding, then its utility and cost EMAs."""
+        stats = [[h.utility_ema, h.cost_ema] for h in self.hubs]
+        return np.concatenate([np.stack([h.role_embedding for h in self.hubs]), stats],
+                              axis=1)
 
 
 @dataclass
@@ -140,7 +144,14 @@ class EncoderInput:
 
 
 class HeteroGraph:
-    """Typed node/edge store for one workflow episode or the shared history."""
+    """Typed node store for one workflow episode or the shared history.
+
+    The nodes are the only record of the graph's structure. Every query
+    touches every hub, a response touches the hub of its (role, model) and
+    the query in `query_of`, and a child query touches its `parent`; `edges`
+    and `freeze` derive those links in node insertion order and leave out a
+    link whose other end was evicted.
+    """
 
     def __init__(self, kind: str, hubs: HubSet, capacity: int | None = None):
         if kind not in ("workflow", "history"):
@@ -152,12 +163,8 @@ class HeteroGraph:
         self.capacity = capacity
         self.queries: dict[str, QueryNode] = {}
         self.responses: dict[str, ResponseNode] = {}
-        self.edges: dict[str, list[tuple]] = {
-            EDGE_QUERY_HUB: [],
-            EDGE_RESPONSE_HUB: [],
-            EDGE_QUERY_RESPONSE: [],
-            EDGE_QUERY_PARENT: [],  # entries: (child, parent, action or None)
-        }
+        # response id -> the query it attached to, which may since have been evicted
+        self.query_of: dict[str, str] = {}
         # History bookkeeping: nodes tagged by consolidation episode, FIFO order.
         self.episode_of: dict[str, str] = {}
         self.episode_order: list[str] = []
@@ -165,17 +172,10 @@ class HeteroGraph:
 
     # -- construction helpers ------------------------------------------------
 
-    def _connect_query_to_hubs(self, qid: str) -> None:
-        for i in range(len(self.hubs)):
-            self.edges[EDGE_QUERY_HUB].append((qid, i))
-
     def add_query(self, q: QueryNode, episode: str | None = None) -> None:
         if q.id in self.queries:
             raise ValueError(f"duplicate query id: {q.id}")
         self.queries[q.id] = q
-        self._connect_query_to_hubs(q.id)
-        if q.parent is not None:
-            self.edges[EDGE_QUERY_PARENT].append((q.id, q.parent, None))
         if self.kind == "history" and episode is not None:
             self.episode_of[q.id] = episode
 
@@ -186,13 +186,12 @@ class HeteroGraph:
         if r.id in self.responses:
             raise ValueError(f"duplicate response id: {r.id}")
         role_idx, model_idx = r.produced_by
-        hub_idx = self.hubs.index(role_idx, model_idx)  # validates range
+        self.hubs.index(role_idx, model_idx)  # validates range
         q = self.queries[query_id]
         if answers and q.answer_id is not None:
             raise ValueError(f"query {query_id} already has an answer")
         self.responses[r.id] = r
-        self.edges[EDGE_QUERY_RESPONSE].append((query_id, r.id))
-        self.edges[EDGE_RESPONSE_HUB].append((r.id, hub_idx))
+        self.query_of[r.id] = query_id
         if answers:
             q.answer_id = r.id
             q.status = STATUS_RESOLVED
@@ -200,13 +199,10 @@ class HeteroGraph:
             self.episode_of[r.id] = episode
 
     def children_of(self, query_id: str) -> list[QueryNode]:
-        out = [self.queries[c] for c, p, _ in self.edges[EDGE_QUERY_PARENT]
-               if p == query_id and c in self.queries]
-        return out
+        return [q for q in self.queries.values() if q.parent == query_id]
 
     def responses_of(self, query_id: str) -> list[ResponseNode]:
-        return [self.responses[r] for q, r in self.edges[EDGE_QUERY_RESPONSE]
-                if q == query_id and r in self.responses]
+        return [self.responses[r] for r, q in self.query_of.items() if q == query_id]
 
     @property
     def interaction_count(self) -> int:
@@ -221,106 +217,91 @@ class HeteroGraph:
         self.episode_order.append(tag)
         return tag
 
+    # -- derived structure -------------------------------------------------------
+
+    def _node_edges(self) -> tuple[list[tuple[str, int]], list[tuple[str, str]],
+                                   list[tuple[str, str, None]]]:
+        """Response-hub, query-response and child-parent links between live nodes."""
+        hub = self.hubs.index
+        return ([(r.id, hub(*r.produced_by)) for r in self.responses.values()],
+                [(self.query_of[r], r) for r in self.responses
+                 if self.query_of.get(r) in self.queries],
+                [(q.id, q.parent, None) for q in self.queries.values()
+                 if q.parent in self.queries])
+
+    @property
+    def edges(self) -> dict[str, list[tuple]]:
+        """The typed edge lists, derived from the nodes in insertion order."""
+        response_hub, query_response, query_parent = self._node_edges()
+        return {
+            EDGE_QUERY_HUB: [(q, i) for q in self.queries for i in range(len(self.hubs))],
+            EDGE_RESPONSE_HUB: response_hub,
+            EDGE_QUERY_RESPONSE: query_response,
+            EDGE_QUERY_PARENT: query_parent,  # v1 stores (child, parent, None)
+        }
+
     # -- eviction --------------------------------------------------------------
 
     def _drop_nodes(self, doomed: set[str]) -> None:
         for nid in doomed:
             self.queries.pop(nid, None)
             self.responses.pop(nid, None)
+            self.query_of.pop(nid, None)
             self.episode_of.pop(nid, None)
-        self.edges[EDGE_QUERY_HUB] = [e for e in self.edges[EDGE_QUERY_HUB]
-                                      if e[0] not in doomed]
-        self.edges[EDGE_RESPONSE_HUB] = [e for e in self.edges[EDGE_RESPONSE_HUB]
-                                         if e[0] not in doomed]
-        self.edges[EDGE_QUERY_RESPONSE] = [e for e in self.edges[EDGE_QUERY_RESPONSE]
-                                           if e[0] not in doomed and e[1] not in doomed]
-        self.edges[EDGE_QUERY_PARENT] = [e for e in self.edges[EDGE_QUERY_PARENT]
-                                         if e[0] not in doomed and e[1] not in doomed]
 
     def enforce_capacity(self) -> None:
         """Evict oldest episodes until the interaction budget is met."""
         if self.capacity is None:
             return
-        # Whole oldest episodes go first; a single over-large episode is then
-        # truncated by dropping its oldest nodes.
+        # Whole oldest episodes go first; what is still over budget is then
+        # truncated by dropping the oldest nodes, queries before responses.
         while self.interaction_count > self.capacity and len(self.episode_order) > 1:
             ep = self.episode_order.pop(0)
             doomed = {nid for nid, e in self.episode_of.items() if e == ep}
             self._drop_nodes(doomed)
-        if self.interaction_count > self.capacity:
-            excess = self.interaction_count - self.capacity
-            all_ids = self._insertion_order()
-            doomed = set(all_ids[:excess])
-            self._drop_nodes(doomed)
-
-    def _insertion_order(self) -> list[str]:
-        # Queries and responses interleaved in true insertion order is not
-        # tracked separately; approximate with query order then response order
-        # inside each episode, which matches how episodes are consolidated.
-        by_episode: dict[str, list[str]] = {}
-        for nid in self.queries:
-            ep = self.episode_of.get(nid)
-            if ep is not None:
-                by_episode.setdefault(ep, []).append(nid)
-        for nid in self.responses:
-            ep = self.episode_of.get(nid)
-            if ep is not None:
-                by_episode.setdefault(ep, []).append(nid)
-        out: list[str] = []
-        for ep in self.episode_order:
-            out.extend(by_episode.get(ep, []))
-        return out
+        excess = self.interaction_count - self.capacity
+        if excess > 0:
+            self._drop_nodes(set([*self.queries, *self.responses][:excess]))
 
     # -- freezing ----------------------------------------------------------------
 
     def freeze(self) -> EncoderInput:
         """Copy the graph into aligned arrays for the encoder."""
-        qids = list(self.queries)
-        rids = list(self.responses)
-        qpos = {qid: len(self.hubs) + i for i, qid in enumerate(qids)}
-        rpos = {rid: len(self.hubs) + len(qids) + i for i, rid in enumerate(rids)}
+        H, nq, nr = len(self.hubs), len(self.queries), len(self.responses)
+        pos = dict(zip([*self.queries, *self.responses], range(H, H + nq + nr)))
 
         hub_feats = self.hubs.features()
-        if qids:
-            query_feats = np.stack([self.queries[q].embedding for q in qids])
+        if nq:
+            query_feats = np.stack([q.embedding for q in self.queries.values()])
         else:
             query_feats = np.zeros((0, 0))
-        if rids:
-            response_feats = np.stack([self.responses[r].embedding for r in rids])
+        if nr:
+            response_feats = np.stack([r.embedding for r in self.responses.values()])
         else:
             response_feats = np.zeros((0, 0))
 
-        src: list[int] = []
-        dst: list[int] = []
-
-        def link(a: int, b: int) -> None:
-            src.append(a)
-            dst.append(b)
-            src.append(b)
-            dst.append(a)
-
-        for qid, hub_idx in self.edges[EDGE_QUERY_HUB]:
-            if qid in qpos:
-                link(qpos[qid], hub_idx)
-        for rid, hub_idx in self.edges[EDGE_RESPONSE_HUB]:
-            if rid in rpos:
-                link(rpos[rid], hub_idx)
-        for qid, rid in self.edges[EDGE_QUERY_RESPONSE]:
-            if qid in qpos and rid in rpos:
-                link(qpos[qid], rpos[rid])
-        for child, parent, _ in self.edges[EDGE_QUERY_PARENT]:
-            if child in qpos and parent in qpos:
-                link(qpos[child], qpos[parent])
-
+        # One row per undirected link (a, b), query-hub links first, query by
+        # query; flattening the rows gives a, b, ... and the reversed rows
+        # b, a, ..., so each link is present in both directions.
+        response_hub, query_response, query_parent = self._node_edges()
+        links = ([(pos[r], h) for r, h in response_hub]
+                 + [(pos[q], pos[r]) for q, r in query_response]
+                 + [(pos[c], pos[p]) for c, p, _ in query_parent])
+        pairs = np.empty((nq * H + len(links), 2), dtype=np.int64)
+        query_hub = pairs[:nq * H].reshape(nq, H, 2)
+        query_hub[..., 0] = np.arange(H, H + nq)[:, None]
+        query_hub[..., 1] = np.arange(H)
+        if links:
+            pairs[nq * H:] = links
         return EncoderInput(
             hub_feats=hub_feats,
             query_feats=query_feats,
             response_feats=response_feats,
-            edge_src=np.asarray(src, dtype=np.int64),
-            edge_dst=np.asarray(dst, dtype=np.int64),
-            n_hubs=len(self.hubs),
-            n_queries=len(qids),
-            n_responses=len(rids),
+            edge_src=pairs.reshape(-1),
+            edge_dst=pairs[:, ::-1].reshape(-1),
+            n_hubs=H,
+            n_queries=nq,
+            n_responses=nr,
         )
 
 
@@ -416,11 +397,11 @@ def consolidate(workflow: HeteroGraph, history: HeteroGraph) -> str:
                         embedding=q.embedding.copy(),
                         answer_id=None if q.answer_id is None else rename(q.answer_id))
         history.add_query(clone, episode=tag)
-    for qid, rid in workflow.edges[EDGE_QUERY_RESPONSE]:
-        r = workflow.responses[rid]
+    for r in workflow.responses.values():
         clone = replace(r, id=rename(r.id), embedding=r.embedding.copy())
         # statuses and answer pointers were already cloned on the query side
-        history.add_response(rename(qid), clone, answers=False, episode=tag)
+        history.add_response(rename(workflow.query_of[r.id]), clone, answers=False,
+                             episode=tag)
     history.enforce_capacity()
     return tag
 
@@ -438,7 +419,7 @@ def clone_workflow(g: HeteroGraph) -> HeteroGraph:
         out.queries[q.id] = replace(q, embedding=q.embedding)
     for r in g.responses.values():
         out.responses[r.id] = replace(r, embedding=r.embedding)
-    out.edges = {k: list(v) for k, v in g.edges.items()}
+    out.query_of = dict(g.query_of)
     return out
 
 
@@ -457,9 +438,9 @@ def rebase_history(old: HeteroGraph, new_hubs: HubSet,
     """Rebuild a history graph over an extended hub set.
 
     Node content, parent/answer structure, and episode bookkeeping carry over
-    unchanged; hub edges are regenerated because hub indices shift when
-    models or roles are added. Running hub statistics are copied for every
-    (role, model) pair the old set knew about.
+    unchanged; hub edges follow, because they are derived from each
+    response's (role, model) under the new set. Running hub statistics are
+    copied for every (role, model) pair the old set knew about.
     """
     if old.kind != "history":
         raise ValueError("rebase_history rebuilds history graphs only")
@@ -470,15 +451,7 @@ def rebase_history(old: HeteroGraph, new_hubs: HubSet,
                    for q in old.queries.values()}
     out.responses = {r.id: replace(r, embedding=r.embedding.copy())
                      for r in old.responses.values()}
-    out.edges[EDGE_QUERY_PARENT] = list(old.edges[EDGE_QUERY_PARENT])
-    out.edges[EDGE_QUERY_RESPONSE] = list(old.edges[EDGE_QUERY_RESPONSE])
-    for nid in old._insertion_order():
-        if nid in out.queries:
-            out._connect_query_to_hubs(nid)
-        else:
-            r = out.responses[nid]
-            hub_idx = new_hubs.index(*r.produced_by)
-            out.edges[EDGE_RESPONSE_HUB].append((nid, hub_idx))
+    out.query_of = dict(old.query_of)
     out.episode_of = dict(old.episode_of)
     out.episode_order = list(old.episode_order)
     out._episode_counter = old._episode_counter
@@ -540,12 +513,7 @@ def serialize(g: HeteroGraph) -> bytes:
             }
             for r in g.responses.values()
         ],
-        "edges": {
-            EDGE_QUERY_HUB: [list(e) for e in g.edges[EDGE_QUERY_HUB]],
-            EDGE_RESPONSE_HUB: [list(e) for e in g.edges[EDGE_RESPONSE_HUB]],
-            EDGE_QUERY_RESPONSE: [list(e) for e in g.edges[EDGE_QUERY_RESPONSE]],
-            EDGE_QUERY_PARENT: [list(e) for e in g.edges[EDGE_QUERY_PARENT]],
-        },
+        "edges": {kind: [list(e) for e in edges] for kind, edges in g.edges.items()},
     }
     return json.dumps(blob, sort_keys=True).encode("utf-8")
 
@@ -597,10 +565,15 @@ def deserialize(data: bytes) -> HeteroGraph:
             g.episode_of[node.id] = field(q, "episode", str, where)
     for i, r in enumerate(field(blob, "responses", list, "graph")):
         where = f"graph response {i}"
+        produced_by = tuple(ints(r, "produced_by", where))
+        if len(produced_by) != 2 or not (0 <= produced_by[0] < hubs.n_roles
+                                         and 0 <= produced_by[1] < hubs.n_models):
+            raise ValueError(f"{where}: field 'produced_by' must be an in-range "
+                             f"(role, model) pair")
         node = ResponseNode(
             id=field(r, "id", str, where),
             embedding=floats(r, "embedding", where),
-            produced_by=tuple(ints(r, "produced_by", where)),
+            produced_by=produced_by,
             tokens_in=field(r, "tokens_in", int, where),
             tokens_out=field(r, "tokens_out", int, where),
             quality=field(r, "quality", NUMBER, where),
@@ -608,12 +581,19 @@ def deserialize(data: bytes) -> HeteroGraph:
         g.responses[node.id] = node
         if r.get("episode") is not None:
             g.episode_of[node.id] = field(r, "episode", str, where)
+    # The stored edge lists must be exactly the ones the nodes imply, so an
+    # accepted blob serializes back to the same bytes.
     edges = field(blob, "edges", dict, "graph")
-    for kind in g.edges:
-        entries = field(edges, kind, list, "graph edges")
-        if not all(isinstance(e, list) for e in entries):
-            raise ValueError(f"graph edges: field {kind!r} must hold lists only")
-        g.edges[kind] = [tuple(e) for e in entries]
+    pairs = field(edges, EDGE_QUERY_RESPONSE, list, "graph edges")
+    if not all(isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e)
+               for e in pairs):
+        raise ValueError(f"graph edges: field {EDGE_QUERY_RESPONSE!r} must hold "
+                         f"[query, response] id pairs")
+    g.query_of = {rid: qid for qid, rid in pairs}
+    for kind, derived in g.edges.items():
+        if json.dumps(field(edges, kind, list, "graph edges")) != json.dumps(derived):
+            raise ValueError(f"graph edges: field {kind!r} differs from the edges "
+                             f"the nodes imply")
     return g
 
 

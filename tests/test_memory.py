@@ -1,6 +1,8 @@
 """Graph store tests: construction, eviction, consolidation, persistence."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from agentroute.memory import (
     serialize,
     update_hub_stats,
 )
+from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.baselines import KnnStore
+from agentroute.harness import inject_role_interactions
 from agentroute.tensor import Tensor, params_from_jsonable, params_to_jsonable
 
 DIM = 4
@@ -105,10 +109,11 @@ def test_hub_features_append_stats():
     hub = hs.get(1, 1)
     hub.utility_ema = 0.25
     hub.cost_ema = 3.5
-    feats = hub.features()
-    assert feats.shape == (DIM + 2,)
-    assert feats[-2] == 0.25 and feats[-1] == 3.5
-    assert hs.features().shape == (6, DIM + 2)
+    feats = hs.features()
+    assert feats.shape == (6, DIM + 2)
+    row = feats[hs.index(1, 1)]
+    assert np.array_equal(row[:DIM], hub.role_embedding)
+    assert row[-2] == 0.25 and row[-1] == 3.5
 
 
 # -- construction ----------------------------------------------------------------
@@ -313,6 +318,14 @@ def test_new_episode_tag_history_only():
     assert hist.episode_order == ["ep0", "ep1"]
 
 
+def test_eviction_reaches_capacity_with_untagged_nodes():
+    hist = HeteroGraph("history", make_hubs(), capacity=3)
+    for i in range(5):
+        hist.add_query(query(f"u{i}"))
+    hist.enforce_capacity()
+    assert list(hist.queries) == ["u2", "u3", "u4"]
+
+
 @settings(max_examples=30, deadline=None)
 @given(sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
                       max_size=8),
@@ -485,6 +498,148 @@ def test_malformed_blobs_raise_only_value_error(fmt, data):
         load(mutated(blob, data))
     except ValueError:
         pass
+
+
+def _set_produced_by(value):
+    def change(blob):
+        blob["responses"][0]["produced_by"] = value
+    return change
+
+
+@pytest.mark.parametrize("change, name", [
+    (_set_produced_by([1]), "produced_by"),
+    (_set_produced_by([0, 1, 2]), "produced_by"),
+    (_set_produced_by([9, 9]), "produced_by"),
+    (lambda blob: blob["edges"][EDGE_QUERY_HUB].append(["nope", 0]), EDGE_QUERY_HUB),
+    (lambda blob: blob["edges"][EDGE_QUERY_HUB].pop(3), EDGE_QUERY_HUB),
+    (lambda blob: blob["edges"][EDGE_QUERY_RESPONSE].reverse(), EDGE_QUERY_RESPONSE),
+], ids=["produced_by-one", "produced_by-three", "produced_by-out-of-range",
+        "dangling-query-hub", "dropped-query-hub", "swapped-query-response"])
+def test_deserialize_rejects_structure_the_nodes_do_not_imply(change, name):
+    blob = json.loads(serialize(build_history_for_io()))
+    assert len(blob["edges"][EDGE_QUERY_RESPONSE]) == 2
+    change(blob)
+    with pytest.raises(ValueError, match=name):
+        deserialize(json.dumps(blob, sort_keys=True).encode())
+
+
+# A history written by the stored-edge-list implementation of format v1: the
+# criterion-10 pool and TrainConfig(max_episodes=24, episodes_per_update=8,
+# hidden=16, seed=0, history_capacity=10), then one hand-built 13-node episode
+# (three children, a grandchild, a context response, a summary) consolidated
+# into it, which evicts the trained episodes and truncates to its last 10
+# nodes, so some responses and one child have lost their query or parent.
+GOLDEN_V1 = Path(__file__).parent / "data" / "history_v1.json"
+GOLDEN_V1_FROZEN_SHA256 = \
+    "4a09f7b9bf443be86e4e837bb7c694b170f15315f945f459ba98080683362836"
+
+
+def test_golden_v1_history_round_trips_and_freezes_unchanged():
+    blob = GOLDEN_V1.read_bytes()
+    g = deserialize(blob)
+    assert serialize(g) == blob
+    frozen = g.freeze()
+    h = hashlib.sha256()
+    for name in ("hub_feats", "query_feats", "response_feats", "edge_src", "edge_dst"):
+        a = np.ascontiguousarray(getattr(frozen, name))
+        h.update(f"{name}{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == GOLDEN_V1_FROZEN_SHA256
+
+
+# -- graph invariants under random operation sequences ---------------------------------
+
+BENCH = make_benchmark(BenchmarkSpec(kind="uniform", families=(0, 1), queries_per_family=30,
+                                     width_profile=(1, 2), seed=8), k_models=3)
+
+
+def random_episode(hubs, rng, n):
+    """A finished-looking workflow over `hubs`: root, 0-2 children, responses."""
+    root = BENCH.train_query(n)
+    wf = new_workflow(root, hubs)
+    children = BENCH.decompose(root, int(rng.integers(1, 3))) if rng.uniform() < 0.6 else []
+    if children:
+        attach_subqueries(wf, root.id, children)
+    for q in children + [root]:
+        for j in range(int(rng.integers(0, 3))):
+            role, model = int(rng.integers(hubs.n_roles)), int(rng.integers(hubs.n_models))
+            out = BENCH.invoke(min(model, BENCH.n_models - 1), role, q, [])
+            attach_response(wf, q.id, ResponseNode(f"{q.id}.r{j}", out.response_embedding,
+                                                   (role, model), out.tokens_in,
+                                                   out.tokens_out, out.quality),
+                            answers=j == 0)
+    return wf
+
+
+def reference_edge_arrays(g):
+    """The frozen edge arrays, restated from `edges` with one link per edge."""
+    qpos = {qid: len(g.hubs) + i for i, qid in enumerate(g.queries)}
+    rpos = {rid: len(g.hubs) + len(qpos) + i for i, rid in enumerate(g.responses)}
+    src, dst = [], []
+
+    def link(a, b):
+        src.extend((a, b))
+        dst.extend((b, a))
+
+    edges = g.edges
+    for qid, hub_idx in edges[EDGE_QUERY_HUB]:
+        if qid in qpos:
+            link(qpos[qid], hub_idx)
+    for rid, hub_idx in edges[EDGE_RESPONSE_HUB]:
+        if rid in rpos:
+            link(rpos[rid], hub_idx)
+    for qid, rid in edges[EDGE_QUERY_RESPONSE]:
+        if qid in qpos and rid in rpos:
+            link(qpos[qid], rpos[rid])
+    for child, parent, _ in edges[EDGE_QUERY_PARENT]:
+        if child in qpos and parent in qpos:
+            link(qpos[child], qpos[parent])
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+def assert_graph_invariants(g, capacity):
+    assert g.interaction_count <= capacity
+    edges, H = g.edges, len(g.hubs)
+    assert len(edges[EDGE_QUERY_HUB]) == len(g.queries) * H
+    assert all(q in g.queries and 0 <= i < H for q, i in edges[EDGE_QUERY_HUB])
+    assert all(r in g.responses and 0 <= i < H for r, i in edges[EDGE_RESPONSE_HUB])
+    assert all(q in g.queries and r in g.responses for q, r in edges[EDGE_QUERY_RESPONSE])
+    assert all(c in g.queries and p in g.queries for c, p, _ in edges[EDGE_QUERY_PARENT])
+    # the surviving episodes are the most recent ones, without gaps
+    tags = sorted({g.episode_of[n] for n in [*g.queries, *g.responses]},
+                  key=lambda t: int(t[2:]))
+    n = g._episode_counter
+    assert tags == [f"ep{i}" for i in range(n - len(tags), n)] == g.episode_order
+    blob = serialize(g)
+    assert serialize(deserialize(blob)) == blob
+    frozen = g.freeze()
+    assert (frozen.n_queries, frozen.n_responses) == (len(g.queries), len(g.responses))
+    src, dst = reference_edge_arrays(g)
+    assert frozen.edge_src.dtype == frozen.edge_dst.dtype == np.int64
+    assert np.array_equal(frozen.edge_src, src) and np.array_equal(frozen.edge_dst, dst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 12),
+       ops=st.lists(st.tuples(st.sampled_from(["consolidate", "inject", "enforce", "rebase"]),
+                              st.integers(0, 2 ** 16)), min_size=1, max_size=8))
+def test_graph_invariants_hold_under_random_operations(capacity, ops):
+    hist = HeteroGraph("history", make_hubs(3, BENCH.n_models), capacity=capacity)
+    for op, seed in ops:
+        rng = np.random.default_rng(seed)
+        if op == "consolidate":
+            consolidate(random_episode(hist.hubs, rng, seed), hist)
+        elif op == "inject":
+            inject_role_interactions(BENCH, hist, n_queries=int(rng.integers(1, 3)),
+                                     query_offset=seed)
+        elif op == "enforce":
+            before = serialize(hist)
+            hist.enforce_capacity()
+            assert serialize(hist) == before  # already within capacity
+        else:  # a wider hub set shifts every hub index
+            hist = rebase_history(hist, make_hubs(min(5, hist.hubs.n_roles + 1),
+                                                  hist.hubs.n_models + 1))
+        assert_graph_invariants(hist, capacity)
 
 
 def test_graphs_equal_detects_stat_drift():
