@@ -12,6 +12,14 @@ import numpy as np
 NUMBER = (int, float)
 
 
+def _has_type(value, types) -> bool:
+    """isinstance(value, types), except that a JSON true/false is not a number:
+    bool subclasses int, and would otherwise pass as a count, index or shape."""
+    if isinstance(value, bool):
+        return bool in (types if isinstance(types, tuple) else (types,))
+    return isinstance(value, types)
+
+
 def field(obj, key: str, types, where: str):
     """obj[key], after checking that obj is an object whose key has one of types."""
     if not isinstance(obj, dict):
@@ -19,7 +27,7 @@ def field(obj, key: str, types, where: str):
     if key not in obj:
         raise ValueError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, types):
+    if not _has_type(value, types):
         raise ValueError(f"{where}: field {key!r} has the wrong type "
                          f"({type(value).__name__})")
     return value
@@ -37,6 +45,6 @@ def floats(obj, key: str, where: str) -> np.ndarray:
 def ints(obj, key: str, where: str) -> list[int]:
     """obj[key] as a list of integers."""
     value = field(obj, key, list, where)
-    if not all(isinstance(v, int) for v in value):
+    if not all(_has_type(v, int) for v in value):
         raise ValueError(f"{where}: field {key!r} must hold integers only")
     return value

@@ -500,6 +500,23 @@ def test_malformed_blobs_raise_only_value_error(fmt, data):
         pass
 
 
+@pytest.mark.parametrize("fmt, path", [
+    ("params", ("tensors", "b", "shape", 0)),
+    ("graph", ("responses", 0, "produced_by", 0)),
+    ("graph", ("n_roles",)),
+    ("knn", ("records", 0, "actions", 0)),
+])
+def test_json_booleans_are_not_integers(fmt, path):
+    blob, load = BLOBS[fmt]
+    obj = json.loads(blob)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = True
+    with pytest.raises(ValueError):
+        load(json.dumps(obj).encode())
+
+
 def _set_produced_by(value):
     def change(blob):
         blob["responses"][0]["produced_by"] = value
