@@ -127,6 +127,32 @@ def _hashed_text_embedding(text: str, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v) * np.sqrt(dim)
 
 
+def _role_position(roles: list[RoleSpec], name: str) -> int | None:
+    return next((i for i, r in enumerate(roles) if r.name == name), None)
+
+
+def _call_draws(seed: int, query_id: str, role: RoleSpec, model_name: str,
+               d_q: int, noise_sigma: float | None) -> tuple[float, int, int, np.ndarray]:
+    """The hashed draws of one (query, role, model) call, independent of context.
+
+    Returns the quality noise (0.0 when `noise_sigma` is None), the prompt
+    and completion token counts, and the response-embedding noise with its
+    two reserved coordinates zeroed, read-only so a memoised copy stays put.
+    """
+    noise_term = 0.0
+    if noise_sigma is not None:
+        noise_rng = det_rng(seed, "noise", query_id, role.name, model_name)
+        noise_term = noise_rng.uniform(-noise_sigma, noise_sigma)
+    tok_rng = det_rng(seed, "tokens", query_id, role.name, model_name)
+    t_in = 1 + int(round(math.exp(role.tokens_in_mu + TOKEN_SIGMA * tok_rng.normal())))
+    t_out = 1 + int(round(math.exp(role.tokens_out_mu + TOKEN_SIGMA * tok_rng.normal())))
+    noise_vec = det_rng(seed, "resp", query_id, role.name, model_name).normal(size=d_q)
+    noise_vec[0] = 0.0
+    noise_vec[1] = 0.0
+    noise_vec.flags.writeable = False
+    return noise_term, t_in, t_out, noise_vec
+
+
 def cost_of(outcome: ActionOutcome, profile: LLMProfile) -> float:
     """Dollar cost of one invocation, linear in both token counts."""
     return (outcome.tokens_in / 1e6) * profile.price_in + \
@@ -149,6 +175,9 @@ class Benchmark:
         self.noise_sigma = noise_sigma
         self.margin = margin
         self.noise = noise
+        # the context-sensitive roles, resolved once; None when absent
+        self.thinker_index = _role_position(roles, "thinker")
+        self.verifier_index = _role_position(roles, "verifier")
 
     # -- basic accessors ------------------------------------------------------
 
@@ -170,10 +199,10 @@ class Benchmark:
         return self.profiles[0].embedding.shape[0] + 2
 
     def role_index(self, name: str) -> int:
-        for i, r in enumerate(self.roles):
-            if r.name == name:
-                return i
-        raise ValueError(f"unknown role: {name!r}")
+        i = _role_position(self.roles, name)
+        if i is None:
+            raise ValueError(f"unknown role: {name!r}")
+        return i
 
     def with_noise(self, flag: bool) -> "Benchmark":
         clone = Benchmark(self.spec, self.profiles, self.family_dirs, self.d_q,
@@ -220,7 +249,7 @@ class Benchmark:
 
     @staticmethod
     def difficulty_of(query: QueryNode) -> float:
-        return float(np.clip(query.embedding[0], 0.0, 1.0))
+        return min(max(float(query.embedding[0]), 0.0), 1.0)
 
     @staticmethod
     def content_of(embedding: np.ndarray) -> np.ndarray:
@@ -232,54 +261,50 @@ class Benchmark:
     # -- model behavior ----------------------------------------------------------
 
     def _context_bonus(self, context: list[ResponseNode]) -> float:
-        thinker_idx = None
-        for i, r in enumerate(self.roles):
-            if r.name == "thinker":
-                thinker_idx = i
-        plain = sum(1 for c in context if c.produced_by[0] != thinker_idx)
-        has_thinker = any(c.produced_by[0] == thinker_idx for c in context)
+        thinker = self.thinker_index
+        plain = sum(1 for c in context if c.produced_by[0] != thinker)
+        has_thinker = any(c.produced_by[0] == thinker for c in context)
         return min(0.15, 0.05 * plain) + (0.15 if has_thinker else 0.0)
 
     def invoke(self, model_index: int, role_index: int, query: QueryNode,
-               context: list[ResponseNode]) -> ActionOutcome:
-        """Simulate one model call; bitwise deterministic per (seed, inputs)."""
+               context: list[ResponseNode], draws: dict | None = None) -> ActionOutcome:
+        """Simulate one model call; bitwise deterministic per (seed, inputs).
+
+        `draws`, when given, memoises the call's hashed draws (see
+        `_call_draws`) across calls; one episode and its clones share one.
+        """
         if not (0 <= model_index < self.n_models):
             raise ValueError(f"unknown model index: {model_index}")
         if not (0 <= role_index < len(self.roles)):
             raise ValueError(f"unknown role index: {role_index}")
         profile = self.profiles[model_index]
         role = self.roles[role_index]
+        key = (self.seed, query.id, role, profile.name, self.d_q,
+               self.noise_sigma if self.noise else None)
+        if draws is None:
+            drawn = _call_draws(*key)
+        else:
+            drawn = draws.get(key)
+            if drawn is None:
+                drawn = draws[key] = _call_draws(*key)
+        noise_term, t_in, t_out, noise_vec = drawn
+
         skill = float(profile.skill[role_index, query.family])
         bonus = self._context_bonus(context)
         diff = self.difficulty_of(query)
-        noise_term = 0.0
-        if self.noise:
-            noise_rng = det_rng(self.seed, "noise", query.id, role.name, profile.name)
-            noise_term = noise_rng.uniform(-self.noise_sigma, self.noise_sigma)
-        quality = float(np.clip(skill + bonus - 0.5 * diff + noise_term, 0.0, 1.0))
+        quality = min(max(skill + bonus - 0.5 * diff + noise_term, 0.0), 1.0)
 
-        if role.name == "verifier" and context:
+        if role_index == self.verifier_index and context:
             # A verify pass returns the best draft, never below the
             # verifier's own level.
             quality = max(quality, max(c.quality for c in context), skill)
         if role.name == "executor":
-            verifier_idx = self.role_index("verifier") if any(
-                r.name == "verifier" for r in self.roles) else None
-            if verifier_idx is not None:
-                floors = [c.quality for c in context if c.produced_by[0] == verifier_idx]
-                if floors:
-                    quality = max(quality, max(floors))
+            floors = [c.quality for c in context if c.produced_by[0] == self.verifier_index]
+            if floors:
+                quality = max(quality, max(floors))
 
-        tok_rng = det_rng(self.seed, "tokens", query.id, role.name, profile.name)
-        t_in = 1 + int(round(math.exp(role.tokens_in_mu + TOKEN_SIGMA * tok_rng.normal())))
-        t_out = 1 + int(round(math.exp(role.tokens_out_mu + TOKEN_SIGMA * tok_rng.normal())))
-
-        emb_rng = det_rng(self.seed, "resp", query.id, role.name, profile.name)
-        noise_vec = emb_rng.normal(size=self.d_q)
-        noise_vec[0] = 0.0
-        noise_vec[1] = 0.0
         emb = (2.0 * quality - 1.0) * self.content_of(query.embedding) + 0.15 * noise_vec
-        emb[1] = 1.0 if role.name == "thinker" else 0.0
+        emb[1] = 1.0 if role_index == self.thinker_index else 0.0
 
         return ActionOutcome(response_embedding=emb, quality=quality,
                              tokens_in=t_in, tokens_out=t_out)

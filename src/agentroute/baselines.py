@@ -91,7 +91,8 @@ class KnnStore:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh, sort_keys=True)
+            # dumps takes the C encoder; json.dump writes the same bytes in Python
+            fh.write(json.dumps(self.to_jsonable(), sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "KnnStore":

@@ -146,6 +146,8 @@ class RoutingEnv:
         self.utility = 0.0
         self._resp_counter = 0
         self._last_answer_quality: float | None = None
+        # the episode's simulator draws, shared by its clones (Benchmark.invoke)
+        self._draws: dict = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -166,11 +168,13 @@ class RoutingEnv:
         self.utility = 0.0
         self._resp_counter = 0
         self._last_answer_quality = None
+        self._draws = {}
 
     def clone(self) -> "RoutingEnv":
         # The shallow copy copy.copy would make, without its dispatch cost (the
         # oracle clones tens of thousands of times per query batch); every
-        # field but these two is immutable or shared with the original on purpose.
+        # field but these two is immutable or shared with the original on
+        # purpose, the episode's draw memo among them.
         out = object.__new__(RoutingEnv)
         out.__dict__.update(self.__dict__)
         out.workflow = memory.clone_workflow(self.workflow)
@@ -260,13 +264,12 @@ class RoutingEnv:
         if cfg.n_roles > 3:
             context = self._context_for(cur.id)
             attached = self._attached_context(cur.id)
-            roles_by_name = {self.benchmark.roles[i].name: i
-                             for i in range(cfg.n_roles)}
-            t = roles_by_name.get("thinker")
-            v = roles_by_name.get("verifier")
-            if t is not None and not any(r.produced_by[0] == t for r in attached):
+            t = self.benchmark.thinker_index
+            v = self.benchmark.verifier_index
+            if t is not None and t < cfg.n_roles and \
+                    not any(r.produced_by[0] == t for r in attached):
                 mask[t * k:(t + 1) * k] = True
-            if v is not None and context and \
+            if v is not None and v < cfg.n_roles and context and \
                     not any(r.produced_by[0] == v for r in attached):
                 mask[v * k:(v + 1) * k] = True
         return mask
@@ -313,13 +316,13 @@ class RoutingEnv:
             children = bench.decompose(cur, width)
             memory.attach_subqueries(self.workflow, cur.id, children,
                                      width_limit=max(cfg.width, width))
-            outcome = bench.invoke(action.model, action.role, cur, [])
+            outcome = bench.invoke(action.model, action.role, cur, [], self._draws)
             self.pending = [c.id for c in children[1:]] + [cur.id] + self.pending
             self.current_id = children[0].id
             self.planner_count += 1
         elif role_name == "executor":
             context = self._context_for(cur.id)
-            outcome = bench.invoke(action.model, action.role, cur, context)
+            outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
             resp = self._make_response(cur, action, outcome)
             memory.attach_response(self.workflow, cur.id, resp, answers=True)
             quality = outcome.quality
@@ -335,7 +338,8 @@ class RoutingEnv:
         elif role_name == "summarizer":
             root = self.workflow.queries[self.root_id]
             child_answers = self._resolved_child_answers(self.root_id)
-            outcome = bench.invoke(action.model, action.role, root, child_answers)
+            outcome = bench.invoke(action.model, action.role, root, child_answers,
+                                  self._draws)
             resp = self._make_response(root, action, outcome)
             memory.attach_response(self.workflow, self.root_id, resp, answers=False)
             root.status = STATUS_SUMMARY_PENDING
@@ -347,7 +351,7 @@ class RoutingEnv:
             self.summary_used = True
         else:  # thinker / verifier style mid-episode roles
             context = self._context_for(cur.id)
-            outcome = bench.invoke(action.model, action.role, cur, context)
+            outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
             resp = self._make_response(cur, action, outcome)
             memory.attach_response(self.workflow, cur.id, resp, answers=False)
             quality = outcome.quality

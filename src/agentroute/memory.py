@@ -407,18 +407,21 @@ def consolidate(workflow: HeteroGraph, history: HeteroGraph) -> str:
 
 
 def clone_workflow(g: HeteroGraph) -> HeteroGraph:
-    """Independent copy of a workflow graph sharing the same hub objects.
+    """Copy of a workflow graph that later steps on either side leave alone.
 
-    Used by the enumeration oracle to branch mid-episode without disturbing
-    the live environment.
+    Queries are copied, since a step changes a query's `status` and
+    `answer_id`. Responses, embeddings and hubs are shared with the original:
+    no step changes a response once it is attached. Used by the enumeration
+    oracle to branch mid-episode without disturbing the live environment.
     """
     if g.kind != "workflow":
         raise ValueError("clone_workflow copies workflow graphs only")
     out = HeteroGraph("workflow", g.hubs, capacity=g.capacity)
-    for q in g.queries.values():
-        out.queries[q.id] = replace(q, embedding=q.embedding)
-    for r in g.responses.values():
-        out.responses[r.id] = replace(r, embedding=r.embedding)
+    for qid, q in g.queries.items():
+        # the shallow copy replace() makes, without its per-field dispatch
+        c = out.queries[qid] = object.__new__(QueryNode)
+        c.__dict__.update(q.__dict__)
+    out.responses = dict(g.responses)
     out.query_of = dict(g.query_of)
     return out
 

@@ -309,7 +309,8 @@ def write_artifacts(out_dir: Path, result: TrainResult) -> None:
 
 def load_policy(checkpoint: str | Path) -> tuple[RoutingPolicy, dict]:
     from .tensor import load_params
-    params, meta = load_params(checkpoint)
+    # inference only: parameters that need no gradient record no tape
+    params, meta = load_params(checkpoint, requires_grad=False)
     variant = meta.get("variant", "full")
     beta = float(meta.get("beta", 1.0))
     return RoutingPolicy(params, variant, beta), meta

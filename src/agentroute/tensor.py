@@ -425,7 +425,8 @@ def save_params(path: str, params: dict[str, Tensor], meta: dict | None = None) 
     if meta is not None:
         blob["meta"] = meta
     with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True)
+        # dumps takes the C encoder; json.dump writes the same bytes in Python
+        fh.write(json.dumps(blob, sort_keys=True))
 
 
 def load_params(path: str, requires_grad: bool = True) -> tuple[dict[str, Tensor], dict]:

@@ -292,6 +292,75 @@ def test_invoke_quality_bounded(model, role, family, index):
 _SHARED_BENCH = bench(k_models=4)
 
 
+def _outcome_bytes(out):
+    return (out.response_embedding.tobytes(), out.quality, out.tokens_in,
+            out.tokens_out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise=st.booleans(), family=st.integers(0, 2), index=st.integers(0, 20),
+       node=st.sampled_from(["root", "child0", "child1", "summary"]),
+       role=st.integers(0, 4), model=st.integers(0, 3),
+       context=st.sampled_from(["none", "draft", "thinker", "verifier", "all"]))
+def test_invoke_memo_is_bit_identical_to_fresh_draws(noise, family, index, node,
+                                                      role, model, context):
+    b = _SHARED_BENCH.with_noise(noise)
+    root = b.generate_query(family, index)
+    children = b.decompose(root, 2)
+    drafts = [ctx_node(EXECUTOR, 0.4, "d0"), ctx_node(PLANNER, 0.7, "d1")]
+    query = {"root": root, "child0": children[0], "child1": children[1],
+             "summary": b.summary_query(root, drafts)}[node]
+    ctx = {"none": [], "draft": drafts[:1], "thinker": [ctx_node(THINKER, 0.6, "t")],
+           "verifier": [ctx_node(VERIFIER, 0.9, "v")],
+           "all": drafts + [ctx_node(THINKER, 0.6, "t"), ctx_node(VERIFIER, 0.9, "v")]}[context]
+
+    fresh = b.invoke(model, role, query, ctx)
+    cold = b.invoke(model, role, query, ctx, {})
+    # warmed by the same call under another context and the other noise
+    # setting, and by the neighbouring calls
+    warm: dict = {}
+    b.invoke(model, role, query, [], warm)
+    b.with_noise(not noise).invoke(model, role, query, ctx, warm)
+    for other in range(b.n_models):
+        b.invoke(other, role, query, drafts, warm)
+    hit = b.invoke(model, role, query, ctx, warm)
+    assert _outcome_bytes(fresh) == _outcome_bytes(cold) == _outcome_bytes(hit)
+
+
+def test_memoised_noise_vector_is_read_only():
+    b = bench()
+    q = b.generate_query(0, 0)
+    draws: dict = {}
+    first = b.invoke(1, EXECUTOR, q, [], draws)
+    (noise_term, t_in, t_out, noise_vec), = draws.values()
+    with pytest.raises(ValueError):
+        noise_vec[2] = 0.0
+    # the outcome owns its embedding, and the memo stays as drawn
+    first.response_embedding[2] = 99.0
+    again = b.invoke(1, EXECUTOR, q, [], draws)
+    assert again.response_embedding[2] != 99.0
+    assert _outcome_bytes(again) == _outcome_bytes(b.invoke(1, EXECUTOR, q, []))
+
+
+def test_context_roles_are_resolved_once_and_carried_by_copies():
+    b = bench()
+    assert (b.thinker_index, b.verifier_index) == (THINKER, VERIFIER)
+    probe = make_unseen_profile(b, "probe", level=0.9)
+    for copy in (b.with_noise(False), b.extended_with([probe])):
+        assert (copy.thinker_index, copy.verifier_index) == (THINKER, VERIFIER)
+    window = Benchmark.__new__(Benchmark)
+    window.__dict__.update(vars(b))  # the attribute copy a Benchmark subclass may make
+    q = b.generate_query(0, 0)
+    ctx = [ctx_node(VERIFIER, 0.93)]
+    assert _outcome_bytes(window.invoke(0, EXECUTOR, q, ctx)) == \
+        _outcome_bytes(b.invoke(0, EXECUTOR, q, ctx))
+    base_only = Benchmark(b.spec, b.profiles, b.family_dirs, b.d_q, b.roles[:3],
+                          b.difficulty, b.noise_sigma, b.margin)
+    assert (base_only.thinker_index, base_only.verifier_index) == (None, None)
+    with pytest.raises(ValueError):
+        base_only.role_index("verifier")
+
+
 # -- decompose and summary -----------------------------------------------------------
 
 

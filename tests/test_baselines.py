@@ -1,6 +1,8 @@
 """Baseline router tests: random, nearest-neighbor replay, exhaustive oracle."""
 
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,16 @@ def test_knn_store_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_knn_store_file_is_the_json_text_of_the_store(tmp_path):
+    store = store_with([([0.1, -0.0, 1e-300], [1, 2]), ([1.0 / 3.0, 2.5e17, 7.0], [])])
+    path = tmp_path / "store.json"
+    store.save(path)
+    streamed = io.StringIO()
+    json.dump(store.to_jsonable(), streamed, sort_keys=True)
+    assert path.read_text() == json.dumps(store.to_jsonable(), sort_keys=True) \
+        == streamed.getvalue()
+
+
 def test_knn_store_version_check(tmp_path):
     path = tmp_path / "store.json"
     path.write_text(json.dumps({"format_version": 9, "records": []}))
@@ -228,3 +240,30 @@ def test_oracle_bound_guard():
     hubs = bench.build_hubs(3)
     with pytest.raises(RuntimeError):
         oracle_route(cfg, bench, hubs, bench.generate_query(0, 0), bound=3)
+
+
+# Oracle plans and values for six held-out queries of the oracle benchmark's
+# configuration (separable pool, seed 7, three roles, p_max 1, width 2),
+# written by the simulator before its draws were memoised per episode. Any
+# change to the simulator, the env or workflow cloning that moves a draw, a
+# cost or a tie-break shows up here.
+GOLDEN_ORACLE = Path(__file__).parent / "data" / "oracle_plans_v1.json"
+
+
+def test_oracle_plans_match_the_golden_file():
+    golden = json.loads(GOLDEN_ORACLE.read_text())
+    cfg = golden["config"]
+    spec = cfg["spec"]
+    bench = make_benchmark(
+        BenchmarkSpec(kind=spec["kind"], families=tuple(spec["families"]),
+                      queries_per_family=spec["queries_per_family"],
+                      width_profile=tuple(spec["width_profile"]), seed=spec["seed"]),
+        k_models=cfg["k_models"])
+    env_cfg = EnvConfig(**cfg["env"])
+    hubs = bench.build_hubs(env_cfg.n_roles)
+    assert len(golden["plans"]) == 6
+    for want in golden["plans"]:
+        root = bench.eval_query(want["eval_query"])
+        assert root.id == want["query"]
+        plan, value = oracle_route(env_cfg, bench, hubs, root)
+        assert (plan, value) == (want["plan"], want["value"])

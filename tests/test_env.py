@@ -14,7 +14,7 @@ from agentroute.env import (
     absorb_episode,
     trace_lines,
 )
-from agentroute.memory import HeteroGraph, STATUS_PENDING
+from agentroute.memory import HeteroGraph, STATUS_PENDING, serialize
 
 K = 2  # pool size used throughout
 
@@ -268,6 +268,27 @@ def test_clone_runs_independently():
     assert len(fork.workflow.responses) == 1
     assert len(env.workflow.responses) == 0
     assert fork.hubs is env.hubs
+
+
+def test_stepping_a_clone_leaves_the_original_unchanged():
+    env, bench = make_env(n_roles=5, p_max=1, width=2)
+    env.reset(bench.generate_query(0, 0))
+    for a in (Action(0, 0), Action(3, 1), Action(1, 0)):  # plan, think, answer
+        env.step(a)
+    before = serialize(env.workflow)
+    fork = env.clone()
+    assert fork._draws is env._draws  # one episode, one set of draws
+    for q in env.workflow.queries.values():
+        assert fork.workflow.queries[q.id] is not q
+    for r in env.workflow.responses.values():
+        assert fork.workflow.responses[r.id] is r
+    while not fork.finished:
+        fork.step(Action(1, 1))
+    assert serialize(env.workflow) == before
+    assert len(fork.workflow.responses) > len(env.workflow.responses)
+    draws = env._draws
+    env.reset(bench.generate_query(1, 0))
+    assert env._draws == {} and fork._draws is draws
 
 
 def test_reset_leaves_caller_root_untouched():

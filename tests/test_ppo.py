@@ -19,7 +19,7 @@ from agentroute.encoder import (
     init_params,
     logprob_of,
 )
-from agentroute.env import Episode, EnvConfig, StepRecord
+from agentroute.env import Episode, EnvConfig, RoutingEnv, StepRecord
 from agentroute.memory import HeteroGraph
 from agentroute.ppo import (
     CURVE_COLUMNS,
@@ -270,6 +270,31 @@ def test_write_artifacts_and_load_policy(tmp_path):
     assert rows[0] == list(CURVE_COLUMNS)
     assert len(rows) == 1 + len(res.curve)
     assert float(rows[1][2]) == res.curve[0]["mean_return"]
+
+
+def test_loaded_policy_acts_without_a_tape(tmp_path, monkeypatch):
+    bench = small_bench()
+    env_cfg = EnvConfig(n_models=2, p_max=1)
+    res = train(bench, env_cfg, small_cfg(), out_dir=tmp_path)
+    policy, _ = load_policy(tmp_path / "best_params.json")
+    assert not any(p.requires_grad for p in policy.params.values())
+
+    outputs = []
+
+    def spy(*args):
+        out = encoder(*args)
+        outputs.extend(out)
+        return out
+
+    monkeypatch.setattr(agentroute.encoder, "encoder", spy)
+    policy.prepare(res.history.freeze())
+    env = RoutingEnv(env_cfg, bench, res.history.hubs)
+    env.reset(bench.eval_query(0))
+    wf, q = env.snapshot()
+    policy.act(wf, q, env.legal_mask(), mode="greedy")
+    assert len(outputs) == 2
+    for t in [policy._his_hubs, *outputs]:
+        assert not t.requires_grad and t._parents == []
 
 
 def test_artifacts_identical_across_reruns(tmp_path):

@@ -1,5 +1,6 @@
 """Autodiff engine: op semantics, gradients, optimizer, persistence."""
 
+import io
 import json
 
 import numpy as np
@@ -273,6 +274,18 @@ def test_params_round_trip(tmp_path):
     assert set(loaded) == {"a.W", "b"}
     for k in params:
         np.testing.assert_array_equal(loaded[k].data, params[k].data)
+
+
+def test_params_file_is_the_json_text_of_the_blob(tmp_path):
+    params = {"w": Tensor(np.array([[0.1, -0.0], [1e-300, 1.0 / 3.0]])),
+              "b": Tensor(np.array([2.5e17, -7.0]))}
+    meta = {"variant": "full", "note": "caf\u00e9", "n": 3}
+    path = tmp_path / "p.json"
+    T.save_params(path, params, meta=meta)
+    blob = dict(T.params_to_jsonable(params), meta=meta)
+    streamed = io.StringIO()
+    json.dump(blob, streamed, sort_keys=True)
+    assert path.read_text() == json.dumps(blob, sort_keys=True) == streamed.getvalue()
 
 
 def test_params_version_check(tmp_path):
