@@ -5,11 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig
-from .encoder import RoutingPolicy
 from .harness import (emit_report, evaluate, pareto_sweep, report_rows,
                       run_ablation)
 from .memory import deserialize

@@ -3,8 +3,8 @@
 Node features are projected per type and mixed with one residual
 mean-message round. Only hub rows are read downstream, and mean aggregation
 is linear, so the round aggregates first and projects after: each hub's
-incoming edges are averaged over the raw features once per frozen graph
-(cached on the `EncoderInput`), and every weight then costs one matmul over
+incoming edges are summed over the raw features once per graph state
+(`HubState.hub_sums`), and every weight then costs one matmul over
 all decision points of a batch. The history graph's hub rows are injected as
 the workflow hub inputs (nested encoding). Action scores are dot products
 between the fused query representation and the workflow hub rows; a

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import memory
 from .backend import Benchmark, cost_of, final_utility
-from .memory import (EncoderInput, HeteroGraph, HubSet, QueryNode, ResponseNode,
+from .memory import (HeteroGraph, HubSet, HubState, QueryNode, ResponseNode,
                      STATUS_PENDING, STATUS_RESOLVED, STATUS_SUMMARY_PENDING)
 
 PHASE1 = "phase1"
@@ -81,7 +81,7 @@ class EnvConfig:
 @dataclass
 class StepRecord:
     """What the policy saw and did at one step, enough to replay its logprob."""
-    wf_input: EncoderInput
+    wf_input: HubState
     query_embedding: np.ndarray
     mask: np.ndarray
     action_index: int
@@ -148,6 +148,7 @@ class RoutingEnv:
         self._last_answer_quality: float | None = None
         # the episode's simulator draws, shared by its clones (Benchmark.invoke)
         self._draws: dict = {}
+        self._mask: np.ndarray | None = None  # legal_mask of the current state
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -169,12 +170,13 @@ class RoutingEnv:
         self._resp_counter = 0
         self._last_answer_quality = None
         self._draws = {}
+        self._mask = None
 
     def clone(self) -> "RoutingEnv":
         # The shallow copy copy.copy would make, without its dispatch cost (the
         # oracle clones tens of thousands of times per query batch); every
         # field but these two is immutable or shared with the original on
-        # purpose, the episode's draw memo among them.
+        # purpose, the episode's draw memo and the read-only mask among them.
         out = object.__new__(RoutingEnv)
         out.__dict__.update(self.__dict__)
         out.workflow = memory.clone_workflow(self.workflow)
@@ -240,9 +242,16 @@ class RoutingEnv:
         return 1      # executor
 
     def legal_mask(self) -> np.ndarray:
-        """Boolean mask over the flat (role, model) action space."""
+        """Boolean mask over the flat (role, model) action space, computed
+        once per state and read-only, since step records and clones keep it."""
         if self.finished:
             raise RuntimeError("episode already finished")
+        if self._mask is None:
+            self._mask = self._compute_mask()
+            self._mask.flags.writeable = False
+        return self._mask
+
+    def _compute_mask(self) -> np.ndarray:
         cfg = self.cfg
         mask = np.zeros(cfg.n_actions, dtype=bool)
         k = cfg.n_models
@@ -295,10 +304,11 @@ class RoutingEnv:
         """Apply one (role, model) action; returns (reward, done, info)."""
         if self.finished:
             raise RuntimeError("episode already finished")
-        mask = self.legal_mask()
+        mask = self._mask if self._mask is not None else self.legal_mask()
         idx = self.cfg.action_index(action)
         if not (0 <= idx < self.cfg.n_actions) or not mask[idx]:
             raise ValueError(f"action {action} is not allowed by the mask")
+        self._mask = None  # the state changes from here on
 
         bench = self.benchmark
         cfg = self.cfg
@@ -389,9 +399,10 @@ class RoutingEnv:
 
     # -- rollout -------------------------------------------------------------------
 
-    def snapshot(self) -> tuple[EncoderInput, np.ndarray]:
-        """Frozen encoder view of the live workflow plus the current query."""
-        return self.workflow.freeze(), self.current.embedding.copy()
+    def snapshot(self) -> tuple[HubState, np.ndarray]:
+        """The live workflow's `HubState` plus a copy of the current query's
+        embedding; later steps leave both unchanged."""
+        return self.workflow.hub_state(), self.current.embedding.copy()
 
     def run_episode(self, root: QueryNode, policy, mode: str = "sample",
                     rng: np.random.Generator | None = None) -> Episode:

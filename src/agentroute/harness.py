@@ -94,7 +94,7 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
     report = EvalReport(protocol=protocol)
     for i in range(n_episodes):
         if i == 0 or absorb:
-            policy.prepare(history.freeze())
+            policy.prepare(history.hub_state())
         env = RoutingEnv(env_cfg, benchmark, hubs)
         root = benchmark.eval_query(i)
         rng = det_rng(seed, "eval", protocol, i)

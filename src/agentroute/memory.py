@@ -6,9 +6,10 @@ across the run and shares the same hub objects by identity, so hub statistics
 written during consolidation are visible from both graphs. Edges are not
 stored: each query touches every hub, a response's links follow from its
 (role, model) and the query it attached to, and a child query's from its
-parent, so eviction, cloning and rebasing only touch nodes. Both graph kinds
-freeze into plain-array encoder inputs, and persist as v1 JSON that still
-lists the derived edges.
+parent, so eviction, cloning and rebasing only touch nodes. Decision states
+read a graph's per-hub sums through `hub_state`; `freeze` builds the full
+array view for checks and tests. Both graph kinds persist as v1 JSON that
+still lists the derived edges.
 """
 
 from __future__ import annotations
@@ -116,10 +117,6 @@ class EncoderInput:
     n_queries: int
     n_responses: int
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_hubs + self.n_queries + self.n_responses
-
     @cached_property
     def hub_sums(self) -> tuple[np.ndarray, np.ndarray,
                                 np.ndarray | None, np.ndarray | None]:
@@ -129,18 +126,29 @@ class EncoderInput:
         in-degrees, and the sums of the raw query and response features over
         each hub's incoming edges, (n_hubs, d_q) and (n_hubs, d_r), or None
         when the graph has no node of that kind. Sums of several graphs over
-        one hub set add up. Cached because a training window encodes the
-        same input once per epoch.
+        one hub set add up. `HeteroGraph.hub_state` computes the same sums
+        from the nodes, without edge arrays.
         """
-        H = self.n_hubs
+        H, n = self.n_hubs, self.n_hubs + self.n_queries + self.n_responses
         into_hub = self.edge_dst < H
-        flat = self.edge_dst[into_hub] * self.n_nodes + self.edge_src[into_hub]
-        counts = np.bincount(flat, minlength=H * self.n_nodes)
-        counts = counts.reshape(H, self.n_nodes).astype(np.float64)
+        flat = self.edge_dst[into_hub] * n + self.edge_src[into_hub]
+        counts = np.bincount(flat, minlength=H * n).reshape(H, n).astype(np.float64)
         q_end = H + self.n_queries
         q_sum = counts[:, H:q_end] @ self.query_feats if self.n_queries else None
         r_sum = counts[:, q_end:] @ self.response_feats if self.n_responses else None
         return counts[:, :H], counts.sum(axis=1), q_sum, r_sum
+
+
+@dataclass(frozen=True)
+class HubState:
+    """What the encoder reads of one graph at one moment: node counts, the
+    per-hub sums of `EncoderInput.hub_sums` (read-only arrays that no later
+    write changes) and, for a history graph, the hub features."""
+    n_hubs: int
+    n_queries: int
+    n_responses: int
+    hub_sums: tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
+    hub_feats: np.ndarray | None = None
 
 
 class HeteroGraph:
@@ -150,7 +158,8 @@ class HeteroGraph:
     touches every hub, a response touches the hub of its (role, model) and
     the query in `query_of`, and a child query touches its `parent`; `edges`
     and `freeze` derive those links in node insertion order and leave out a
-    link whose other end was evicted.
+    link whose other end was evicted. `hub_state` sums node features into
+    the hubs only when read, so an unread oracle branch pays nothing.
     """
 
     def __init__(self, kind: str, hubs: HubSet, capacity: int | None = None):
@@ -169,6 +178,7 @@ class HeteroGraph:
         self.episode_of: dict[str, str] = {}
         self.episode_order: list[str] = []
         self._episode_counter = 0
+        self._hub_sums: tuple | None = None  # hub_state's sums; cleared by writes
 
     # -- construction helpers ------------------------------------------------
 
@@ -176,6 +186,7 @@ class HeteroGraph:
         if q.id in self.queries:
             raise ValueError(f"duplicate query id: {q.id}")
         self.queries[q.id] = q
+        self._hub_sums = None
         if self.kind == "history" and episode is not None:
             self.episode_of[q.id] = episode
 
@@ -192,6 +203,7 @@ class HeteroGraph:
             raise ValueError(f"query {query_id} already has an answer")
         self.responses[r.id] = r
         self.query_of[r.id] = query_id
+        self._hub_sums = None
         if answers:
             q.answer_id = r.id
             q.status = STATUS_RESOLVED
@@ -243,6 +255,7 @@ class HeteroGraph:
     # -- eviction --------------------------------------------------------------
 
     def _drop_nodes(self, doomed: set[str]) -> None:
+        self._hub_sums = None
         for nid in doomed:
             self.queries.pop(nid, None)
             self.responses.pop(nid, None)
@@ -263,22 +276,38 @@ class HeteroGraph:
         if excess > 0:
             self._drop_nodes(set([*self.queries, *self.responses][:excess]))
 
-    # -- freezing ----------------------------------------------------------------
+    # -- decision state and freezing -------------------------------------------
+
+    def hub_state(self) -> HubState:
+        """Node counts and per-hub sums, bit for bit those of `freeze()`: the
+        matmuls of `EncoderInput.hub_sums` on the same operands, kept until the
+        next write. A history graph's hub features are read at each call, since
+        absorbing an episode moves the hub EMAs without a write."""
+        H, nq, nr = len(self.hubs), len(self.queries), len(self.responses)
+        if self._hub_sums is None:
+            q_feats = np.array([q.embedding for q in self.queries.values()], np.float64)
+            r_feats = np.array([r.embedding for r in self.responses.values()], np.float64)
+            counts = np.zeros((H, nr))
+            counts[[self.hubs.index(*r.produced_by) for r in self.responses.values()],
+                   np.arange(nr)] = 1.0
+            self._hub_sums = (np.zeros((H, H)), nq + counts.sum(axis=1),
+                              np.ones((H, nq)) @ q_feats if nq else None,
+                              counts @ r_feats if nr else None)
+            for a in self._hub_sums:
+                if a is not None:
+                    a.flags.writeable = False
+        return HubState(H, nq, nr, self._hub_sums,
+                        self.hubs.features() if self.kind == "history" else None)
 
     def freeze(self) -> EncoderInput:
         """Copy the graph into aligned arrays for the encoder."""
         H, nq, nr = len(self.hubs), len(self.queries), len(self.responses)
         pos = dict(zip([*self.queries, *self.responses], range(H, H + nq + nr)))
 
-        hub_feats = self.hubs.features()
-        if nq:
-            query_feats = np.stack([q.embedding for q in self.queries.values()])
-        else:
-            query_feats = np.zeros((0, 0))
-        if nr:
-            response_feats = np.stack([r.embedding for r in self.responses.values()])
-        else:
-            response_feats = np.zeros((0, 0))
+        query_feats = (np.stack([q.embedding for q in self.queries.values()])
+                       if nq else np.zeros((0, 0)))
+        response_feats = (np.stack([r.embedding for r in self.responses.values()])
+                          if nr else np.zeros((0, 0)))
 
         # One row per undirected link (a, b), query-hub links first, query by
         # query; flattening the rows gives a, b, ... and the reversed rows
@@ -294,7 +323,7 @@ class HeteroGraph:
         if links:
             pairs[nq * H:] = links
         return EncoderInput(
-            hub_feats=hub_feats,
+            hub_feats=self.hubs.features(),
             query_feats=query_feats,
             response_feats=response_feats,
             edge_src=pairs.reshape(-1),
@@ -599,35 +628,3 @@ def deserialize(data: bytes) -> HeteroGraph:
                              f"the nodes imply")
     return g
 
-
-def graphs_equal(a: HeteroGraph, b: HeteroGraph) -> bool:
-    """Structural equality: nodes, edges, hub statistics, insertion order."""
-    if a.kind != b.kind or a.capacity != b.capacity:
-        return False
-    if list(a.queries) != list(b.queries) or list(a.responses) != list(b.responses):
-        return False
-    if a.episode_order != b.episode_order:
-        return False
-    for ha, hb in zip(a.hubs.hubs, b.hubs.hubs):
-        if (ha.role_index, ha.model_index, ha.role_name, ha.model_name) != \
-           (hb.role_index, hb.model_index, hb.role_name, hb.model_name):
-            return False
-        if ha.utility_ema != hb.utility_ema or ha.cost_ema != hb.cost_ema:
-            return False
-        if not np.array_equal(ha.role_embedding, hb.role_embedding):
-            return False
-    for qa, qb in zip(a.queries.values(), b.queries.values()):
-        if (qa.id, qa.depth, qa.parent, qa.family, qa.status, qa.is_summary,
-                qa.width_hint, qa.answer_id) != \
-           (qb.id, qb.depth, qb.parent, qb.family, qb.status, qb.is_summary,
-                qb.width_hint, qb.answer_id):
-            return False
-        if not np.array_equal(qa.embedding, qb.embedding):
-            return False
-    for ra, rb in zip(a.responses.values(), b.responses.values()):
-        if (ra.id, ra.produced_by, ra.tokens_in, ra.tokens_out, ra.quality) != \
-           (rb.id, rb.produced_by, rb.tokens_in, rb.tokens_out, rb.quality):
-            return False
-        if not np.array_equal(ra.embedding, rb.embedding):
-            return False
-    return a.edges == b.edges

@@ -235,8 +235,10 @@ def train(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
     while result.episodes_seen < cfg.max_episodes:
         count = min(cfg.episodes_per_update,
                     cfg.max_episodes - result.episodes_seen)
-        hist_input = history.freeze()
-        policy = RoutingPolicy(params, cfg.variant, cfg.beta)
+        hist_input = history.hub_state()
+        # gradient-free views of the window's weights: rollouts record no tape
+        policy = RoutingPolicy({k: Tensor(p.data) for k, p in params.items()},
+                               cfg.variant, cfg.beta)
         policy.prepare(hist_input)
         episodes = collect_window(benchmark, env_cfg, hubs, policy, update,
                                   result.episodes_seen, count, cfg.seed,

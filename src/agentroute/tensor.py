@@ -19,23 +19,19 @@ from .fields import field, floats, ints
 Array = np.ndarray
 
 
-def _as_f64(x) -> Array:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """A dense float64 array plus an optional gradient tape entry.
 
     Parents are (tensor, backward_fn) pairs; backward_fn maps the output
     gradient to that parent's gradient contribution. Ops only record parents
-    when some input requires grad, so inference paths build no tape.
+    when some input requires grad, and the encoder's ops build no backward
+    closure otherwise, so inference paths pay only for the forward pass.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: list[tuple["Tensor", Callable[[Array], Array]]] = []
@@ -44,37 +40,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def reshape(self, shape: Sequence[int] | tuple[int, ...]) -> "Tensor":
-        return reshape(self, tuple(shape))
-
-    def sum(self) -> "Tensor":
-        return total_sum(self)
-
-    def mean(self) -> "Tensor":
-        return total_mean(self)
 
 
 def _make(data: Array, parents: list[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
@@ -147,6 +117,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    if not (a.requires_grad or b.requires_grad):
+        return Tensor(out)
     return _make(out, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
@@ -163,6 +135,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    if not (a.requires_grad or b.requires_grad):
+        return Tensor(out)
     return _make(out, [
         (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
         (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
@@ -171,6 +145,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
+    if not a.requires_grad:
+        return Tensor(a.data * c)
     return _make(a.data * c, [(a, lambda g: g * c)])
 
 
@@ -178,6 +154,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-d operands")
     out = a.data @ b.data
+    if not (a.requires_grad or b.requires_grad):
+        return Tensor(out)
     return _make(out, [
         (a, lambda g: g @ b.data.T),
         (b, lambda g: a.data.T @ g),
@@ -196,6 +174,8 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
+    if not a.requires_grad:
+        return Tensor(out)
     return _make(out, [(a, lambda g: g.reshape(a.data.shape))])
 
 
@@ -203,6 +183,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat of zero tensors")
     out = np.concatenate([p.data for p in parts], axis=axis)
+    if not any(p.requires_grad for p in parts):
+        return Tensor(out)
     parents = []
     hi = 0
     for p in parts:
@@ -219,6 +201,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
+    if not a.requires_grad:
+        return Tensor(a.data * mask)
     return _make(a.data * mask, [(a, lambda g: g * mask)])
 
 
@@ -266,6 +250,8 @@ def total_mean(a: Tensor) -> Tensor:
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     """Sum over one axis; the result drops that axis."""
     out = a.data.sum(axis=axis)
+    if not a.requires_grad:
+        return Tensor(out)
     return _make(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis),
                                                      a.data.shape).copy())])
 
@@ -275,6 +261,8 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if a.data.shape == tuple(shape):
         return a
     out = np.broadcast_to(a.data, shape).copy()
+    if not a.requires_grad:
+        return Tensor(out)
     return _make(out, [(a, lambda g: _unbroadcast(g, a.data.shape))])
 
 
@@ -300,6 +288,8 @@ def row_normalize(a: Tensor, eps: float = 1e-6) -> Tensor:
     r = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
     denom = r + eps
     out = a.data / denom
+    if not a.requires_grad:
+        return Tensor(out)
 
     def bw(g: Array) -> Array:
         # y = x / (r + eps); dy/dx = I/(r+eps) - x x^T / (r (r+eps)^2)
@@ -325,6 +315,8 @@ def masked_softmax(scores: Tensor, mask: Array) -> Tensor:
     top = np.where(mask, scores.data, -np.inf).max(axis=-1, keepdims=True)
     e = np.where(mask, np.exp(np.where(mask, scores.data - top, 0.0)), 0.0)
     p = e / e.sum(axis=-1, keepdims=True)
+    if not scores.requires_grad:
+        return Tensor(p)
 
     def bw(g: Array) -> Array:
         inner = (g * p).sum(axis=-1, keepdims=True)

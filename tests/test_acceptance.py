@@ -22,11 +22,11 @@ from agentroute.harness import (emit_report, evaluate, new_role_eval,
                                 pareto_sweep, report_rows, unseen_llm_eval)
 from agentroute.memory import (EncoderInput, HeteroGraph, HubSet, QueryNode,
                                ResponseNode, RoleHubNode, STATUS_PENDING,
-                               STATUS_RESOLVED, deserialize, graphs_equal,
-                               serialize)
+                               STATUS_RESOLVED, deserialize, serialize)
 from agentroute.ppo import TrainConfig, load_policy, train
 from agentroute.streams import det_rng
 from agentroute.tensor import Tensor, backward, load_params, save_params
+from graph_equality import graphs_equal
 
 FD_H = 1e-5
 FD_TOL = 1e-4

@@ -346,3 +346,52 @@ def test_trace_lines_roundtrip():
         blob = json.loads(line)
         assert blob["role"] == rec.role and blob["step"] == rec.step
         assert blob["node_id"] == rec.node_id
+
+
+# -- cached masks and decision states ---------------------------------------------------
+
+
+def test_cached_mask_matches_a_fresh_computation_on_every_branch():
+    bench = make_bench(width=(3,))
+    for seed in range(8):
+        env, _ = make_env(bench=bench, n_roles=5, p_max=2, width=3, max_steps=12)
+        env.reset(bench.train_query(seed))
+        rng = np.random.default_rng(seed)
+        stack, branches = [env], 0
+        while stack:
+            e = stack.pop()
+            while not e.finished:
+                mask = e.legal_mask()
+                assert not mask.flags.writeable and e.legal_mask() is mask
+                assert np.array_equal(mask, e._compute_mask())
+                if branches < 12 and rng.uniform() < 0.4:
+                    stack.append(e.clone())  # shares the cached mask
+                    branches += 1
+                e.step(e.cfg.action_of(int(rng.choice(np.flatnonzero(mask)))))
+
+
+def test_step_records_keep_the_state_a_freeze_would_have_shown():
+    from agentroute.baselines import RandomRouter
+    bench = make_bench(width=(3,))
+    lengths = []
+    for seed in range(6):
+        env, _ = make_env(bench=bench, n_roles=5, p_max=2, width=3)
+        frozen, snapshot = [], env.snapshot
+
+        def freezing_snapshot():
+            frozen.append(env.workflow.freeze())
+            return snapshot()
+
+        env.snapshot = freezing_snapshot
+        ep = env.run_episode(bench.train_query(seed), RandomRouter(), mode="sample",
+                             rng=np.random.default_rng(seed))
+        assert len(frozen) == ep.length
+        lengths.append(ep.length)
+        for rec, want in zip(ep.records, frozen):
+            got = rec.wf_input
+            assert (got.n_hubs, got.n_queries, got.n_responses) == \
+                (want.n_hubs, want.n_queries, want.n_responses)
+            for a, b in zip(got.hub_sums, want.hub_sums):
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
+    assert max(lengths) >= 5

@@ -28,7 +28,6 @@ from agentroute.memory import (
     consolidate,
     copy_hub_stats,
     deserialize,
-    graphs_equal,
     new_workflow,
     rebase_history,
     serialize,
@@ -38,6 +37,7 @@ from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.baselines import KnnStore
 from agentroute.harness import inject_role_interactions
 from agentroute.tensor import Tensor, params_from_jsonable, params_to_jsonable
+from graph_equality import graphs_equal
 
 DIM = 4
 
@@ -657,6 +657,85 @@ def test_graph_invariants_hold_under_random_operations(capacity, ops):
             hist = rebase_history(hist, make_hubs(min(5, hist.hubs.n_roles + 1),
                                                   hist.hubs.n_models + 1))
         assert_graph_invariants(hist, capacity)
+
+
+
+# -- decision states against a fresh freeze ------------------------------------------------
+
+STATE_OPS = ("children", "response", "summary", "clone", "consolidate", "ema", "rebase",
+             "read")
+
+
+def assert_state_is_a_freeze(state, frozen):
+    """A HubState equals the freeze it stands for, at tolerance 0."""
+    assert (state.n_hubs, state.n_queries, state.n_responses) == \
+        (frozen.n_hubs, frozen.n_queries, frozen.n_responses)
+    for got, want in zip(state.hub_sums, frozen.hub_sums):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert not got.flags.writeable and np.array_equal(got, want)
+    if state.hub_feats is not None:
+        assert np.array_equal(state.hub_feats, frozen.hub_feats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roles=st.integers(1, 3), models=st.integers(1, 4),
+       dims=st.tuples(*[st.sampled_from([1, 2, 3, 4, 7, 65])] * 3),
+       capacity=st.integers(1, 64),
+       ops=st.lists(st.tuples(st.sampled_from(STATE_OPS), st.integers(0, 2 ** 16)),
+                    min_size=1, max_size=60))
+def test_hub_state_equals_a_fresh_freeze(roles, models, dims, capacity, ops):
+    d_q, d_r, d_hub = dims
+    ids = iter(range(10 ** 6))
+
+    def node(rng, cls, **kw):
+        dim = d_q if cls is QueryNode else d_r
+        return cls(id=f"n{next(ids)}", embedding=rng.normal(size=dim), **kw)
+
+    def fresh_workflow(hubs, rng):
+        return new_workflow(node(rng, QueryNode, depth=0, parent=None, family=0), hubs)
+
+    rng = np.random.default_rng(0)
+    hist = HeteroGraph("history", make_hubs(roles, models, d_hub), capacity=capacity)
+    wfs = [fresh_workflow(hist.hubs, rng)]
+    reads = []  # (state, a frozen copy of the graph when it was read)
+    for op, seed in ops:
+        rng = np.random.default_rng(seed)
+        wf = wfs[int(rng.integers(len(wfs)))]
+        qs = list(wf.queries.values())
+        q = qs[int(rng.integers(len(qs)))]
+        if op == "children" and q.status == STATUS_PENDING and not q.is_summary:
+            attach_subqueries(wf, q.id, [
+                node(rng, QueryNode, depth=q.depth + 1, parent=q.id, family=0)
+                for _ in range(int(rng.integers(1, 4)))])
+        elif op == "response":
+            who = (int(rng.integers(wf.hubs.n_roles)), int(rng.integers(wf.hubs.n_models)))
+            attach_response(wf, q.id, node(rng, ResponseNode, produced_by=who, tokens_in=1,
+                                           tokens_out=1, quality=0.5),
+                            answers=q.status == STATUS_PENDING and rng.uniform() < 0.5)
+        elif op == "summary":
+            add_summary_query(wf, qs[0].id, node(rng, QueryNode, depth=1, parent=qs[0].id,
+                                                 family=0, is_summary=True))
+        elif op == "clone":  # both copies keep changing from here
+            wfs.append(clone_workflow(wf))
+        elif op == "consolidate":
+            consolidate(wf, hist)
+        elif op == "ema":
+            update_hub_stats(hist.hubs.hubs[int(rng.integers(len(hist.hubs)))],
+                             float(rng.uniform()), float(rng.uniform()))
+        elif op == "rebase":  # the old workflows keep the old hub set
+            hist = rebase_history(hist, make_hubs(min(5, hist.hubs.n_roles + 1),
+                                                  hist.hubs.n_models, d_hub))
+            wfs = [fresh_workflow(hist.hubs, rng)]
+        elif op == "read":
+            for g in [hist, *wfs]:
+                reads.append((g.hub_state(), g.freeze()))
+                assert_state_is_a_freeze(*reads[-1])
+                assert (reads[-1][0].hub_feats is None) == (g.kind == "workflow")
+    for g in [hist, *wfs]:
+        assert_state_is_a_freeze(g.hub_state(), g.freeze())
+    for state, frozen in reads:  # no later write reached an earlier state
+        assert_state_is_a_freeze(state, frozen)
 
 
 def test_graphs_equal_detects_stat_drift():

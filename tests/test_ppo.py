@@ -19,7 +19,7 @@ from agentroute.encoder import (
     init_params,
     logprob_of,
 )
-from agentroute.env import Episode, EnvConfig, RoutingEnv, StepRecord
+from agentroute.env import Episode, EnvConfig, RoutingEnv, StepRecord, absorb_episode
 from agentroute.memory import HeteroGraph
 from agentroute.ppo import (
     CURVE_COLUMNS,
@@ -295,6 +295,58 @@ def test_loaded_policy_acts_without_a_tape(tmp_path, monkeypatch):
     assert len(outputs) == 2
     for t in [policy._his_hubs, *outputs]:
         assert not t.requires_grad and t._parents == []
+
+
+
+def test_act_on_gradient_free_views_builds_no_tape_and_matches(monkeypatch):
+    bench = small_bench()
+    env_cfg = EnvConfig(n_models=2, n_roles=3, p_max=1)
+    hubs = bench.build_hubs(3)
+    hist = HeteroGraph("history", hubs, capacity=64)
+    params = init_params(EncoderDims(64, 64, 64, 8), "full", seed=1)
+    views = {k: T.Tensor(p.data) for k, p in params.items()}
+    assert all(views[k].data is p.data for k, p in params.items())
+    created = []
+    init = T.Tensor.__init__
+
+    def counted(obj, *a, **k):
+        created.append(obj)
+        init(obj, *a, **k)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counted)
+    for seed in range(4):
+        env = RoutingEnv(env_cfg, bench, hubs)
+        env.reset(bench.train_query(seed))
+        while not env.finished:
+            wf, q = env.snapshot()
+            mask = env.legal_mask()
+            outs, tapes = [], []
+            for ps in (params, views):
+                policy = RoutingPolicy(ps, "full", 1.0)
+                created.clear()
+                policy.prepare(hist.hub_state())
+                outs.append(policy.act(wf, q, mask, "sample",
+                                       np.random.default_rng(seed)))
+                tapes.append(sum(1 for t in created if t._parents))
+            assert tapes[0] > 0 and tapes[1] == 0  # the views record nothing
+            assert outs[0] == outs[1]  # and act exactly as the taped path
+            env.step(env_cfg.action_of(outs[0][0]))
+        absorb_episode(hist, Episode(records=[], utility=0.0, dollars=0.0,
+                                     scaled_cost=0.0, truncated=False, family=0,
+                                     root_id=env.root_id, workflow=env.workflow))
+
+
+def test_train_rolls_out_on_gradient_free_views(monkeypatch):
+    seen = []
+
+    def spy(benchmark, env_cfg, hubs, policy, *rest):
+        seen.append([p.requires_grad for p in policy.params.values()])
+        return collect_window(benchmark, env_cfg, hubs, policy, *rest)
+
+    monkeypatch.setattr(agentroute.ppo, "collect_window", spy)
+    res = train(small_bench(), EnvConfig(n_models=2, p_max=1), small_cfg())
+    assert len(seen) == 2 and not any(any(s) for s in seen)
+    assert all(p.requires_grad for p in res.params.values())
 
 
 def test_artifacts_identical_across_reruns(tmp_path):
