@@ -1,11 +1,14 @@
 """MDP tests: masks, templates, rewards, truncation, cloning, absorption."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from agentroute.backend import BenchmarkSpec, make_benchmark
+from agentroute.baselines import RandomRouter
 from agentroute.env import (
     PHASE1,
     Action,
@@ -371,7 +374,6 @@ def test_cached_mask_matches_a_fresh_computation_on_every_branch():
 
 
 def test_step_records_keep_the_state_a_freeze_would_have_shown():
-    from agentroute.baselines import RandomRouter
     bench = make_bench(width=(3,))
     lengths = []
     for seed in range(6):
@@ -395,3 +397,39 @@ def test_step_records_keep_the_state_a_freeze_would_have_shown():
                 assert (a is None) == (b is None)
                 assert a is None or np.array_equal(a, b)
     assert max(lengths) >= 5
+
+
+# RandomRouter rollouts of held-out queries 0-39 on the five-role, p_max 2,
+# width-3 configuration of the multi-step benchmark (separable pool, seed 7),
+# written before the graphs indexed their children and responses. Unlike the
+# oracle's golden file these reach the thinker, the verifier, the summarizer
+# and depth-2 trees, so a change to the env, the simulator or the workflow
+# graph that moves an action, a quality bit, a cost or a node shows up here.
+GOLDEN_ROLLOUTS = Path(__file__).parent / "data" / "rollouts_v1.json"
+
+
+def golden_rollouts(cfg: dict, n_episodes: int) -> list[dict]:
+    spec = cfg["spec"]
+    bench = make_benchmark(
+        BenchmarkSpec(kind=spec["kind"], families=tuple(spec["families"]),
+                      queries_per_family=spec["queries_per_family"],
+                      width_profile=tuple(spec["width_profile"]), seed=spec["seed"]),
+        k_models=cfg["k_models"])
+    env_cfg = EnvConfig(**cfg["env"])
+    env = RoutingEnv(env_cfg, bench, bench.build_hubs(env_cfg.n_roles))
+    out = []
+    for i in range(n_episodes):
+        ep = env.run_episode(bench.eval_query(i), RandomRouter(), mode="sample",
+                             rng=np.random.default_rng(i))
+        out.append({"eval_query": i, "actions": [list(a) for a in ep.actions],
+                    "utility": ep.utility, "dollars": ep.dollars,
+                    "workflow_sha256": hashlib.sha256(serialize(ep.workflow)).hexdigest()})
+    return out
+
+
+def test_random_rollouts_match_the_golden_file():
+    golden = json.loads(GOLDEN_ROLLOUTS.read_text())
+    assert len(golden["episodes"]) == 40
+    assert golden_rollouts(golden["config"], 40) == golden["episodes"]
+    roles = {role for ep in golden["episodes"] for role, _ in ep["actions"]}
+    assert roles == {0, 1, 2, 3, 4}
