@@ -81,13 +81,6 @@ def load_catalog(path: str) -> list[CatalogEntry]:
             for r in rows]
 
 
-def save_catalog(path: str, catalog: list[CatalogEntry]) -> None:
-    rows = [{"name": c.name, "scale": c.scale, "price_in": c.price_in,
-             "price_out": c.price_out} for c in catalog]
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-
-
 @dataclass
 class LLMProfile:
     name: str
@@ -136,8 +129,9 @@ def _call_draws(seed: int, query_id: str, role: RoleSpec, model_name: str,
     """The hashed draws of one (query, role, model) call, independent of context.
 
     Returns the quality noise (0.0 when `noise_sigma` is None), the prompt
-    and completion token counts, and the response-embedding noise with its
-    two reserved coordinates zeroed, read-only so a memoised copy stays put.
+    and completion token counts, and the response-embedding noise term (the
+    noise with its two reserved coordinates zeroed, times 0.15), read-only so
+    a memoised copy stays put.
     """
     noise_term = 0.0
     if noise_sigma is not None:
@@ -149,6 +143,7 @@ def _call_draws(seed: int, query_id: str, role: RoleSpec, model_name: str,
     noise_vec = det_rng(seed, "resp", query_id, role.name, model_name).normal(size=d_q)
     noise_vec[0] = 0.0
     noise_vec[1] = 0.0
+    noise_vec = 0.15 * noise_vec
     noise_vec.flags.writeable = False
     return noise_term, t_in, t_out, noise_vec
 
@@ -261,10 +256,10 @@ class Benchmark:
     # -- model behavior ----------------------------------------------------------
 
     def _context_bonus(self, context: list[ResponseNode]) -> float:
-        thinker = self.thinker_index
-        plain = sum(1 for c in context if c.produced_by[0] != thinker)
-        has_thinker = any(c.produced_by[0] == thinker for c in context)
-        return min(0.15, 0.05 * plain) + (0.15 if has_thinker else 0.0)
+        if not context:
+            return 0.0
+        thinker = sum(1 for c in context if c.produced_by[0] == self.thinker_index)
+        return min(0.15, 0.05 * (len(context) - thinker)) + (0.15 if thinker else 0.0)
 
     def invoke(self, model_index: int, role_index: int, query: QueryNode,
                context: list[ResponseNode], draws: dict | None = None) -> ActionOutcome:
@@ -303,7 +298,10 @@ class Benchmark:
             if floors:
                 quality = max(quality, max(floors))
 
-        emb = (2.0 * quality - 1.0) * self.content_of(query.embedding) + 0.15 * noise_vec
+        # (2q - 1) * content_of(query) + noise: the noise is 0 at both
+        # reserved coordinates, so the difficulty slot comes out +0.0 either way
+        emb = (2.0 * quality - 1.0) * query.embedding + noise_vec
+        emb[0] = 0.0
         emb[1] = 1.0 if role_index == self.thinker_index else 0.0
 
         return ActionOutcome(response_embedding=emb, quality=quality,
@@ -336,8 +334,7 @@ class Benchmark:
         """Synthesis query whose resolution finishes a summarized episode."""
         emb = self.content_of(root.embedding)
         if child_answers:
-            mean_ans = np.mean([self.content_of(c.embedding) for c in child_answers], axis=0)
-            emb = emb + 0.2 * mean_ans
+            emb = emb + 0.2 * mean([self.content_of(c.embedding) for c in child_answers])
         emb[0] = 0.3 * self.difficulty_of(root)
         return QueryNode(id=f"{root.id}.s", embedding=emb, depth=root.depth + 1,
                          parent=root.id, family=root.family, is_summary=True,
@@ -367,6 +364,14 @@ class Benchmark:
         return HubSet(hubs, n_roles=n_roles, n_models=self.n_models)
 
 
+def mean(xs: list):
+    """`np.mean(xs, axis=0)` bit for bit, for a non-empty list of floats or of
+    equal-length float vectors: the same `np.add.reduce` divided by the same
+    count, without np.mean's dispatch, which costs three times the sum on a
+    list of two or three floats."""
+    return np.add.reduce(xs) / len(xs)
+
+
 def final_utility(answer_quality: float, sub_qualities: list[float],
                   summarized: bool, mode: str = "continuous") -> float:
     """Task utility of a finished episode.
@@ -381,7 +386,7 @@ def final_utility(answer_quality: float, sub_qualities: list[float],
     if summarized:
         if not sub_qualities:
             raise ValueError("summarized episode without resolved sub-answers")
-        u = 0.5 * (u + float(np.mean(sub_qualities)))
+        u = 0.5 * (u + float(mean(sub_qualities)))
     if mode == "binary":
         return 1.0 if u >= 0.5 else 0.0
     return u

@@ -51,10 +51,6 @@ class KnnStore:
         self.embeddings.append(np.asarray(root_embedding, dtype=np.float64))
         self.sequences.append([int(a) for a in actions])
 
-    def add_episode(self, episode) -> None:
-        self.add(episode.records[0].query_embedding,
-                 [rec.action_index for rec in episode.records])
-
     def __len__(self) -> int:
         return len(self.sequences)
 
@@ -179,19 +175,19 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     best_value = -np.inf
     best_actions: list[int] | None = None
     expanded = 0
+    action_of = [cfg.action_of(i) for i in range(cfg.n_actions)]
 
     def explore(env: RoutingEnv, actions: list[int], total: float) -> None:
         nonlocal best_value, best_actions, expanded
-        mask = env.legal_mask()
-        for a in np.flatnonzero(mask):
+        for a in np.flatnonzero(env.legal_mask()).tolist():
             expanded += 1
             if expanded > bound:
                 raise RuntimeError(
                     f"oracle enumeration exceeded {bound} states; "
                     "shrink the action space or the step cap")
             child = env.clone()
-            reward, done, _ = child.step(cfg.action_of(int(a)))
-            seq = actions + [int(a)]
+            reward, done, _ = child.step(action_of[a])
+            seq = actions + [a]
             if done:
                 if total + reward > best_value:
                     best_value = total + reward

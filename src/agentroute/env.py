@@ -190,17 +190,19 @@ class RoutingEnv:
         return self.workflow.queries[self.current_id]
 
     def _resolved_child_answers(self, query_id: str) -> list[ResponseNode]:
+        wf = self.workflow
         out = []
-        for child in self.workflow.children_of(query_id):
-            if child.is_summary:
-                continue
-            if child.status == STATUS_RESOLVED and child.answer_id is not None:
-                out.append(self.workflow.responses[child.answer_id])
+        for cid in wf.child_ids.get(query_id, ()):
+            child = wf.queries[cid]
+            if (not child.is_summary and child.status == STATUS_RESOLVED
+                    and child.answer_id is not None):
+                out.append(wf.responses[child.answer_id])
         return out
 
     def _attached_context(self, query_id: str) -> list[ResponseNode]:
-        q = self.workflow.queries[query_id]
-        return [r for r in self.workflow.responses_of(query_id) if r.id != q.answer_id]
+        wf = self.workflow
+        answer = wf.queries[query_id].answer_id
+        return [wf.responses[r] for r in wf.response_ids.get(query_id, ()) if r != answer]
 
     def _context_for(self, query_id: str) -> list[ResponseNode]:
         q = self.workflow.queries[query_id]
@@ -213,13 +215,19 @@ class RoutingEnv:
         return context
 
     def _descendant_answer_qualities(self, query_id: str) -> list[float]:
+        """Answer qualities of the non-summary subtree below `query_id`, in
+        pre-order, which fixes the order of the sum in `final_utility`."""
+        wf, index = self.workflow, self.workflow.child_ids
         out: list[float] = []
-        for child in self.workflow.children_of(query_id):
+        stack = list(index.get(query_id, ())[::-1])
+        while stack:
+            child = wf.queries[stack.pop()]
             if child.is_summary:
                 continue
             if child.status == STATUS_RESOLVED and child.answer_id is not None:
-                out.append(self.workflow.responses[child.answer_id].quality)
-            out.extend(self._descendant_answer_qualities(child.id))
+                out.append(wf.responses[child.answer_id].quality)
+            if child.id in index:
+                stack += index[child.id][::-1]
         return out
 
     def _summarizer_legal(self) -> bool:
@@ -234,7 +242,7 @@ class RoutingEnv:
         """Phase-1 role for the current slot, derived from the live state."""
         cur = self.current
         if (self.planner_count < self.cfg.phase_depth and not cur.is_summary
-                and not self.workflow.children_of(cur.id)
+                and cur.id not in self.workflow.child_ids
                 and cur.depth == self.planner_count):
             return 0  # planner
         if self._summarizer_legal():
@@ -266,19 +274,21 @@ class RoutingEnv:
         if cur.is_summary:
             return mask           # synthesis resolution is executor-only
         if (self.planner_count < cfg.p_max and not cur.is_summary
-                and not self.workflow.children_of(cur.id)):
+                and cur.id not in self.workflow.child_ids):
             mask[0 * k:1 * k] = True
         if self._summarizer_legal():
             mask[2 * k:3 * k] = True
         if cfg.n_roles > 3:
-            context = self._context_for(cur.id)
+            # a summary query returned above, so its context is the attached
+            # responses plus the resolved child answers
             attached = self._attached_context(cur.id)
             t = self.benchmark.thinker_index
             v = self.benchmark.verifier_index
             if t is not None and t < cfg.n_roles and \
                     not any(r.produced_by[0] == t for r in attached):
                 mask[t * k:(t + 1) * k] = True
-            if v is not None and v < cfg.n_roles and context and \
+            if v is not None and v < cfg.n_roles and \
+                    (attached or self._resolved_child_answers(cur.id)) and \
                     not any(r.produced_by[0] == v for r in attached):
                 mask[v * k:(v + 1) * k] = True
         return mask
@@ -379,9 +389,10 @@ class RoutingEnv:
             reward += self.utility
         elif done:
             self.finished = True
-            answer_quality = outcome.quality
-            subs = self._descendant_answer_qualities(self.root_id)
-            self.utility = final_utility(answer_quality, subs, self.summary_used,
+            # the sub-answers count only after a summary
+            subs = (self._descendant_answer_qualities(self.root_id)
+                    if self.summary_used else [])
+            self.utility = final_utility(outcome.quality, subs, self.summary_used,
                                          cfg.utility_mode)
             reward += self.utility
 

@@ -9,7 +9,6 @@ without touching learned weights.
 from __future__ import annotations
 
 import copy
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from .backend import (Benchmark, EXECUTOR, PLANNER, SUMMARIZER, THINKER,
                       VERIFIER, cost_of, make_unseen_profile)
 from .encoder import RoutingPolicy
-from .env import EnvConfig, Episode, RoutingEnv, absorb_episode, trace_lines
+from .env import EnvConfig, Episode, RoutingEnv, absorb_episode
 from .memory import (HeteroGraph, ResponseNode, deserialize, rebase_history,
                      update_hub_stats)
 from .ppo import TrainConfig, train, write_csv
@@ -53,8 +52,10 @@ class EvalReport:
 
 
 def _cross_check_cost(episode: Episode) -> None:
-    traced = sum(float(json.loads(line)["dollars"])
-                 for line in trace_lines(episode))
+    """The step costs a trace would list add up to the episode's cost. A
+    trace line holds each step's `dollars` as JSON, which reads back as the
+    same float, so the sum is taken over the records directly."""
+    traced = sum(float(rec.dollars) for rec in episode.records)
     if abs(traced - episode.dollars) > 1e-9:
         raise RuntimeError(
             f"trace/cost mismatch: trace={traced!r} episode={episode.dollars!r}")

@@ -6,10 +6,11 @@ across the run and shares the same hub objects by identity, so hub statistics
 written during consolidation are visible from both graphs. Edges are not
 stored: each query touches every hub, a response's links follow from its
 (role, model) and the query it attached to, and a child query's from its
-parent, so eviction, cloning and rebasing only touch nodes. Decision states
-read a graph's per-hub sums through `hub_state`; `freeze` builds the full
-array view for checks and tests. Both graph kinds persist as v1 JSON that
-still lists the derived edges.
+parent, so eviction, cloning and rebasing only touch nodes. Each graph also
+indexes every query's children and responses, so walking the tree never
+scans the node store. Decision states read a graph's per-hub sums through
+`hub_state`; `freeze` builds the full array view for checks and tests. Both
+graph kinds persist as v1 JSON that still lists the derived edges.
 """
 
 from __future__ import annotations
@@ -142,13 +143,32 @@ class EncoderInput:
 @dataclass(frozen=True)
 class HubState:
     """What the encoder reads of one graph at one moment: node counts, the
-    per-hub sums of `EncoderInput.hub_sums` (read-only arrays that no later
-    write changes) and, for a history graph, the hub features."""
+    per-hub sums of `EncoderInput.hub_sums` (arrays that no later write
+    changes) and, for a history graph, the hub features. Every array is
+    marked read-only here, including cached sums that a deep copy of the
+    graph made writable again."""
     n_hubs: int
     n_queries: int
     n_responses: int
     hub_sums: tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
     hub_feats: np.ndarray | None = None
+
+    def __post_init__(self):
+        for a in (*self.hub_sums, self.hub_feats):
+            if a is not None:
+                a.flags.writeable = False
+
+
+def _link(index: dict[str, tuple[str, ...]], key: str, nid: str) -> None:
+    index[key] = index.get(key, ()) + (nid,)
+
+
+def _unlink(index: dict[str, tuple[str, ...]], key: str, nid: str) -> None:
+    rest = tuple(x for x in index[key] if x != nid)
+    if rest:
+        index[key] = rest
+    else:
+        del index[key]
 
 
 class HeteroGraph:
@@ -158,7 +178,10 @@ class HeteroGraph:
     touches every hub, a response touches the hub of its (role, model) and
     the query in `query_of`, and a child query touches its `parent`; `edges`
     and `freeze` derive those links in node insertion order and leave out a
-    link whose other end was evicted. `hub_state` sums node features into
+    link whose other end was evicted. `child_ids` and `response_ids` index
+    the last two links by query id, in insertion order, as immutable tuples
+    that a clone shares; a key stays while one of its nodes is live, even
+    after the query it names was evicted. `hub_state` sums node features into
     the hubs only when read, so an unread oracle branch pays nothing.
     """
 
@@ -174,6 +197,9 @@ class HeteroGraph:
         self.responses: dict[str, ResponseNode] = {}
         # response id -> the query it attached to, which may since have been evicted
         self.query_of: dict[str, str] = {}
+        # query id -> the ids of its child queries / of the responses attached to it
+        self.child_ids: dict[str, tuple[str, ...]] = {}
+        self.response_ids: dict[str, tuple[str, ...]] = {}
         # History bookkeeping: nodes tagged by consolidation episode, FIFO order.
         self.episode_of: dict[str, str] = {}
         self.episode_order: list[str] = []
@@ -186,6 +212,8 @@ class HeteroGraph:
         if q.id in self.queries:
             raise ValueError(f"duplicate query id: {q.id}")
         self.queries[q.id] = q
+        if q.parent is not None:
+            _link(self.child_ids, q.parent, q.id)
         self._hub_sums = None
         if self.kind == "history" and episode is not None:
             self.episode_of[q.id] = episode
@@ -203,6 +231,7 @@ class HeteroGraph:
             raise ValueError(f"query {query_id} already has an answer")
         self.responses[r.id] = r
         self.query_of[r.id] = query_id
+        _link(self.response_ids, query_id, r.id)
         self._hub_sums = None
         if answers:
             q.answer_id = r.id
@@ -211,10 +240,10 @@ class HeteroGraph:
             self.episode_of[r.id] = episode
 
     def children_of(self, query_id: str) -> list[QueryNode]:
-        return [q for q in self.queries.values() if q.parent == query_id]
+        return [self.queries[c] for c in self.child_ids.get(query_id, ())]
 
     def responses_of(self, query_id: str) -> list[ResponseNode]:
-        return [self.responses[r] for r, q in self.query_of.items() if q == query_id]
+        return [self.responses[r] for r in self.response_ids.get(query_id, ())]
 
     @property
     def interaction_count(self) -> int:
@@ -257,9 +286,13 @@ class HeteroGraph:
     def _drop_nodes(self, doomed: set[str]) -> None:
         self._hub_sums = None
         for nid in doomed:
-            self.queries.pop(nid, None)
+            q = self.queries.pop(nid, None)
+            if q is not None and q.parent is not None:
+                _unlink(self.child_ids, q.parent, nid)
             self.responses.pop(nid, None)
-            self.query_of.pop(nid, None)
+            query_id = self.query_of.pop(nid, None)
+            if query_id is not None:
+                _unlink(self.response_ids, query_id, nid)
             self.episode_of.pop(nid, None)
 
     def enforce_capacity(self) -> None:
@@ -293,9 +326,6 @@ class HeteroGraph:
             self._hub_sums = (np.zeros((H, H)), nq + counts.sum(axis=1),
                               np.ones((H, nq)) @ q_feats if nq else None,
                               counts @ r_feats if nr else None)
-            for a in self._hub_sums:
-                if a is not None:
-                    a.flags.writeable = False
         return HubState(H, nq, nr, self._hub_sums,
                         self.hubs.features() if self.kind == "history" else None)
 
@@ -358,7 +388,7 @@ def attach_subqueries(g: HeteroGraph, parent_id: str, children: list[QueryNode],
         raise ValueError(f"parent {parent_id} is not pending")
     if not children:
         raise ValueError("attach_subqueries with an empty child list")
-    existing = len(g.children_of(parent_id))
+    existing = len(g.child_ids.get(parent_id, ()))
     if width_limit is not None and existing + len(children) > width_limit:
         raise ValueError("child count exceeds the configured width")
     ids = []
@@ -445,13 +475,20 @@ def clone_workflow(g: HeteroGraph) -> HeteroGraph:
     """
     if g.kind != "workflow":
         raise ValueError("clone_workflow copies workflow graphs only")
-    out = HeteroGraph("workflow", g.hubs, capacity=g.capacity)
+    # The copies copy.copy and replace() would make, without their dispatch;
+    # the index tuples and the read-only cached sums are shared as they are.
+    out = object.__new__(HeteroGraph)
+    out.__dict__.update(g.__dict__)
+    out.queries = {}
     for qid, q in g.queries.items():
-        # the shallow copy replace() makes, without its per-field dispatch
         c = out.queries[qid] = object.__new__(QueryNode)
         c.__dict__.update(q.__dict__)
     out.responses = dict(g.responses)
     out.query_of = dict(g.query_of)
+    out.child_ids = dict(g.child_ids)
+    out.response_ids = dict(g.response_ids)
+    out.episode_of = {}
+    out.episode_order = []
     return out
 
 
@@ -484,6 +521,8 @@ def rebase_history(old: HeteroGraph, new_hubs: HubSet,
     out.responses = {r.id: replace(r, embedding=r.embedding.copy())
                      for r in old.responses.values()}
     out.query_of = dict(old.query_of)
+    out.child_ids = dict(old.child_ids)
+    out.response_ids = dict(old.response_ids)
     out.episode_of = dict(old.episode_of)
     out.episode_order = list(old.episode_order)
     out._episode_counter = old._episode_counter
@@ -626,5 +665,10 @@ def deserialize(data: bytes) -> HeteroGraph:
         if json.dumps(field(edges, kind, list, "graph edges")) != json.dumps(derived):
             raise ValueError(f"graph edges: field {kind!r} differs from the edges "
                              f"the nodes imply")
+    for node in g.queries.values():
+        if node.parent is not None:
+            _link(g.child_ids, node.parent, node.id)
+    for rid, qid in g.query_of.items():
+        _link(g.response_ids, qid, rid)
     return g
 

@@ -1,5 +1,7 @@
 """Simulator tests: pricing, skills, query generation, invoke semantics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from agentroute.backend import (
     load_catalog,
     make_benchmark,
     make_unseen_profile,
-    save_catalog,
+    mean,
     skill_correlated_embedding,
 )
 from agentroute.memory import ResponseNode
@@ -68,6 +70,13 @@ def test_cost_is_linear_in_tokens():
     assert cost_of(twice, p) == pytest.approx(2.0 * cost_of(a, p), rel=1e-12)
 
 
+def save_catalog(path: str, catalog) -> None:
+    rows = [{"name": c.name, "scale": c.scale, "price_in": c.price_in,
+             "price_out": c.price_out} for c in catalog]
+    with open(path, "w") as fh:
+        json.dump(rows, fh, indent=2, sort_keys=True)
+
+
 def test_catalog_roundtrip(tmp_path):
     path = str(tmp_path / "catalog.json")
     save_catalog(path, DEFAULT_CATALOG)
@@ -95,6 +104,30 @@ def test_final_utility_validation():
         final_utility(0.8, [], summarized=True)
     with pytest.raises(ValueError):
         final_utility(0.8, [], summarized=False, mode="triple")
+
+
+FLOATS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 0.0, 1e-310, 0.1, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(FLOATS, min_size=1, max_size=20))
+def test_mean_is_np_mean_bit_for_bit(xs):
+    got = mean(xs)
+    assert np.float64(got).tobytes() == np.mean(xs).tobytes()
+    assert np.float64(float(got)).tobytes() == np.float64(float(np.mean(xs))).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.lists(FLOATS, min_size=3, max_size=3), min_size=n, max_size=n)))
+def test_mean_of_vectors_is_np_mean_over_rows_bit_for_bit(rows):
+    vectors = [np.array(r) for r in rows]
+    assert mean(vectors).tobytes() == np.mean(vectors, axis=0).tobytes()
+
+
+def test_mean_keeps_the_sign_of_zero():
+    for xs in ([-0.0], [-0.0, -0.0], [-0.0] * 9, [0.0, -0.0]):
+        assert np.float64(mean(xs)).tobytes() == np.mean(xs).tobytes()
 
 
 # -- skill tables ------------------------------------------------------------------

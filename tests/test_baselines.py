@@ -165,13 +165,19 @@ def test_knn_store_version_check(tmp_path):
         KnnStore.load(path)
 
 
+def add_episode(store, episode) -> None:
+    """Store an episode's action indices under its root query embedding."""
+    store.add(episode.records[0].query_embedding,
+              [rec.action_index for rec in episode.records])
+
+
 def test_knn_store_add_episode():
     bench = make_bench()
     env = RoutingEnv(EnvConfig(n_models=2, p_max=0), bench, bench.build_hubs(3))
     ep = env.run_episode(bench.generate_query(0, 0), RandomRouter(),
                          mode="greedy")
     store = KnnStore()
-    store.add_episode(ep)
+    add_episode(store, ep)
     assert store.sequences == [[rec.action_index for rec in ep.records]]
 
 

@@ -17,7 +17,7 @@ from agentroute.env import (
     absorb_episode,
     trace_lines,
 )
-from agentroute.memory import HeteroGraph, STATUS_PENDING, serialize
+from agentroute.memory import HeteroGraph, STATUS_PENDING, STATUS_RESOLVED, serialize
 
 K = 2  # pool size used throughout
 
@@ -397,6 +397,33 @@ def test_step_records_keep_the_state_a_freeze_would_have_shown():
                 assert (a is None) == (b is None)
                 assert a is None or np.array_equal(a, b)
     assert max(lengths) >= 5
+
+
+def scanned_descendant_qualities(wf, query_id):
+    """The sub-answer walk restated over a scan of the nodes: pre-order,
+    children in insertion order, summary queries and their subtrees left out."""
+    out = []
+    for child in [q for q in wf.queries.values() if q.parent == query_id]:
+        if child.is_summary:
+            continue
+        if child.status == STATUS_RESOLVED and child.answer_id is not None:
+            out.append(wf.responses[child.answer_id].quality)
+        out.extend(scanned_descendant_qualities(wf, child.id))
+    return out
+
+
+def test_sub_answers_keep_the_pre_order_of_a_node_scan():
+    bench = make_bench(width=(3,))
+    deep = 0
+    for seed in range(30):
+        env, _ = make_env(bench=bench, n_roles=5, p_max=2, width=3)
+        env.run_episode(bench.train_query(seed), RandomRouter(), mode="sample",
+                        rng=np.random.default_rng(seed))
+        for qid in env.workflow.queries:
+            got = env._descendant_answer_qualities(qid)
+            assert got == scanned_descendant_qualities(env.workflow, qid)
+            deep += len(set(got)) >= 3
+    assert deep >= 3
 
 
 # RandomRouter rollouts of held-out queries 0-39 on the five-role, p_max 2,

@@ -1,6 +1,7 @@
 """Harness tests: protocols, probes, injection, aggregation, CSV emission."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from agentroute.backend import BenchmarkSpec, EXECUTOR, make_benchmark
 from agentroute.baselines import RandomRouter
 from agentroute.encoder import EncoderDims, RoutingPolicy, init_params
-from agentroute.env import EnvConfig, RoutingEnv, absorb_episode
+from agentroute.env import EnvConfig, RoutingEnv, absorb_episode, trace_lines
 from agentroute.harness import (
     REPORT_COLUMNS,
+    _cross_check_cost,
     SWEEP_COLUMNS,
     EvalReport,
     emit_report,
@@ -52,6 +54,23 @@ CFG = EnvConfig(n_models=2, p_max=1)
 
 
 # -- evaluate ------------------------------------------------------------------------
+
+
+def test_cost_cross_check_reads_what_the_trace_lines_say():
+    bench = make_bench()
+    env = RoutingEnv(EnvConfig(n_models=2, p_max=1, alpha=0.1), bench, bench.build_hubs(3))
+    for seed in range(20):  # an episode of several paid steps
+        ep = env.run_episode(bench.train_query(1), RandomRouter(), mode="sample",
+                             rng=np.random.default_rng(seed))
+        if ep.length >= 3:
+            break
+    assert ep.length >= 3
+    traced = sum(json.loads(line)["dollars"] for line in trace_lines(ep))
+    assert traced == sum(rec.dollars for rec in ep.records) == ep.dollars
+    _cross_check_cost(ep)
+    ep.dollars += 1e-6
+    with pytest.raises(RuntimeError, match="trace/cost mismatch"):
+        _cross_check_cost(ep)
 
 
 def test_evaluate_validates_protocol():

@@ -1,5 +1,6 @@
 """Graph store tests: construction, eviction, consolidation, persistence."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -67,9 +68,9 @@ def response(rid, role=1, model=0, quality=0.8):
                         tokens_out=50, quality=quality)
 
 
-def small_workflow():
+def small_workflow(hubs=None):
     """Root + answer + two children, one child answered."""
-    g = new_workflow(query("q0"), make_hubs())
+    g = new_workflow(query("q0"), hubs if hubs is not None else make_hubs())
     attach_subqueries(g, "q0", [query("q1", depth=1, parent="q0"),
                                 query("q2", depth=1, parent="q0")])
     attach_response(g, "q1", response("r1"), answers=True)
@@ -660,10 +661,71 @@ def test_graph_invariants_hold_under_random_operations(capacity, ops):
 
 
 
-# -- decision states against a fresh freeze ------------------------------------------------
+# -- decision states and indexes under random operations ----------------------------------
 
 STATE_OPS = ("children", "response", "summary", "clone", "consolidate", "ema", "rebase",
              "read")
+INDEX_OPS = ("children", "response", "summary", "clone", "consolidate", "rebase",
+             "deserialize")
+
+
+class RandomGraphs:
+    """A capped history graph and workflows over its hub set, changed by named
+    operations; query, response and hub embeddings have the widths in `dims`."""
+
+    def __init__(self, roles, models, dims, capacity):
+        self.d_q, self.d_r, self.d_hub = dims
+        self.ids = iter(range(10 ** 6))
+        rng = np.random.default_rng(0)
+        self.hist = HeteroGraph("history", make_hubs(roles, models, self.d_hub),
+                                capacity=capacity)
+        self.wfs = [self.fresh_workflow(rng)]
+
+    @property
+    def graphs(self):
+        return [self.hist, *self.wfs]
+
+    def node(self, rng, cls, **kw):
+        dim = self.d_q if cls is QueryNode else self.d_r
+        return cls(id=f"n{next(self.ids)}", embedding=rng.normal(size=dim), **kw)
+
+    def fresh_workflow(self, rng):
+        return new_workflow(self.node(rng, QueryNode, depth=0, parent=None, family=0),
+                            self.hist.hubs)
+
+    def apply(self, op, seed):
+        rng = np.random.default_rng(seed)
+        wf = self.wfs[int(rng.integers(len(self.wfs)))]
+        qs = list(wf.queries.values())
+        q = qs[int(rng.integers(len(qs)))]
+        if op == "children" and q.status == STATUS_PENDING and not q.is_summary:
+            attach_subqueries(wf, q.id, [
+                self.node(rng, QueryNode, depth=q.depth + 1, parent=q.id, family=0)
+                for _ in range(int(rng.integers(1, 4)))])
+        elif op == "response":
+            who = (int(rng.integers(wf.hubs.n_roles)), int(rng.integers(wf.hubs.n_models)))
+            attach_response(wf, q.id, self.node(rng, ResponseNode, produced_by=who,
+                                                tokens_in=1, tokens_out=1, quality=0.5),
+                            answers=q.status == STATUS_PENDING and rng.uniform() < 0.5)
+        elif op == "summary":
+            add_summary_query(wf, qs[0].id, self.node(rng, QueryNode, depth=1,
+                                                      parent=qs[0].id, family=0,
+                                                      is_summary=True))
+        elif op == "clone":  # both copies keep changing from here
+            self.wfs.append(clone_workflow(wf))
+        elif op == "consolidate" and wf.hubs is self.hist.hubs:
+            consolidate(wf, self.hist)
+        elif op == "ema":
+            update_hub_stats(self.hist.hubs.hubs[int(rng.integers(len(self.hist.hubs)))],
+                             float(rng.uniform()), float(rng.uniform()))
+        elif op == "rebase":  # the old workflows keep the old hub set
+            self.hist = rebase_history(self.hist, make_hubs(
+                min(5, self.hist.hubs.n_roles + 1), self.hist.hubs.n_models, self.d_hub))
+            self.wfs = [self.fresh_workflow(rng)]
+        elif op == "deserialize":  # each loaded graph gets a hub set of its own
+            self.wfs = [deserialize(serialize(g)) for g in self.wfs]
+            self.hist = deserialize(serialize(self.hist))
+            self.wfs.append(self.fresh_workflow(rng))
 
 
 def assert_state_is_a_freeze(state, frozen):
@@ -685,57 +747,71 @@ def assert_state_is_a_freeze(state, frozen):
        ops=st.lists(st.tuples(st.sampled_from(STATE_OPS), st.integers(0, 2 ** 16)),
                     min_size=1, max_size=60))
 def test_hub_state_equals_a_fresh_freeze(roles, models, dims, capacity, ops):
-    d_q, d_r, d_hub = dims
-    ids = iter(range(10 ** 6))
-
-    def node(rng, cls, **kw):
-        dim = d_q if cls is QueryNode else d_r
-        return cls(id=f"n{next(ids)}", embedding=rng.normal(size=dim), **kw)
-
-    def fresh_workflow(hubs, rng):
-        return new_workflow(node(rng, QueryNode, depth=0, parent=None, family=0), hubs)
-
-    rng = np.random.default_rng(0)
-    hist = HeteroGraph("history", make_hubs(roles, models, d_hub), capacity=capacity)
-    wfs = [fresh_workflow(hist.hubs, rng)]
+    graphs = RandomGraphs(roles, models, dims, capacity)
     reads = []  # (state, a frozen copy of the graph when it was read)
     for op, seed in ops:
-        rng = np.random.default_rng(seed)
-        wf = wfs[int(rng.integers(len(wfs)))]
-        qs = list(wf.queries.values())
-        q = qs[int(rng.integers(len(qs)))]
-        if op == "children" and q.status == STATUS_PENDING and not q.is_summary:
-            attach_subqueries(wf, q.id, [
-                node(rng, QueryNode, depth=q.depth + 1, parent=q.id, family=0)
-                for _ in range(int(rng.integers(1, 4)))])
-        elif op == "response":
-            who = (int(rng.integers(wf.hubs.n_roles)), int(rng.integers(wf.hubs.n_models)))
-            attach_response(wf, q.id, node(rng, ResponseNode, produced_by=who, tokens_in=1,
-                                           tokens_out=1, quality=0.5),
-                            answers=q.status == STATUS_PENDING and rng.uniform() < 0.5)
-        elif op == "summary":
-            add_summary_query(wf, qs[0].id, node(rng, QueryNode, depth=1, parent=qs[0].id,
-                                                 family=0, is_summary=True))
-        elif op == "clone":  # both copies keep changing from here
-            wfs.append(clone_workflow(wf))
-        elif op == "consolidate":
-            consolidate(wf, hist)
-        elif op == "ema":
-            update_hub_stats(hist.hubs.hubs[int(rng.integers(len(hist.hubs)))],
-                             float(rng.uniform()), float(rng.uniform()))
-        elif op == "rebase":  # the old workflows keep the old hub set
-            hist = rebase_history(hist, make_hubs(min(5, hist.hubs.n_roles + 1),
-                                                  hist.hubs.n_models, d_hub))
-            wfs = [fresh_workflow(hist.hubs, rng)]
-        elif op == "read":
-            for g in [hist, *wfs]:
-                reads.append((g.hub_state(), g.freeze()))
-                assert_state_is_a_freeze(*reads[-1])
-                assert (reads[-1][0].hub_feats is None) == (g.kind == "workflow")
-    for g in [hist, *wfs]:
+        if op != "read":
+            graphs.apply(op, seed)
+            continue
+        for g in graphs.graphs:
+            reads.append((g.hub_state(), g.freeze()))
+            assert_state_is_a_freeze(*reads[-1])
+            assert (reads[-1][0].hub_feats is None) == (g.kind == "workflow")
+    for g in graphs.graphs:
         assert_state_is_a_freeze(g.hub_state(), g.freeze())
     for state, frozen in reads:  # no later write reached an earlier state
         assert_state_is_a_freeze(state, frozen)
+
+
+def assert_indexes_are_a_scan(g):
+    """`child_ids` and `response_ids` hold what a scan of the nodes finds,
+    element for element and in insertion order, and nothing more."""
+    children, responses = {}, {}
+    for q in g.queries.values():
+        if q.parent is not None:
+            children[q.parent] = children.get(q.parent, ()) + (q.id,)
+    for rid, qid in g.query_of.items():
+        responses[qid] = responses.get(qid, ()) + (rid,)
+    assert g.child_ids == children and g.response_ids == responses
+    for qid in g.queries:
+        assert [c.id for c in g.children_of(qid)] == list(children.get(qid, ()))
+        assert [r.id for r in g.responses_of(qid)] == list(responses.get(qid, ()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity=st.integers(1, 64),
+       ops=st.lists(st.tuples(st.sampled_from(INDEX_OPS), st.integers(0, 2 ** 16)),
+                    min_size=20, max_size=80))
+def test_indexes_equal_a_scan_of_the_nodes(capacity, ops):
+    graphs = RandomGraphs(2, 3, (4, 4, 6), capacity)
+    for op, seed in ops:
+        graphs.apply(op, seed)
+        for g in graphs.graphs:
+            assert_indexes_are_a_scan(g)
+    # eviction prunes: the history's index never outgrows its live nodes
+    hist = graphs.hist
+    assert sum(map(len, hist.child_ids.values())) <= len(hist.queries)
+    assert sum(map(len, hist.response_ids.values())) <= len(hist.responses)
+
+
+def test_eviction_prunes_the_indexes():
+    # five interactions per episode: capacity 5 evicts whole episodes, 4 also
+    # truncates the newest one's root while its children stay
+    for capacity, keys in ((5, ["ep5/q0"]), (4, ["ep5/q0"])):
+        hist = HeteroGraph("history", make_hubs(), capacity=capacity)
+        for _ in range(6):
+            consolidate(small_workflow(hist.hubs), hist)
+            assert_indexes_are_a_scan(hist)
+        assert list(hist.child_ids) == keys
+        assert ("ep5/q0" in hist.queries) == (capacity == 5)
+
+
+def test_hub_states_of_a_deep_copy_are_read_only():
+    for g in (small_workflow(), build_history_for_io()):
+        g.hub_state()  # fills the cache that the copy carries over
+        state = copy.deepcopy(g).hub_state()
+        arrays = [a for a in (*state.hub_sums, state.hub_feats) if a is not None]
+        assert len(arrays) >= 3 and not any(a.flags.writeable for a in arrays)
 
 
 def test_graphs_equal_detects_stat_drift():
