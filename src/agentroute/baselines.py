@@ -82,7 +82,7 @@ class KnnStore:
         for i, rec in enumerate(fields.field(obj, "records", list, "kNN store")):
             where = f"kNN record {i}"
             store.add(fields.floats(rec, "embedding", where),
-                      fields.ints(rec, "actions", where))
+                      fields.items(rec, "actions", int, where))
         return store
 
     def save(self, path) -> None:

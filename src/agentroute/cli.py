@@ -56,9 +56,9 @@ def cmd_eval(args, parser) -> int:
     if not ckpt.exists():
         parser.error(f"checkpoint not found: {ckpt}")
     policy, meta = load_policy(ckpt)
-    protocol = args.protocol or cfg.eval.get("protocol", "inductive")
-    episodes = args.episodes or cfg.eval.get("episodes", 30)
-    seed = cfg.eval.get("seed", 0) if args.seed is None else args.seed
+    protocol = args.protocol or cfg.setting("eval", "protocol")
+    episodes = args.episodes or cfg.setting("eval", "episodes")
+    seed = cfg.setting("eval", "seed") if args.seed is None else args.seed
     history_path = args.history
     if history_path is None and protocol == "transductive":
         candidate = ckpt.parent / "history.json"
@@ -66,7 +66,7 @@ def cmd_eval(args, parser) -> int:
             history_path = candidate
     report = evaluate(policy, benchmark, env_cfg, episodes, seed=seed,
                       protocol=protocol, history_path=history_path,
-                      absorb=cfg.eval.get("absorb", True))
+                      absorb=cfg.setting("eval", "absorb"))
     rows = report_rows(report, variant=meta.get("variant", "full"),
                        phase=env_cfg.phase, alpha=env_cfg.alpha, seed=seed)
     if args.out:
@@ -185,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the training seed")
         p.add_argument("--out", help="output path")
-        p.add_argument("--workers", type=int, default=None,
-                       help="rollout worker threads")
 
     p_train = sub.add_parser("train", help="train a routing policy")
     common(p_train)
@@ -210,6 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--variants", default="full,homo,hetero,no_history")
     p_abl.add_argument("--seeds", default="0")
     p_abl.add_argument("--episodes", type=int, default=None)
+    for p in (p_train, p_sweep, p_abl):
+        p.add_argument("--workers", type=int, default=None,
+                       help="validated (at least 1), otherwise ignored")
 
     p_gen = sub.add_parser("genbench", help="describe the benchmark pool")
     common(p_gen)

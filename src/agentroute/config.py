@@ -1,8 +1,9 @@
 """Run configuration: one JSON file describing benchmark, env, and training.
 
-Unknown keys are rejected everywhere so typos fail loudly instead of
-silently running defaults. The resolved configuration (every default made
-explicit) is written next to training artifacts for reproducibility.
+Unknown keys and values of the wrong JSON type are rejected everywhere, so
+typos fail loudly instead of silently running defaults. The resolved
+configuration (every default made explicit) is written next to training
+artifacts for reproducibility.
 """
 
 from __future__ import annotations
@@ -14,23 +15,48 @@ from pathlib import Path
 from .backend import (Benchmark, BenchmarkSpec, KINDS, load_catalog,
                       make_benchmark)
 from .env import EnvConfig
+from .fields import NUMBER, field as checked_field, items
 from .ppo import TrainConfig
 
-BENCHMARK_KEYS = {
-    "kind", "families", "queries_per_family", "width_profile", "seed",
-    "k_models", "d_q", "d_hub", "difficulty", "noise_sigma", "margin",
-    "skill_overrides", "catalog",
+BENCHMARK_DEFAULTS = {
+    "kind": "separable", "families": 3, "queries_per_family": 100,
+    "width_profile": (2, 3), "seed": 0, "k_models": 4, "d_q": 64, "d_hub": 64,
+    "difficulty": (0.1, 0.5), "noise_sigma": 0.05, "margin": 0.2,
+    "skill_overrides": None, "catalog": None,  # catalog: a catalog file's path
 }
-EVAL_KEYS = {"protocol", "episodes", "seed", "absorb"}
-TOP_KEYS = {"benchmark", "env", "train", "eval"}
+EVAL_DEFAULTS = {"protocol": "inductive", "episodes": 30, "seed": 0, "absorb": True}
+# each section's settable keys and their defaults; env's n_models is k_models
+SECTIONS = {
+    "benchmark": BENCHMARK_DEFAULTS,
+    "env": {f.name: f.default for f in fields(EnvConfig) if f.name != "n_models"},
+    "train": {f.name: f.default for f in fields(TrainConfig)},
+    "eval": EVAL_DEFAULTS,
+}
+# JSON types a benchmark value may have besides its default's
+EXTRA_TYPES = {"families": (list,), "skill_overrides": (dict,), "catalog": (str,)}
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
+def _json_types(default, key: str | None = None) -> tuple:
+    """The JSON types of a value with this default: a float also takes an
+    integer, a tuple is a list, and a JSON bool is no number."""
+    own = (NUMBER if isinstance(default, float) else
+           (list,) if isinstance(default, tuple) else (type(default),))
+    return own + EXTRA_TYPES.get(key, ())
+
+
+def _checked(obj: dict, defaults: dict, where: str) -> dict:
+    """A copy of a config or config section, after checking its keys and that
+    each value (and each item of a list standing for a tuple) has its type."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(defaults))
     if unknown:
         raise ValueError(f"unknown keys in {where}: {unknown}")
+    for key in obj:
+        checked_field(obj, key, _json_types(defaults[key], key), where)
+        if isinstance(defaults[key], tuple):
+            items(obj, key, _json_types(defaults[key][0]), where)
+    return dict(obj)
 
 
 @dataclass
@@ -42,62 +68,49 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        _check_keys(obj, TOP_KEYS, "config")
-        benchmark = dict(obj.get("benchmark", {}))
-        env = dict(obj.get("env", {}))
-        train = dict(obj.get("train", {}))
-        ev = dict(obj.get("eval", {}))
-
-        _check_keys(benchmark, BENCHMARK_KEYS, "benchmark")
-        env_allowed = {f.name for f in fields(EnvConfig)} - {"n_models"}
-        _check_keys(env, env_allowed, "env")
-        train_allowed = {f.name for f in fields(TrainConfig)}
-        _check_keys(train, train_allowed, "train")
-        _check_keys(ev, EVAL_KEYS, "eval")
-        if benchmark.get("kind", "separable") not in KINDS:
-            raise ValueError(f"unknown benchmark kind: {benchmark.get('kind')!r}")
-        return cls(benchmark=benchmark, env=env, train=train, eval=ev)
+        obj = _checked(obj, SECTIONS, "config")
+        cfg = cls(**{name: _checked(obj.get(name, {}), defaults, name)
+                     for name, defaults in SECTIONS.items()})
+        if cfg.setting("benchmark", "kind") not in KINDS:
+            raise ValueError(f"unknown benchmark kind: {cfg.benchmark['kind']!r}")
+        return cfg
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
+    def setting(self, section: str, key: str):
+        """A section's value as given, or its default."""
+        return getattr(self, section).get(key, SECTIONS[section][key])
+
     # -- builders -----------------------------------------------------------------
 
     def make_spec(self) -> BenchmarkSpec:
-        b = self.benchmark
-        families = b.get("families", 3)
+        families = self.setting("benchmark", "families")
         if isinstance(families, int):
-            families = tuple(range(families))
+            families = range(families)
         return BenchmarkSpec(
-            kind=b.get("kind", "separable"),
+            kind=self.setting("benchmark", "kind"),
             families=tuple(families),
-            queries_per_family=b.get("queries_per_family", 100),
-            width_profile=tuple(b.get("width_profile", (2, 3))),
-            seed=b.get("seed", 0),
+            queries_per_family=self.setting("benchmark", "queries_per_family"),
+            width_profile=tuple(self.setting("benchmark", "width_profile")),
+            seed=self.setting("benchmark", "seed"),
         )
 
     def make_benchmark(self) -> Benchmark:
-        b = self.benchmark
-        catalog = None
-        if b.get("catalog"):
-            catalog = load_catalog(b["catalog"])
-        overrides = b.get("skill_overrides")
+        catalog = self.setting("benchmark", "catalog")
         return make_benchmark(
             self.make_spec(),
-            k_models=b.get("k_models", 4),
-            d_q=b.get("d_q", 64),
-            d_hub=b.get("d_hub", 64),
-            catalog=catalog,
-            difficulty=tuple(b.get("difficulty", (0.1, 0.5))),
-            noise_sigma=b.get("noise_sigma", 0.05),
-            margin=b.get("margin", 0.2),
-            skill_overrides=overrides,
+            catalog=load_catalog(catalog) if catalog else None,
+            difficulty=tuple(self.setting("benchmark", "difficulty")),
+            **{k: self.setting("benchmark", k) for k in
+               ("k_models", "d_q", "d_hub", "noise_sigma", "margin",
+                "skill_overrides")},
         )
 
     def make_env_cfg(self) -> EnvConfig:
-        return EnvConfig(n_models=self.benchmark.get("k_models", 4), **self.env)
+        return EnvConfig(n_models=self.setting("benchmark", "k_models"), **self.env)
 
     def make_train_cfg(self, seed: int | None = None,
                        workers: int | None = None) -> TrainConfig:
@@ -111,21 +124,11 @@ class RunConfig:
     def resolved(self) -> dict:
         """Every default made explicit; stable across identical inputs."""
         return {
-            "benchmark": {**asdict(self.make_spec()),
-                          "k_models": self.benchmark.get("k_models", 4),
-                          "d_q": self.benchmark.get("d_q", 64),
-                          "d_hub": self.benchmark.get("d_hub", 64),
-                          "difficulty": list(self.benchmark.get("difficulty", (0.1, 0.5))),
-                          "noise_sigma": self.benchmark.get("noise_sigma", 0.05),
-                          "margin": self.benchmark.get("margin", 0.2),
-                          "skill_overrides": self.benchmark.get("skill_overrides"),
-                          "catalog": self.benchmark.get("catalog")},
+            "benchmark": {**{k: self.setting("benchmark", k) for k in BENCHMARK_DEFAULTS},
+                          **asdict(self.make_spec())},
             "env": asdict(self.make_env_cfg()),
             "train": asdict(self.make_train_cfg()),
-            "eval": {"protocol": self.eval.get("protocol", "inductive"),
-                     "episodes": self.eval.get("episodes", 30),
-                     "seed": self.eval.get("seed", 0),
-                     "absorb": self.eval.get("absorb", True)},
+            "eval": {k: self.setting("eval", k) for k in EVAL_DEFAULTS},
         }
 
     def dump_resolved(self, path: str | Path) -> None:

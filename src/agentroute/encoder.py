@@ -1,16 +1,17 @@
 """Dual-graph state encoder and the (role, model) policy head.
 
 Node features are projected per type and mixed with one residual
-mean-message round. Only hub rows are read downstream, and mean aggregation
-is linear, so the round aggregates first and projects after: each hub's
-incoming edges are summed over the raw features once per graph state
-(`HubState.hub_sums`), and every weight then costs one matmul over
-all decision points of a batch. The history graph's hub rows are injected as
-the workflow hub inputs (nested encoding). Action scores are dot products
-between the fused query representation and the workflow hub rows; a
-two-layer head on pooled hub rows estimates the state value. Ablation
-variants swap this wiring for one encoding of the union of the history and
-workflow graphs, with shared or per-type projections.
+mean-message round in which hubs hear only queries and responses. Only hub
+rows are read downstream, and mean aggregation is linear, so the round
+aggregates first and projects after: each hub's incoming edges are summed
+over the raw features once per graph state (`HubState.hub_sums`), and every
+weight then costs one matmul over all decision points of a batch. The
+history graph's hub rows are injected as the workflow hub inputs (nested
+encoding). Action scores are dot products between the fused query
+representation and the workflow hub rows; a two-layer head on pooled hub
+rows estimates the state value. Ablation variants swap this wiring for one
+encoding of the union of the history and workflow graphs, with shared or
+per-type projections.
 
 `encoder` maps a stack of decision points to masked action distributions and
 values. Rollouts call it with a batch of one and the PPO update with a whole
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .memory import EncoderInput
+from .memory import EncoderInput, HubState
 from .streams import det_rng
 from .tensor import Tensor
 
@@ -88,19 +89,19 @@ def _stack(parts: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
     return np.stack(parts)
 
 
-def encode_graph(hubs: Tensor, graphs: list[EncoderInput], W_q: Tensor,
-                 W_r: Tensor, W_m: Tensor, beta: float,
-                 shared: EncoderInput | None = None) -> Tensor:
+def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
+                 W_q: Tensor, W_r: Tensor, W_m: Tensor, beta: float,
+                 shared: EncoderInput | HubState | None = None) -> Tensor:
     """(N, H, hidden) hub rows of N graphs after one residual mean-message round.
 
     Every graph starts from the same (H, d) hub rows `hubs`: raw hub features,
     or rows already produced by another encoding pass. Mean aggregation is
     linear, so it runs on the raw features before the projection: graph i's
-    rows are h + beta * [M_i | S_q,i | S_r,i] @ [h; W_q; W_r], where h = hubs
-    @ W_m, M_i holds the hub-hub edge counts and S_q,i, S_r,i the summed query
-    and response features of each hub's incoming edges, all divided by the
-    hub's in-degree; one matmul covers all N graphs. Hubs without edges keep
-    h. `shared` is encoded as part of every graph (its sums add to each
+    rows are h + beta * [S_q,i | S_r,i] @ [W_q; W_r], where h = hubs @ W_m
+    and S_q,i, S_r,i hold the summed query and response features of each
+    hub's incoming edges, divided by the hub's in-degree; one matmul covers
+    all N graphs. Hubs hear no other hub, and hubs without edges keep h.
+    `shared` is encoded as part of every graph (its sums add to each
     graph's): the merged variants pass the history there. A weight whose node
     kind is absent from every graph, and every weight but W_m at beta = 0,
     stays off the tape.
@@ -117,9 +118,10 @@ def encode_graph(hubs: Tensor, graphs: list[EncoderInput], W_q: Tensor,
     if shared is not None:
         sums = [b if s is None else s if b is None else s + b
                 for s, b in zip(sums, shared.hub_sums)]
-    hh, deg, q_sum, r_sum = sums
-    kept = [(s, W) for s, W in ((hh, h_hub), (q_sum, W_q), (r_sum, W_r))
-            if s is not None]
+    deg, q_sum, r_sum = sums
+    kept = [(s, W) for s, W in ((q_sum, W_q), (r_sum, W_r)) if s is not None]
+    if not kept:  # no query or response: every hub keeps h
+        return T.broadcast_to(base, (N, H, h))
     means = np.concatenate([np.broadcast_to(s, (N,) + s.shape) if s.ndim == 2
                             else s for s, _ in kept], axis=2)
     means *= (beta / np.maximum(deg, 1.0))[:, :, None]
@@ -129,7 +131,7 @@ def encode_graph(hubs: Tensor, graphs: list[EncoderInput], W_q: Tensor,
 
 
 def history_hub_rows(params: dict[str, Tensor], variant: str, beta: float,
-                     hist_input: EncoderInput) -> Tensor | None:
+                     hist_input: EncoderInput | HubState) -> Tensor | None:
     """(H, hidden) history-encoded hub rows (full variant); merged variants
     return None."""
     if variant == "full":
@@ -143,7 +145,8 @@ def history_hub_rows(params: dict[str, Tensor], variant: str, beta: float,
 
 
 def encoder(params: dict[str, Tensor], variant: str, beta: float,
-            hist_input: EncoderInput | None, wf_inputs: list[EncoderInput],
+            hist_input: EncoderInput | HubState | None,
+            wf_inputs: list[EncoderInput | HubState],
             queries: np.ndarray, masks: np.ndarray,
             his_hubs: Tensor | None = None) -> tuple[Tensor, Tensor]:
     """Masked action distributions (N, R*K) and values (N,) of N decision
@@ -221,15 +224,15 @@ class RoutingPolicy:
         self.params = params
         self.variant = variant
         self.beta = beta
-        self.hist_input: EncoderInput | None = None
+        self.hist_input: EncoderInput | HubState | None = None
         self._his_hubs: Tensor | None = None
 
-    def prepare(self, hist_input: EncoderInput) -> None:
+    def prepare(self, hist_input: EncoderInput | HubState) -> None:
         self.hist_input = hist_input
         self._his_hubs = history_hub_rows(self.params, self.variant, self.beta,
                                           hist_input)
 
-    def act(self, wf_input: EncoderInput, query_embedding: np.ndarray,
+    def act(self, wf_input: EncoderInput | HubState, query_embedding: np.ndarray,
             mask: np.ndarray, mode: str = "sample",
             rng: np.random.Generator | None = None):
         if self.hist_input is None:

@@ -36,7 +36,6 @@ class EnvConfig:
     width: int = 2
     max_steps: int = 16
     alpha: float = 0.0
-    gamma: float = 0.99
     phase: str = PHASE2
     phase_depth: int = 1
     phase_width: int = 2
@@ -56,8 +55,6 @@ class EnvConfig:
             raise ValueError("max_steps must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
         if self.phase not in (PHASE1, PHASE2):
             raise ValueError(f"unknown phase: {self.phase!r}")
         if self.phase == PHASE1 and (self.phase_depth < 0 or self.phase_width < 1):

@@ -1,8 +1,8 @@
-"""Checked reads of parsed JSON for the persisted formats.
+"""Checked reads of parsed JSON: the persisted formats and run configs.
 
 Every reader raises ValueError naming the offending field, so a malformed
-history, checkpoint or kNN file fails the same clean way whichever field is
-wrong, instead of with a KeyError or TypeError from inside a constructor.
+history, checkpoint, kNN or config file fails the same clean way whatever
+field is wrong, not with a KeyError or TypeError from inside a constructor.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ def floats(obj, key: str, where: str) -> np.ndarray:
         raise ValueError(f"{where}: field {key!r} is not a numeric array") from exc
 
 
-def ints(obj, key: str, where: str) -> list[int]:
-    """obj[key] as a list of integers."""
+def items(obj, key: str, types, where: str) -> list:
+    """obj[key] as a list whose every item has one of types."""
     value = field(obj, key, list, where)
-    if not all(_has_type(v, int) for v in value):
-        raise ValueError(f"{where}: field {key!r} must hold integers only")
+    if not all(_has_type(v, types) for v in value):
+        raise ValueError(f"{where}: field {key!r} holds an item of the wrong type")
     return value

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import NUMBER, field, floats, ints
+from .fields import NUMBER, field, floats, items
 
 FORMAT_VERSION = 1
 
@@ -119,38 +119,38 @@ class EncoderInput:
     n_responses: int
 
     @cached_property
-    def hub_sums(self) -> tuple[np.ndarray, np.ndarray,
-                                np.ndarray | None, np.ndarray | None]:
-        """Edges into each hub, summed by the kind of node they come from.
+    def hub_sums(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Edges from a query or response into each hub, summed by the kind of
+        node they come from; hubs hear no other hub.
 
-        Returns the (n_hubs, n_hubs) hub-hub edge counts, the (n_hubs,)
-        in-degrees, and the sums of the raw query and response features over
-        each hub's incoming edges, (n_hubs, d_q) and (n_hubs, d_r), or None
-        when the graph has no node of that kind. Sums of several graphs over
-        one hub set add up. `HeteroGraph.hub_state` computes the same sums
-        from the nodes, without edge arrays.
+        Returns the (n_hubs,) in-degrees over those edges and the sums of the
+        raw query and response features over them, (n_hubs, d_q) and
+        (n_hubs, d_r), or None when the graph has no node of that kind. Sums
+        of several graphs over one hub set add up. `HeteroGraph.hub_state`
+        computes the same sums from the nodes, without edge arrays.
         """
         H, n = self.n_hubs, self.n_hubs + self.n_queries + self.n_responses
-        into_hub = self.edge_dst < H
+        into_hub = (self.edge_dst < H) & (self.edge_src >= H)
         flat = self.edge_dst[into_hub] * n + self.edge_src[into_hub]
         counts = np.bincount(flat, minlength=H * n).reshape(H, n).astype(np.float64)
         q_end = H + self.n_queries
         q_sum = counts[:, H:q_end] @ self.query_feats if self.n_queries else None
         r_sum = counts[:, q_end:] @ self.response_feats if self.n_responses else None
-        return counts[:, :H], counts.sum(axis=1), q_sum, r_sum
+        return counts.sum(axis=1), q_sum, r_sum
 
 
 @dataclass(frozen=True)
 class HubState:
     """What the encoder reads of one graph at one moment: node counts, the
-    per-hub sums of `EncoderInput.hub_sums` (arrays that no later write
-    changes) and, for a history graph, the hub features. Every array is
+    three per-hub sums of `EncoderInput.hub_sums` (in-degree, query and
+    response feature sums: arrays that no later write changes) and, for a
+    history graph, the hub features. Every array is
     marked read-only here, including cached sums that a deep copy of the
     graph made writable again."""
     n_hubs: int
     n_queries: int
     n_responses: int
-    hub_sums: tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
+    hub_sums: tuple[np.ndarray, np.ndarray | None, np.ndarray | None]
     hub_feats: np.ndarray | None = None
 
     def __post_init__(self):
@@ -323,7 +323,7 @@ class HeteroGraph:
             counts = np.zeros((H, nr))
             counts[[self.hubs.index(*r.produced_by) for r in self.responses.values()],
                    np.arange(nr)] = 1.0
-            self._hub_sums = (np.zeros((H, H)), nq + counts.sum(axis=1),
+            self._hub_sums = (nq + counts.sum(axis=1),
                               np.ones((H, nq)) @ q_feats if nq else None,
                               counts @ r_feats if nr else None)
         return HubState(H, nq, nr, self._hub_sums,
@@ -636,7 +636,7 @@ def deserialize(data: bytes) -> HeteroGraph:
             g.episode_of[node.id] = field(q, "episode", str, where)
     for i, r in enumerate(field(blob, "responses", list, "graph")):
         where = f"graph response {i}"
-        produced_by = tuple(ints(r, "produced_by", where))
+        produced_by = tuple(items(r, "produced_by", int, where))
         if len(produced_by) != 2 or not (0 <= produced_by[0] < hubs.n_roles
                                          and 0 <= produced_by[1] < hubs.n_models):
             raise ValueError(f"{where}: field 'produced_by' must be an in-range "

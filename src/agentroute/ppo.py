@@ -7,16 +7,16 @@ the same `encoder` the rollouts call with a batch of one. Its old
 log-probabilities are the first epoch's own, detached, so the importance
 ratio is exactly one on the first epoch by construction (a batch-of-one
 recompute can differ from the batched one in the last bit, so the rollout's
-values are not reused). Per-episode RNG streams are keyed by (seed, update,
-episode index), never by worker, so any worker count yields identical
-trajectories.
+values are not reused). A window's episodes run one after another on the
+calling thread, each on its own RNG stream keyed by (seed, update, episode
+index). `TrainConfig.workers` is validated and otherwise ignored: it changes
+neither execution nor any artifact.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,7 +50,7 @@ class TrainConfig:
     value_coef: float = 0.5
     entropy_coef: float = 0.01
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # validated only: rollouts always run on one thread
     history_capacity: int = 256
     use_history: bool = True
     hub_decay: float = 0.9
@@ -120,25 +120,18 @@ def _value_group(params: dict[str, Tensor]) -> dict[str, Tensor]:
 
 def collect_window(benchmark: Benchmark, env_cfg: EnvConfig, hubs,
                    policy: RoutingPolicy, update: int, first_episode: int,
-                   count: int, seed: int, workers: int) -> list[Episode]:
-    """Roll out `count` episodes with frozen policy and history.
-
-    Episode i uses the stream (seed, "rollout", update, first_episode + i)
-    and the training query at that global index; results are ordered by
-    episode index regardless of which worker ran them.
+                   count: int, seed: int) -> list[Episode]:
+    """Roll out `count` episodes with frozen policy and history, in index
+    order: episode i uses the stream (seed, "rollout", update,
+    first_episode + i) and the training query at that global index.
     """
-
-    def one(i: int) -> Episode:
-        idx = first_episode + i
+    episodes = []
+    for idx in range(first_episode, first_episode + count):
         env = RoutingEnv(env_cfg, benchmark, hubs)
-        root = benchmark.train_query(idx)
         rng = det_rng(seed, "rollout", update, idx)
-        return env.run_episode(root, policy, mode="sample", rng=rng)
-
-    if workers == 1:
-        return [one(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(count)))
+        episodes.append(env.run_episode(benchmark.train_query(idx), policy,
+                                        mode="sample", rng=rng))
+    return episodes
 
 
 def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
@@ -196,7 +189,7 @@ def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
 def build_meta(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
                dims: EncoderDims) -> dict:
     train_fields = asdict(cfg)
-    # pure execution detail; outputs are worker-count invariant by contract
+    # changes nothing, so artifacts do not record it
     train_fields.pop("workers")
     return {
         "variant": cfg.variant,
@@ -241,8 +234,7 @@ def train(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
                                cfg.variant, cfg.beta)
         policy.prepare(hist_input)
         episodes = collect_window(benchmark, env_cfg, hubs, policy, update,
-                                  result.episodes_seen, count, cfg.seed,
-                                  cfg.workers)
+                                  result.episodes_seen, count, cfg.seed)
         mean_return = float(np.mean([ep.total_reward for ep in episodes]))
         mean_utility = float(np.mean([ep.utility for ep in episodes]))
         mean_cost = float(np.mean([ep.dollars for ep in episodes]))

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fields import field, floats, ints
+from .fields import field, floats, items
 
 Array = np.ndarray
 
@@ -405,7 +405,7 @@ def params_from_jsonable(obj: dict, requires_grad: bool = True) -> dict[str, Ten
     for name, rec in field(obj, "tensors", dict, "parameters").items():
         where = f"parameter {name!r}"
         data = floats(rec, "data", where)
-        shape = ints(rec, "shape", where)
+        shape = items(rec, "shape", int, where)
         if data.ndim != 1 or math.prod(shape) != data.size or min(shape, default=0) < 0:
             raise ValueError(f"{where}: shape {shape} does not fit {data.size} values")
         out[name] = Tensor(data.reshape(shape), requires_grad=requires_grad)

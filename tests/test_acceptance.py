@@ -385,7 +385,7 @@ def test_c03_reward_identity_and_return_agreement():
         worst_identity = max(worst_identity, abs(lhs - rhs))
 
         rewards = [r.reward for r in episode.records]
-        g = cfg.gamma
+        g = TrainConfig().gamma
         backward_returns = np.zeros(len(rewards))
         acc = 0.0
         for t in range(len(rewards) - 1, -1, -1):

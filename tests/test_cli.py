@@ -1,5 +1,6 @@
 """CLI tests: exit codes, artifact round-trips, config validation."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import agentroute
+from agentroute.backend import make_benchmark
 from agentroute.cli import main
-from agentroute.config import RunConfig
+from agentroute.config import BENCHMARK_DEFAULTS, RunConfig
 
 TINY = {
     "benchmark": {"kind": "uniform", "families": 2, "queries_per_family": 10,
@@ -61,6 +63,32 @@ def test_unknown_config_key(tmp_path, capsys):
                                   "mystery": {}})
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", str(bad)])
+    assert exc.value.code == 2
+
+
+def test_workers_only_on_training_commands(tiny_config, tmp_path, capsys):
+    for argv in (["eval", "--checkpoint", str(tmp_path)], ["genbench"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(tiny_config), "--workers", "2"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"benchmark": {"k_models": "four"}},
+    {"benchmark": {"difficulty": 0.3}},
+    {"benchmark": {"width_profile": [1, "2"]}},
+    {"env": {"p_max": "2"}},
+    {"env": {"alpha": True}},
+    {"train": {"epochs": "4"}},
+    {"train": {"use_history": 1}},
+    {"eval": {"episodes": 2.5}},
+    {"env": [1]},
+])
+def test_wrong_json_type_is_usage_error(obj, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        RunConfig.from_dict(obj)
+    with pytest.raises(SystemExit) as exc:
+        main(["genbench", "--config", str(write_config(tmp_path, obj))])
     assert exc.value.code == 2
 
 
@@ -199,7 +227,18 @@ def test_runconfig_rejects_unknown_sections():
     with pytest.raises(ValueError):
         RunConfig.from_dict({"env": {"n_models": 4}})  # derived, not settable
     with pytest.raises(ValueError):
+        RunConfig.from_dict({"env": {"gamma": 0.9}})  # the discount is train.gamma
+    with pytest.raises(ValueError):
         RunConfig.from_dict({"benchmark": {"kind": "magic"}})
+
+
+def test_benchmark_defaults_match_make_benchmark():
+    params = inspect.signature(make_benchmark).parameters
+    shared = set(params) & set(BENCHMARK_DEFAULTS)
+    assert shared == {"k_models", "d_q", "d_hub", "catalog", "difficulty",
+                      "noise_sigma", "margin", "skill_overrides"}
+    for key in shared:
+        assert BENCHMARK_DEFAULTS[key] == params[key].default, key
 
 
 def test_runconfig_family_count_expansion():

@@ -150,15 +150,15 @@ def test_encode_graph_mean_over_multiple_neighbors():
 
 
 def test_encode_graph_union_matches_merged_graph():
-    # both graphs carry a hub-hub edge, so hub 0 hears hub 1 twice
-    a = raw_input([[1.0], [2.0]], [[3.0]], [[4.0]], [(2, 3), (2, 0), (0, 1)])
-    b = raw_input([[1.0], [2.0]], [[5.0]], np.zeros((0, 0)), [(2, 1), (0, 1)])
+    # hub 0 hears a's query, hub 1 hears b's query and a's response
+    a = raw_input([[1.0], [2.0]], [[3.0]], [[4.0]], [(2, 3), (2, 0), (3, 1)])
+    b = raw_input([[1.0], [2.0]], [[5.0]], np.zeros((0, 0)), [(2, 1)])
     # merged layout: hubs 0-1, a query 2, b query 3, a response 4
     merged = raw_input([[1.0], [2.0]], [[3.0], [5.0]], [[4.0]],
-                       [(2, 4), (2, 0), (0, 1), (3, 1), (0, 1)])
+                       [(2, 4), (2, 0), (4, 1), (3, 1)])
     one = Tensor(np.eye(1))
     rows = hub_rows([b], one, one, one, beta=1.0, shared=a)[0]
-    assert np.allclose(rows, [[1.0 + 7.0 / 3.0], [2.0 + 7.0 / 3.0]])
+    assert np.allclose(rows, [[1.0 + 3.0], [2.0 + 9.0 / 2.0]])
     assert np.allclose(rows, hub_rows([merged], one, one, one, 1.0)[0],
                        rtol=0.0, atol=1e-12)
 
@@ -177,7 +177,8 @@ def test_encode_graph_hub_mismatch():
 
 def dense_reference(graphs, W_q, W_r, W_m, beta):
     """Every node's h0 + beta * mean of h0 over incoming edges, on the merged
-    layout [hubs, all queries, all responses]; returns the hub rows."""
+    layout [hubs, all queries, all responses]; returns the hub rows. Hubs
+    hear no other hub, so hub-hub edges are skipped."""
     H = graphs[0].n_hubs
     nq = [g.n_queries for g in graphs]
     q_off = H + np.concatenate([[0], np.cumsum(nq)])
@@ -197,6 +198,8 @@ def dense_reference(graphs, W_q, W_r, W_m, beta):
                 return q_off[k] + i - H
             return r_off[k] + i - H - g.n_queries
         for s, d in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+            if s < H and d < H:
+                continue
             sums[place(d)] += h0[place(s)]
             counts[place(d)] += 1
     out = h0 + beta * sums / np.maximum(counts, 1.0)[:, None]

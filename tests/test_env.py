@@ -61,7 +61,6 @@ def test_config_validation():
     bad = [dict(n_models=0), dict(n_models=K, n_roles=2),
            dict(n_models=K, p_max=-1), dict(n_models=K, width=0),
            dict(n_models=K, max_steps=0), dict(n_models=K, alpha=-0.1),
-           dict(n_models=K, gamma=0.0), dict(n_models=K, gamma=1.5),
            dict(n_models=K, phase="phase3"),
            dict(n_models=K, phase=PHASE1, phase_width=0),
            dict(n_models=K, utility_mode="graded"),

@@ -128,7 +128,7 @@ def collected_window(beta=1.0, count=3):
     policy = RoutingPolicy(params, "full", beta)
     policy.prepare(hist_input)
     episodes = collect_window(bench, env_cfg, hubs, policy, update=0,
-                              first_episode=0, count=count, seed=0, workers=1)
+                              first_episode=0, count=count, seed=0)
     return params, hist_input, episodes
 
 
@@ -176,22 +176,6 @@ def test_beta_zero_update_leaves_message_weights_alone():
         assert np.array_equal(params[k].data, before[k]), k
     for k in ("his.W_m", "loc.W_m", "fuse.W", "value.W1"):
         assert not np.array_equal(params[k].data, before[k]), k
-
-
-def test_collect_window_worker_invariance():
-    bench = small_bench()
-    env_cfg = EnvConfig(n_models=2, p_max=1)
-    hubs = bench.build_hubs(3)
-    hist_input = HeteroGraph("history", hubs, capacity=64).freeze()
-    params = init_params(EncoderDims(64, 64, 64, 8), "full", seed=1)
-    runs = []
-    for workers in (1, 4):
-        policy = RoutingPolicy(params, "full")
-        policy.prepare(hist_input)
-        eps = collect_window(bench, env_cfg, hubs, policy, update=0,
-                             first_episode=0, count=6, seed=0, workers=workers)
-        runs.append([(ep.root_id, ep.actions, ep.total_reward) for ep in eps])
-    assert runs[0] == runs[1]
 
 
 # -- training loop -------------------------------------------------------------------
