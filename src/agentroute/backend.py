@@ -471,8 +471,8 @@ def make_benchmark(spec: BenchmarkSpec, k_models: int = 4,
         raise ValueError("queries_per_family must be positive")
     if not spec.families:
         raise ValueError("at least one family is required")
-    if not (0.0 < difficulty[0] <= difficulty[1] <= 1.0):
-        raise ValueError("difficulty range must satisfy 0 < lo <= hi <= 1")
+    if len(difficulty) != 2 or not (0.0 < difficulty[0] <= difficulty[1] <= 1.0):
+        raise ValueError("difficulty must be a range (lo, hi) with 0 < lo <= hi <= 1")
     catalog = catalog if catalog is not None else DEFAULT_CATALOG
     if k_models > len(catalog):
         raise ValueError("pool size exceeds the catalog")

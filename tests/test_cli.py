@@ -113,6 +113,10 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
     assert main(["train", "--config", str(bad),
                  "--out", str(tmp_path / "run")]) == 1
     assert "error:" in capsys.readouterr().err
+    bad = write_config(tmp_path, {"benchmark": {"difficulty": [0.3]}})
+    assert main(["genbench", "--config", str(bad),
+                 "--out", str(tmp_path / "bench.json")]) == 1
+    assert "difficulty" in capsys.readouterr().err
 
 
 def test_corrupt_history_file_is_one_line_error(tiny_config, tmp_path, capsys):

@@ -635,7 +635,7 @@ def assert_graph_invariants(g, capacity):
     src, dst = reference_edge_arrays(g)
     assert frozen.edge_src.dtype == frozen.edge_dst.dtype == np.int64
     assert np.array_equal(frozen.edge_src, src) and np.array_equal(frozen.edge_dst, dst)
-    # no edge joins two hubs: the encoder's message round relies on it
+    # no edge joins two hubs, so the encoder's hub-only message rule drops none
     assert not np.any((frozen.edge_src < frozen.n_hubs) & (frozen.edge_dst < frozen.n_hubs))
 
 
