@@ -66,7 +66,9 @@ def cmd_eval(args, parser) -> int:
             history_path = candidate
     report = evaluate(policy, benchmark, env_cfg, episodes, seed=seed,
                       protocol=protocol, history_path=history_path,
-                      absorb=cfg.setting("eval", "absorb"))
+                      absorb=cfg.setting("eval", "absorb"),
+                      capacity=cfg.setting("train", "history_capacity"),
+                      decay=cfg.setting("train", "hub_decay"))
     rows = report_rows(report, variant=meta.get("variant", "full"),
                        phase=env_cfg.phase, alpha=env_cfg.alpha, seed=seed)
     if args.out:
@@ -81,7 +83,7 @@ def cmd_sweep(args, parser) -> int:
     cfg = _load_config(args.config, parser)
     benchmark = cfg.make_benchmark()
     env_cfg = cfg.make_env_cfg()
-    train_cfg = cfg.make_train_cfg(seed=args.seed, workers=args.workers)
+    train_cfg = cfg.make_train_cfg(workers=args.workers)
     alphas = [float(a) for a in args.alphas.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     out = args.out or "sweep.csv"
@@ -96,7 +98,7 @@ def cmd_ablate(args, parser) -> int:
     cfg = _load_config(args.config, parser)
     benchmark = cfg.make_benchmark()
     env_cfg = cfg.make_env_cfg()
-    train_cfg = cfg.make_train_cfg(seed=args.seed, workers=args.workers)
+    train_cfg = cfg.make_train_cfg(workers=args.workers)
     variants = tuple(args.variants.split(","))
     seeds = tuple(int(s) for s in args.seeds.split(","))
     rows = run_ablation(benchmark, env_cfg, train_cfg, variants, seeds,
@@ -182,28 +184,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="run configuration JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the training seed")
         p.add_argument("--out", help="output path")
 
     p_train = sub.add_parser("train", help="train a routing policy")
     common(p_train)
+    p_train.add_argument("--seed", type=int, default=None,
+                         help="override the training seed")
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
+    p_eval.add_argument("--seed", type=int, default=None,
+                        help="override the evaluation seed")
     p_eval.add_argument("--checkpoint", required=True,
                         help="params file or training output directory")
     p_eval.add_argument("--protocol", choices=("inductive", "transductive"))
     p_eval.add_argument("--episodes", type=int, default=None)
     p_eval.add_argument("--history", help="history graph file (transductive)")
 
-    p_sweep = sub.add_parser("sweep", help="cost-weight trade-off sweep")
+    # no abbreviations here, so a stray --seed is not read as --seeds
+    p_sweep = sub.add_parser("sweep", help="cost-weight trade-off sweep",
+                             allow_abbrev=False)
     common(p_sweep)
     p_sweep.add_argument("--alphas", default="0.0,0.1,0.3,0.5,0.7,0.9")
     p_sweep.add_argument("--seeds", default="0")
     p_sweep.add_argument("--episodes", type=int, default=None)
 
-    p_abl = sub.add_parser("ablate", help="encoder variant ablation")
+    p_abl = sub.add_parser("ablate", help="encoder variant ablation",
+                           allow_abbrev=False)
     common(p_abl)
     p_abl.add_argument("--variants", default="full,homo,hetero,no_history")
     p_abl.add_argument("--seeds", default="0")

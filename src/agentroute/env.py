@@ -9,7 +9,7 @@ r_t = -alpha * C_t with the task utility added on the terminal step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,8 +152,7 @@ class RoutingEnv:
     def reset(self, root: QueryNode) -> None:
         if root.depth != 0 or root.parent is not None:
             raise ValueError("episodes start from a depth-0 root query")
-        # copy so caller-held root objects survive episode mutation untouched
-        root = replace(root, status=STATUS_PENDING, answer_id=None)
+        # the root node is immutable, so the episode shares the caller's
         self.workflow = memory.new_workflow(root, self.hubs)
         self.root_id = root.id
         self.current_id = root.id
@@ -345,8 +344,7 @@ class RoutingEnv:
             quality = outcome.quality
             self._last_answer_quality = outcome.quality
             if cur.is_summary:
-                root = self.workflow.queries[self.root_id]
-                root.status = STATUS_RESOLVED
+                self.workflow.set_query(self.root_id, status=STATUS_RESOLVED)
                 done = True
             elif cur.id == self.root_id:
                 done = True
@@ -359,8 +357,8 @@ class RoutingEnv:
                                   self._draws)
             resp = self._make_response(root, action, outcome)
             memory.attach_response(self.workflow, self.root_id, resp, answers=False)
-            root.status = STATUS_SUMMARY_PENDING
-            root.answer_id = resp.id
+            root = self.workflow.set_query(self.root_id, status=STATUS_SUMMARY_PENDING,
+                                           answer_id=resp.id)
             quality = outcome.quality
             sq = bench.summary_query(root, child_answers)
             memory.add_summary_query(self.workflow, self.root_id, sq)

@@ -72,8 +72,9 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
     Inductive runs build memory only from their own episodes (when absorb is
     on) and by construction never read a persisted history. Transductive
     runs resume from the training-time memory, passed either as a live graph
-    or as a file path; a live graph is copied first, so absorbing episodes
-    never changes the caller's graph or its hub statistics.
+    or as a file path. A live graph is copied first when absorb is on, so
+    absorbing episodes never changes the caller's graph or its hub
+    statistics; without absorb the run only reads it.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {protocol!r}")
@@ -82,7 +83,7 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
             if history_path is None:
                 raise ValueError("transductive evaluation needs a history")
             history = deserialize(Path(history_path).read_bytes())
-        else:
+        elif absorb:
             history = copy.deepcopy(history)
         hubs = history.hubs
     else:

@@ -8,9 +8,11 @@ stored: each query touches every hub, a response's links follow from its
 (role, model) and the query it attached to, and a child query's from its
 parent, so eviction, cloning and rebasing only touch nodes. Each graph also
 indexes every query's children and responses, so walking the tree never
-scans the node store. Decision states read a graph's per-hub sums through
-`hub_state`; `freeze` builds the full array view for checks and tests. Both
-graph kinds persist as v1 JSON that still lists the derived edges.
+scans the node store. Query nodes are immutable values: `set_query` is the
+one way a query changes, by replacing it. Decision states read a graph's
+per-hub sums through `hub_state`; `freeze` builds the full array view of
+`edges` for checks and tests. Both graph kinds persist as v1 JSON that still
+lists the derived edges.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ EDGE_QUERY_RESPONSE = "query-response"
 EDGE_QUERY_PARENT = "query-parent"
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryNode:
     id: str
     embedding: np.ndarray
@@ -143,10 +145,8 @@ class EncoderInput:
 class HubState:
     """What the encoder reads of one graph at one moment: node counts, the
     three per-hub sums of `EncoderInput.hub_sums` (in-degree, query and
-    response feature sums: arrays that no later write changes) and, for a
-    history graph, the hub features. Every array is
-    marked read-only here, including cached sums that a deep copy of the
-    graph made writable again."""
+    response feature sums) and, for a history graph, the hub features. The
+    arrays belong to this state alone and are marked read-only here."""
     n_hubs: int
     n_queries: int
     n_responses: int
@@ -181,8 +181,9 @@ class HeteroGraph:
     link whose other end was evicted. `child_ids` and `response_ids` index
     the last two links by query id, in insertion order, as immutable tuples
     that a clone shares; a key stays while one of its nodes is live, even
-    after the query it names was evicted. `hub_state` sums node features into
-    the hubs only when read, so an unread oracle branch pays nothing.
+    after the query it names was evicted. The graph keeps no cached state:
+    `hub_state` sums node features into the hubs at each read, so an unread
+    oracle branch pays nothing.
     """
 
     def __init__(self, kind: str, hubs: HubSet, capacity: int | None = None):
@@ -204,7 +205,6 @@ class HeteroGraph:
         self.episode_of: dict[str, str] = {}
         self.episode_order: list[str] = []
         self._episode_counter = 0
-        self._hub_sums: tuple | None = None  # hub_state's sums; cleared by writes
 
     # -- construction helpers ------------------------------------------------
 
@@ -214,7 +214,6 @@ class HeteroGraph:
         self.queries[q.id] = q
         if q.parent is not None:
             _link(self.child_ids, q.parent, q.id)
-        self._hub_sums = None
         if self.kind == "history" and episode is not None:
             self.episode_of[q.id] = episode
 
@@ -226,18 +225,26 @@ class HeteroGraph:
             raise ValueError(f"duplicate response id: {r.id}")
         role_idx, model_idx = r.produced_by
         self.hubs.index(role_idx, model_idx)  # validates range
-        q = self.queries[query_id]
-        if answers and q.answer_id is not None:
+        if answers and self.queries[query_id].answer_id is not None:
             raise ValueError(f"query {query_id} already has an answer")
         self.responses[r.id] = r
         self.query_of[r.id] = query_id
         _link(self.response_ids, query_id, r.id)
-        self._hub_sums = None
         if answers:
-            q.answer_id = r.id
-            q.status = STATUS_RESOLVED
+            self.set_query(query_id, status=STATUS_RESOLVED, answer_id=r.id)
         if self.kind == "history" and episode is not None:
             self.episode_of[r.id] = episode
+
+    def set_query(self, query_id: str, **changes) -> QueryNode:
+        """Replace a query with a copy whose `status` and `answer_id` take
+        `changes`; the only way a query changes once it is in a graph."""
+        if not changes.keys() <= {"status", "answer_id"}:
+            raise ValueError(f"a query's other fields never change: {sorted(changes)}")
+        # the copy replace() would make, without re-running the frozen __init__
+        q = object.__new__(QueryNode)
+        q.__dict__.update(self.queries[query_id].__dict__, **changes)
+        self.queries[query_id] = q
+        return q
 
     def children_of(self, query_id: str) -> list[QueryNode]:
         return [self.queries[c] for c in self.child_ids.get(query_id, ())]
@@ -260,31 +267,24 @@ class HeteroGraph:
 
     # -- derived structure -------------------------------------------------------
 
-    def _node_edges(self) -> tuple[list[tuple[str, int]], list[tuple[str, str]],
-                                   list[tuple[str, str, None]]]:
-        """Response-hub, query-response and child-parent links between live nodes."""
-        hub = self.hubs.index
-        return ([(r.id, hub(*r.produced_by)) for r in self.responses.values()],
-                [(self.query_of[r], r) for r in self.responses
-                 if self.query_of.get(r) in self.queries],
-                [(q.id, q.parent, None) for q in self.queries.values()
-                 if q.parent in self.queries])
-
     @property
     def edges(self) -> dict[str, list[tuple]]:
-        """The typed edge lists, derived from the nodes in insertion order."""
-        response_hub, query_response, query_parent = self._node_edges()
+        """The typed edge lists between live nodes, derived from the nodes in
+        insertion order; a hub is named by its index."""
+        hub = self.hubs.index
         return {
             EDGE_QUERY_HUB: [(q, i) for q in self.queries for i in range(len(self.hubs))],
-            EDGE_RESPONSE_HUB: response_hub,
-            EDGE_QUERY_RESPONSE: query_response,
-            EDGE_QUERY_PARENT: query_parent,  # v1 stores (child, parent, None)
+            EDGE_RESPONSE_HUB: [(r.id, hub(*r.produced_by)) for r in self.responses.values()],
+            EDGE_QUERY_RESPONSE: [(self.query_of[r], r) for r in self.responses
+                                  if self.query_of.get(r) in self.queries],
+            # v1 stores (child, parent, None)
+            EDGE_QUERY_PARENT: [(q.id, q.parent, None) for q in self.queries.values()
+                                if q.parent in self.queries],
         }
 
     # -- eviction --------------------------------------------------------------
 
     def _drop_nodes(self, doomed: set[str]) -> None:
-        self._hub_sums = None
         for nid in doomed:
             q = self.queries.pop(nid, None)
             if q is not None and q.parent is not None:
@@ -313,45 +313,36 @@ class HeteroGraph:
 
     def hub_state(self) -> HubState:
         """Node counts and per-hub sums, bit for bit those of `freeze()`: the
-        matmuls of `EncoderInput.hub_sums` on the same operands, kept until the
-        next write. A history graph's hub features are read at each call, since
-        absorbing an episode moves the hub EMAs without a write."""
+        matmuls of `EncoderInput.hub_sums` on the same operands, computed at
+        each call, with a history graph's hub features."""
         H, nq, nr = len(self.hubs), len(self.queries), len(self.responses)
-        if self._hub_sums is None:
-            q_feats = np.array([q.embedding for q in self.queries.values()], np.float64)
-            r_feats = np.array([r.embedding for r in self.responses.values()], np.float64)
-            counts = np.zeros((H, nr))
-            counts[[self.hubs.index(*r.produced_by) for r in self.responses.values()],
-                   np.arange(nr)] = 1.0
-            self._hub_sums = (nq + counts.sum(axis=1),
-                              np.ones((H, nq)) @ q_feats if nq else None,
-                              counts @ r_feats if nr else None)
-        return HubState(H, nq, nr, self._hub_sums,
+        q_feats = np.array([q.embedding for q in self.queries.values()], np.float64)
+        r_feats = np.array([r.embedding for r in self.responses.values()], np.float64)
+        counts = np.zeros((H, nr))
+        counts[[self.hubs.index(*r.produced_by) for r in self.responses.values()],
+               np.arange(nr)] = 1.0
+        return HubState(H, nq, nr, (nq + counts.sum(axis=1),
+                                    np.ones((H, nq)) @ q_feats if nq else None,
+                                    counts @ r_feats if nr else None),
                         self.hubs.features() if self.kind == "history" else None)
 
     def freeze(self) -> EncoderInput:
         """Copy the graph into aligned arrays for the encoder."""
         H, nq, nr = len(self.hubs), len(self.queries), len(self.responses)
-        pos = dict(zip([*self.queries, *self.responses], range(H, H + nq + nr)))
+        # a hub's global position is its index; node ids are strings
+        pos = {i: i for i in range(H)}
+        pos.update(zip([*self.queries, *self.responses], range(H, H + nq + nr)))
 
         query_feats = (np.stack([q.embedding for q in self.queries.values()])
                        if nq else np.zeros((0, 0)))
         response_feats = (np.stack([r.embedding for r in self.responses.values()])
                           if nr else np.zeros((0, 0)))
 
-        # One row per undirected link (a, b), query-hub links first, query by
-        # query; flattening the rows gives a, b, ... and the reversed rows
-        # b, a, ..., so each link is present in both directions.
-        response_hub, query_response, query_parent = self._node_edges()
-        links = ([(pos[r], h) for r, h in response_hub]
-                 + [(pos[q], pos[r]) for q, r in query_response]
-                 + [(pos[c], pos[p]) for c, p, _ in query_parent])
-        pairs = np.empty((nq * H + len(links), 2), dtype=np.int64)
-        query_hub = pairs[:nq * H].reshape(nq, H, 2)
-        query_hub[..., 0] = np.arange(H, H + nq)[:, None]
-        query_hub[..., 1] = np.arange(H)
-        if links:
-            pairs[nq * H:] = links
+        # One row per undirected link (a, b) of `edges`, in its order;
+        # flattening the rows gives a, b, ... and the reversed rows b, a, ...,
+        # so each link is present in both directions.
+        pairs = np.array([(pos[a], pos[b]) for links in self.edges.values()
+                          for a, b, *_ in links], dtype=np.int64).reshape(-1, 2)
         return EncoderInput(
             hub_feats=self.hubs.features(),
             query_feats=query_feats,
@@ -373,6 +364,8 @@ def new_workflow(root: QueryNode, hubs: HubSet) -> HeteroGraph:
         raise ValueError("hub set is empty")
     if root.depth != 0 or root.parent is not None:
         raise ValueError("workflow root must have depth 0 and no parent")
+    if root.status != STATUS_PENDING or root.answer_id is not None:
+        raise ValueError("workflow root must be pending, with no answer")
     g = HeteroGraph("workflow", hubs)
     g.add_query(root)
     return g
@@ -468,21 +461,18 @@ def consolidate(workflow: HeteroGraph, history: HeteroGraph) -> str:
 def clone_workflow(g: HeteroGraph) -> HeteroGraph:
     """Copy of a workflow graph that later steps on either side leave alone.
 
-    Queries are copied, since a step changes a query's `status` and
-    `answer_id`. Responses, embeddings and hubs are shared with the original:
-    no step changes a response once it is attached. Used by the enumeration
+    Queries, responses, embeddings and hubs are shared with the original: a
+    query node is immutable (a step replaces it through `set_query`) and no
+    step changes a response once it is attached. Used by the enumeration
     oracle to branch mid-episode without disturbing the live environment.
     """
     if g.kind != "workflow":
         raise ValueError("clone_workflow copies workflow graphs only")
-    # The copies copy.copy and replace() would make, without their dispatch;
-    # the index tuples and the read-only cached sums are shared as they are.
+    # The copy copy.copy would make, without its dispatch; the node stores
+    # and indexes are copied, the nodes and index tuples shared as they are.
     out = object.__new__(HeteroGraph)
     out.__dict__.update(g.__dict__)
-    out.queries = {}
-    for qid, q in g.queries.items():
-        c = out.queries[qid] = object.__new__(QueryNode)
-        c.__dict__.update(q.__dict__)
+    out.queries = dict(g.queries)
     out.responses = dict(g.responses)
     out.query_of = dict(g.query_of)
     out.child_ids = dict(g.child_ids)

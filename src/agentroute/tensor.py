@@ -162,16 +162,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ])
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ValueError("dot expects 1-d operands")
-    out = np.dot(a.data, b.data)
-    return _make(np.asarray(out), [
-        (a, lambda g: g * b.data),
-        (b, lambda g: g * a.data),
-    ])
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
     if not a.requires_grad:
@@ -238,13 +228,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 def total_sum(a: Tensor) -> Tensor:
     return _make(np.asarray(a.data.sum()), [(a, lambda g: g * np.ones_like(a.data))])
-
-
-def total_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-    if n == 0:
-        raise ValueError("mean of an empty tensor")
-    return _make(np.asarray(a.data.mean()), [(a, lambda g: g * np.ones_like(a.data) / n)])
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:

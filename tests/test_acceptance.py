@@ -148,9 +148,6 @@ def _op_battery(seed):
     m2 = _signed(rng, (4, 2))
     wm = Tensor(rng.normal(size=(3, 2)))
     run(lambda: T.total_sum(T.mul(T.matmul(m1, m2), wm)), [m1, m2])
-    v1 = _signed(rng, (5,))
-    v2 = _signed(rng, (5,))
-    run(lambda: T.dot(v1, v2), [v1, v2])
 
     r = _signed(rng, (2, 6))
     wr = Tensor(rng.normal(size=(3, 4)))
@@ -185,9 +182,8 @@ def _op_battery(seed):
     run(lambda: T.total_sum(T.mul(T.minimum(a, mb), w)), [a, mb])
 
     run(lambda: T.total_sum(a), [a])
-    run(lambda: T.total_mean(a), [a])
     wrm = Tensor(rng.normal(size=(4,)))
-    run(lambda: T.dot(T.sum_axis(a, axis=0), wrm), [a])
+    run(lambda: T.total_sum(T.mul(T.sum_axis(a, axis=0), wrm)), [a])
     wpick = Tensor(wrm.data[:3])
     run(lambda: T.total_sum(T.mul(T.pick_rows(a, [3, 0, 2]), wpick)), [a])
 
@@ -199,7 +195,7 @@ def _op_battery(seed):
     mask = np.zeros(6, dtype=bool)
     mask[[0, 2, 5]] = True
     wsm = Tensor(rng.normal(size=(6,)))
-    run(lambda: T.dot(T.masked_softmax(sc, mask), wsm), [sc])
+    run(lambda: T.total_sum(T.mul(T.masked_softmax(sc, mask), wsm)), [sc])
 
     # row-wise softmax over a batch; a broadcast row and a 3-d axis sum
     sc2 = _signed(rng, (3, 6), lo=0.2, hi=1.5)

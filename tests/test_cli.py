@@ -11,8 +11,11 @@ import pytest
 
 import agentroute
 from agentroute.backend import make_benchmark
+from agentroute import cli
 from agentroute.cli import main
 from agentroute.config import BENCHMARK_DEFAULTS, RunConfig
+from agentroute.harness import emit_report, evaluate, report_rows
+from agentroute.ppo import load_policy
 
 TINY = {
     "benchmark": {"kind": "uniform", "families": 2, "queries_per_family": 10,
@@ -70,6 +73,13 @@ def test_workers_only_on_training_commands(tiny_config, tmp_path, capsys):
     for argv in (["eval", "--checkpoint", str(tmp_path)], ["genbench"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--config", str(tiny_config), "--workers", "2"])
+        assert exc.value.code == 2
+
+
+def test_seed_only_on_train_and_eval(tiny_config, capsys):
+    for command in ("genbench", "sweep", "ablate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tiny_config), "--seed", "1"])
         assert exc.value.code == 2
 
 
@@ -171,6 +181,34 @@ def test_train_then_eval_roundtrip(tiny_config, tmp_path, capsys):
                  "--checkpoint", str(run_dir), "--protocol", "transductive",
                  "--episodes", "2"]) == 0
     assert "transductive: acc=" in capsys.readouterr().out
+
+
+def test_eval_uses_the_run_config_memory_settings(tmp_path, monkeypatch, capsys):
+    obj = {**TINY, "train": {**TINY["train"], "hub_decay": 0.5,
+                             "history_capacity": 40}}
+    path = write_config(tmp_path, obj)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(run_dir)]) == 0
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--config", str(path), "--checkpoint", str(run_dir),
+                 "--protocol", "transductive", "--out", str(report)]) == 0
+    assert (calls[0]["decay"], calls[0]["capacity"]) == (0.5, 40)
+    cfg = RunConfig.load(path)
+    env_cfg = cfg.make_env_cfg()
+    policy, meta = load_policy(run_dir / "best_params.json")
+    lib = evaluate(policy, cfg.make_benchmark(), env_cfg, 2, protocol="transductive",
+                   history_path=run_dir / "history.json", decay=0.5)
+    emit_report(tmp_path / "lib.csv", report_rows(lib, variant=meta.get("variant", "full"),
+                                                  phase=env_cfg.phase,
+                                                  alpha=env_cfg.alpha, seed=0))
+    assert report.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 def test_sweep_command(tiny_config, tmp_path, capsys):

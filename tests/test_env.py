@@ -280,8 +280,8 @@ def test_stepping_a_clone_leaves_the_original_unchanged():
     before = serialize(env.workflow)
     fork = env.clone()
     assert fork._draws is env._draws  # one episode, one set of draws
-    for q in env.workflow.queries.values():
-        assert fork.workflow.queries[q.id] is not q
+    for q in env.workflow.queries.values():  # immutable, so shared
+        assert fork.workflow.queries[q.id] is q
     for r in env.workflow.responses.values():
         assert fork.workflow.responses[r.id] is r
     while not fork.finished:

@@ -1,6 +1,7 @@
 """Graph store tests: construction, eviction, consolidation, persistence."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -137,6 +138,9 @@ def test_new_workflow_rejects_non_root():
         new_workflow(query("q0", depth=1), make_hubs())
     with pytest.raises(ValueError):
         new_workflow(query("q0", parent="zz"), make_hubs())
+    for changes in ({"status": STATUS_RESOLVED}, {"answer_id": "r0"}):
+        with pytest.raises(ValueError):
+            new_workflow(query("q0", **changes), make_hubs())
 
 
 def test_duplicate_query_rejected():
@@ -808,12 +812,37 @@ def test_eviction_prunes_the_indexes():
         assert ("ep5/q0" in hist.queries) == (capacity == 5)
 
 
+def state_arrays(state):
+    return [a for a in (*state.hub_sums, state.hub_feats) if a is not None]
+
+
 def test_hub_states_of_a_deep_copy_are_read_only():
     for g in (small_workflow(), build_history_for_io()):
-        g.hub_state()  # fills the cache that the copy carries over
-        state = copy.deepcopy(g).hub_state()
-        arrays = [a for a in (*state.hub_sums, state.hub_feats) if a is not None]
+        arrays = state_arrays(copy.deepcopy(g).hub_state())
         assert len(arrays) >= 3 and not any(a.flags.writeable for a in arrays)
+
+
+def test_hub_state_reads_share_no_array():
+    for g in (small_workflow(), build_history_for_io()):
+        first, second = state_arrays(g.hub_state()), state_arrays(g.hub_state())
+        assert len(first) == len(second) >= 3
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_query_nodes_are_immutable():
+    g = small_workflow()
+    q = g.queries["q2"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.status = STATUS_RESOLVED
+    new = g.set_query("q2", status=STATUS_RESOLVED, answer_id="r1")
+    assert g.queries["q2"] is new and new is not q
+    assert (q.status, q.answer_id) == (STATUS_PENDING, None)
+    assert (new.status, new.answer_id) == (STATUS_RESOLVED, "r1")
+    assert new.embedding is q.embedding
+    with pytest.raises(ValueError):
+        g.set_query("q2", parent=None)
 
 
 def test_graphs_equal_detects_stat_drift():
