@@ -179,13 +179,15 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
 
     def explore(env: RoutingEnv, actions: list[int], total: float) -> None:
         nonlocal best_value, best_actions, expanded
-        for a in np.flatnonzero(env.legal_mask()).tolist():
+        legal = np.flatnonzero(env.legal_mask()).tolist()
+        for a in legal:
             expanded += 1
             if expanded > bound:
                 raise RuntimeError(
                     f"oracle enumeration exceeded {bound} states; "
                     "shrink the action space or the step cap")
-            child = env.clone()
+            # nothing reads `env` after its last branch, which steps it in place
+            child = env if a == legal[-1] else env.clone()
             reward, done, _ = child.step(action_of[a])
             seq = actions + [a]
             if done:

@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval)
     p_eval.add_argument("--seed", type=int, default=None,
-                        help="override the evaluation seed")
+                        help="override the evaluation seed (a label for the "
+                             "report: greedy evaluation draws nothing)")
     p_eval.add_argument("--checkpoint", required=True,
                         help="params file or training output directory")
     p_eval.add_argument("--protocol", choices=("inductive", "transductive"))

@@ -145,7 +145,7 @@ class RoutingEnv:
         self._last_answer_quality: float | None = None
         # the episode's simulator draws, shared by its clones (Benchmark.invoke)
         self._draws: dict = {}
-        self._mask: np.ndarray | None = None  # legal_mask of the current state
+        self._facts: dict = {}  # the current state's derived facts (`_fact`)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -166,13 +166,14 @@ class RoutingEnv:
         self._resp_counter = 0
         self._last_answer_quality = None
         self._draws = {}
-        self._mask = None
+        self._facts = {}
 
     def clone(self) -> "RoutingEnv":
         # The shallow copy copy.copy would make, without its dispatch cost (the
         # oracle clones tens of thousands of times per query batch); every
         # field but these two is immutable or shared with the original on
-        # purpose, the episode's draw memo and the read-only mask among them.
+        # purpose, the episode's draw memo and the state's read-only facts
+        # among them.
         out = object.__new__(RoutingEnv)
         out.__dict__.update(self.__dict__)
         out.workflow = memory.clone_workflow(self.workflow)
@@ -185,30 +186,48 @@ class RoutingEnv:
     def current(self) -> QueryNode:
         return self.workflow.queries[self.current_id]
 
-    def _resolved_child_answers(self, query_id: str) -> list[ResponseNode]:
+    def _fact(self, name: str):
+        """One derived fact of the current state, computed by `_compute_<name>`
+        on first use and kept read-only: clones share the memo and step
+        records keep the mask. `reset` and `step` start a fresh memo."""
+        value = self._facts.get(name)
+        if value is None:
+            value = self._facts[name] = getattr(self, "_compute_" + name)()
+        return value
+
+    def _compute_answers(self) -> tuple[ResponseNode, ...]:
+        """The current query's resolved non-summary child answers; only an
+        executor answers a query, so none is a thinker's or a verifier's."""
         wf = self.workflow
         out = []
-        for cid in wf.child_ids.get(query_id, ()):
+        for cid in wf.child_ids.get(self.current_id, ()):
             child = wf.queries[cid]
             if (not child.is_summary and child.status == STATUS_RESOLVED
                     and child.answer_id is not None):
                 out.append(wf.responses[child.answer_id])
-        return out
+        return tuple(out)
 
-    def _attached_context(self, query_id: str) -> list[ResponseNode]:
-        wf = self.workflow
-        answer = wf.queries[query_id].answer_id
-        return [wf.responses[r] for r in wf.response_ids.get(query_id, ()) if r != answer]
-
-    def _context_for(self, query_id: str) -> list[ResponseNode]:
-        q = self.workflow.queries[query_id]
-        context = self._attached_context(query_id) + self._resolved_child_answers(query_id)
+    def _compute_context(self) -> tuple[ResponseNode, ...]:
+        """The current query's attached responses but its answer, then its
+        resolved child answers."""
+        wf, q = self.workflow, self.current
+        context = [wf.responses[r] for r in wf.response_ids.get(q.id, ())
+                   if r != q.answer_id]
         if q.is_summary and q.parent is not None:
             # the synthesis produced by the summarizer grounds the final step
-            parent = self.workflow.queries[q.parent]
+            parent = wf.queries[q.parent]
             if parent.answer_id is not None:
-                context = [self.workflow.responses[parent.answer_id]] + context
-        return context
+                context.insert(0, wf.responses[parent.answer_id])
+        return tuple(context) + self._fact("answers")
+
+    def _compute_summary(self) -> QueryNode:
+        """The synthesis query a summarizer at the root would add."""
+        sq = self.benchmark.summary_query(self.current, self._fact("answers"))
+        sq.embedding.flags.writeable = False
+        return sq
+
+    def _compute_subs(self) -> tuple[float, ...]:
+        return tuple(self._descendant_answer_qualities(self.root_id))
 
     def _descendant_answer_qualities(self, query_id: str) -> list[float]:
         """Answer qualities of the non-summary subtree below `query_id`, in
@@ -229,10 +248,9 @@ class RoutingEnv:
     def _summarizer_legal(self) -> bool:
         if self.summary_used or self.current_id != self.root_id:
             return False
-        root = self.workflow.queries[self.root_id]
-        if root.status != STATUS_PENDING or self.pending:
+        if self.current.status != STATUS_PENDING or self.pending:
             return False
-        return len(self._resolved_child_answers(self.root_id)) >= 2
+        return len(self._fact("answers")) >= 2
 
     def _template_role(self) -> int:
         """Phase-1 role for the current slot, derived from the live state."""
@@ -246,47 +264,41 @@ class RoutingEnv:
         return 1      # executor
 
     def legal_mask(self) -> np.ndarray:
-        """Boolean mask over the flat (role, model) action space, computed
-        once per state and read-only, since step records and clones keep it."""
+        """Boolean mask over the flat (role, model) action space (a fact of
+        the state, so computed once and read-only)."""
         if self.finished:
             raise RuntimeError("episode already finished")
-        if self._mask is None:
-            self._mask = self._compute_mask()
-            self._mask.flags.writeable = False
-        return self._mask
+        return self._fact("mask")
 
     def _compute_mask(self) -> np.ndarray:
         cfg = self.cfg
         mask = np.zeros(cfg.n_actions, dtype=bool)
         k = cfg.n_models
-
         if cfg.phase == PHASE1:
             role = self._template_role()
             mask[role * k:(role + 1) * k] = True
-            return mask
-
-        cur = self.current
-        mask[1 * k:2 * k] = True  # executor is always available
-        if cur.is_summary:
-            return mask           # synthesis resolution is executor-only
-        if (self.planner_count < cfg.p_max and not cur.is_summary
-                and cur.id not in self.workflow.child_ids):
-            mask[0 * k:1 * k] = True
-        if self._summarizer_legal():
-            mask[2 * k:3 * k] = True
-        if cfg.n_roles > 3:
-            # a summary query returned above, so its context is the attached
-            # responses plus the resolved child answers
-            attached = self._attached_context(cur.id)
-            t = self.benchmark.thinker_index
-            v = self.benchmark.verifier_index
-            if t is not None and t < cfg.n_roles and \
-                    not any(r.produced_by[0] == t for r in attached):
-                mask[t * k:(t + 1) * k] = True
-            if v is not None and v < cfg.n_roles and \
-                    (attached or self._resolved_child_answers(cur.id)) and \
-                    not any(r.produced_by[0] == v for r in attached):
-                mask[v * k:(v + 1) * k] = True
+        else:
+            mask[1 * k:2 * k] = True  # executor is always available
+            cur = self.current
+            if not cur.is_summary:    # synthesis resolution is executor-only
+                if (self.planner_count < cfg.p_max
+                        and cur.id not in self.workflow.child_ids):
+                    mask[0 * k:1 * k] = True
+                if self._summarizer_legal():
+                    mask[2 * k:3 * k] = True
+                if cfg.n_roles > 3:
+                    # child answers are an executor's (`_compute_answers`), so
+                    # any thinker or verifier response in the context is attached
+                    context = self._fact("context")
+                    t = self.benchmark.thinker_index
+                    v = self.benchmark.verifier_index
+                    if t is not None and t < cfg.n_roles and \
+                            not any(r.produced_by[0] == t for r in context):
+                        mask[t * k:(t + 1) * k] = True
+                    if v is not None and v < cfg.n_roles and context and \
+                            not any(r.produced_by[0] == v for r in context):
+                        mask[v * k:(v + 1) * k] = True
+        mask.flags.writeable = False
         return mask
 
     # -- transition ---------------------------------------------------------------
@@ -310,11 +322,9 @@ class RoutingEnv:
         """Apply one (role, model) action; returns (reward, done, info)."""
         if self.finished:
             raise RuntimeError("episode already finished")
-        mask = self._mask if self._mask is not None else self.legal_mask()
         idx = self.cfg.action_index(action)
-        if not (0 <= idx < self.cfg.n_actions) or not mask[idx]:
+        if not (0 <= idx < self.cfg.n_actions) or not self._fact("mask")[idx]:
             raise ValueError(f"action {action} is not allowed by the mask")
-        self._mask = None  # the state changes from here on
 
         bench = self.benchmark
         cfg = self.cfg
@@ -323,6 +333,16 @@ class RoutingEnv:
         profile = bench.profiles[action.model]
         done = False
         quality: float | None = None
+        # What the action reads of the state before it comes from the memo
+        # that clones share; the state after it starts a memo of its own.
+        if role_name == "summarizer":
+            context, sq = self._fact("answers"), self._fact("summary")
+        elif role_name != "planner":
+            context = self._fact("context")
+        # only an executor resolves a synthesis query, which ends a summarized
+        # episode: the one utility that counts the sub-answers
+        subs = self._fact("subs") if cur.is_summary else ()
+        self._facts = {}
 
         if role_name == "planner":
             if cfg.phase == PHASE1:
@@ -337,7 +357,6 @@ class RoutingEnv:
             self.current_id = children[0].id
             self.planner_count += 1
         elif role_name == "executor":
-            context = self._context_for(cur.id)
             outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
             resp = self._make_response(cur, action, outcome)
             memory.attach_response(self.workflow, cur.id, resp, answers=True)
@@ -351,21 +370,17 @@ class RoutingEnv:
             else:
                 self.current_id = self.pending.pop(0)
         elif role_name == "summarizer":
-            root = self.workflow.queries[self.root_id]
-            child_answers = self._resolved_child_answers(self.root_id)
-            outcome = bench.invoke(action.model, action.role, root, child_answers,
-                                  self._draws)
-            resp = self._make_response(root, action, outcome)
+            # the summarizer is legal only at the root
+            outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
+            resp = self._make_response(cur, action, outcome)
             memory.attach_response(self.workflow, self.root_id, resp, answers=False)
-            root = self.workflow.set_query(self.root_id, status=STATUS_SUMMARY_PENDING,
-                                           answer_id=resp.id)
+            self.workflow.set_query(self.root_id, status=STATUS_SUMMARY_PENDING,
+                                    answer_id=resp.id)
             quality = outcome.quality
-            sq = bench.summary_query(root, child_answers)
             memory.add_summary_query(self.workflow, self.root_id, sq)
             self.current_id = sq.id
             self.summary_used = True
         else:  # thinker / verifier style mid-episode roles
-            context = self._context_for(cur.id)
             outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
             resp = self._make_response(cur, action, outcome)
             memory.attach_response(self.workflow, cur.id, resp, answers=False)
@@ -384,9 +399,6 @@ class RoutingEnv:
             reward += self.utility
         elif done:
             self.finished = True
-            # the sub-answers count only after a summary
-            subs = (self._descendant_answer_qualities(self.root_id)
-                    if self.summary_used else [])
             self.utility = final_utility(outcome.quality, subs, self.summary_used,
                                          cfg.utility_mode)
             reward += self.utility

@@ -22,7 +22,6 @@ from .env import EnvConfig, Episode, RoutingEnv, absorb_episode
 from .memory import (HeteroGraph, ResponseNode, deserialize, rebase_history,
                      update_hub_stats)
 from .ppo import TrainConfig, train, write_csv
-from .streams import det_rng
 
 PROTOCOLS = ("inductive", "transductive")
 REPORT_COLUMNS = ("protocol", "variant", "phase", "alpha", "family", "seed",
@@ -74,7 +73,8 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
     runs resume from the training-time memory, passed either as a live graph
     or as a file path. A live graph is copied first when absorb is on, so
     absorbing episodes never changes the caller's graph or its hub
-    statistics; without absorb the run only reads it.
+    statistics; without absorb the run only reads it. Greedy decoding draws
+    nothing, so `seed` only labels the run and no episode gets a stream.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {protocol!r}")
@@ -99,8 +99,7 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
             policy.prepare(history.hub_state())
         env = RoutingEnv(env_cfg, benchmark, hubs)
         root = benchmark.eval_query(i)
-        rng = det_rng(seed, "eval", protocol, i)
-        ep = env.run_episode(root, policy, mode="greedy", rng=rng)
+        ep = env.run_episode(root, policy, mode="greedy")
         _cross_check_cost(ep)
         if absorb:
             absorb_episode(history, ep, decay=decay)

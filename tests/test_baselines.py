@@ -273,3 +273,59 @@ def test_oracle_plans_match_the_golden_file():
         assert root.id == want["query"]
         plan, value = oracle_route(env_cfg, bench, hubs, root)
         assert (plan, value) == (want["plan"], want["value"])
+
+
+def cloning_oracle(cfg, benchmark, hubs, root):
+    """`oracle_route` with a clone for every branch, the last one included;
+    returns the plan, the value and the number of expanded states."""
+    base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
+    base.reset(root)
+    best = (-np.inf, None)
+    expanded = 0
+
+    def explore(env, actions, total):
+        nonlocal best, expanded
+        for a in np.flatnonzero(env.legal_mask()).tolist():
+            expanded += 1
+            child = env.clone()
+            reward, done, _ = child.step(cfg.action_of(a))
+            if not done:
+                explore(child, actions + [a], total + reward)
+            elif total + reward > best[0]:
+                best = (total + reward, actions + [a])
+
+    explore(base, [], 0.0)
+    return best[1], float(best[0]), expanded
+
+
+@pytest.mark.parametrize("spec_kw, env_kw, roots", [
+    # the oracle benchmark's configuration
+    (dict(width_profile=(2,)), dict(n_models=4, n_roles=3, p_max=1, width=2,
+                                    max_steps=16, alpha=0.1), range(4)),
+    # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees
+    (dict(width_profile=(3,)), dict(n_models=2, n_roles=5, p_max=2, width=3,
+                                    max_steps=6, alpha=0.1), range(2)),
+], ids=["oracle-search", "five-role"])
+def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
+                                                           env_kw, roots):
+    bench = make_benchmark(
+        BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
+                      seed=7, **spec_kw),
+        k_models=env_kw["n_models"])
+    cfg = EnvConfig(**env_kw)
+    hubs = bench.build_hubs(cfg.n_roles)
+    steps, step = [0], RoutingEnv.step
+
+    def counted_step(env, action):
+        steps[0] += 1
+        return step(env, action)
+
+    for i in roots:
+        root = bench.eval_query(i)
+        plan, value, expanded = cloning_oracle(cfg, bench, hubs, root)
+        monkeypatch.setattr(RoutingEnv, "step", counted_step)
+        steps[0] = 0
+        got_plan, got_value = oracle_route(cfg, bench, hubs, root)
+        monkeypatch.undo()
+        # each expanded state is stepped once, in place or on a clone
+        assert (got_plan, got_value.hex(), steps[0]) == (plan, value.hex(), expanded)

@@ -1,5 +1,6 @@
 """MDP tests: masks, templates, rewards, truncation, cloning, absorption."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -350,11 +351,37 @@ def test_trace_lines_roundtrip():
         assert blob["node_id"] == rec.node_id
 
 
-# -- cached masks and decision states ---------------------------------------------------
+# -- per-state facts and decision states ---------------------------------------------
+
+FACTS = ("mask", "answers", "context", "summary", "subs")
+
+
+def fresh_fact(env, name):
+    """`name` of env's state, computed again on a clone with an empty memo."""
+    fresh = env.clone()
+    fresh._facts = {}
+    return fresh._fact(name)
+
+
+def assert_same_read_only_fact(name, got, want):
+    if name == "mask":
+        assert not got.flags.writeable and np.array_equal(got, want)
+    elif name == "summary":
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.status = STATUS_RESOLVED
+        assert not got.embedding.flags.writeable
+        assert (got.id, got.parent, got.depth, got.family, got.is_summary) == \
+            (want.id, want.parent, want.depth, want.family, want.is_summary)
+        assert np.array_equal(got.embedding, want.embedding)
+    elif name == "subs":
+        assert isinstance(got, tuple) and got == want
+    else:  # responses, which clones share
+        assert isinstance(got, tuple) and [r.id for r in got] == [r.id for r in want]
 
 
 def test_cached_mask_matches_a_fresh_computation_on_every_branch():
     bench = make_bench(width=(3,))
+    checked = {name: 0 for name in FACTS}
     for seed in range(8):
         env, _ = make_env(bench=bench, n_roles=5, p_max=2, width=3, max_steps=12)
         env.reset(bench.train_query(seed))
@@ -365,11 +392,29 @@ def test_cached_mask_matches_a_fresh_computation_on_every_branch():
             while not e.finished:
                 mask = e.legal_mask()
                 assert not mask.flags.writeable and e.legal_mask() is mask
-                assert np.array_equal(mask, e._compute_mask())
+                assert np.array_equal(mask, fresh_fact(e, "mask"))
+                legal = np.flatnonzero(mask)
+                memo = e._facts
                 if branches < 12 and rng.uniform() < 0.4:
-                    stack.append(e.clone())  # shares the cached mask
+                    # a clone shares the memo; stepping it leaves the
+                    # original's memo and every fact in it as they were
+                    twin = e.clone()
+                    assert twin._facts is memo
+                    kept = dict(memo)
+                    twin.step(e.cfg.action_of(int(rng.choice(legal))))
+                    assert twin._facts is not memo and e._facts is memo
+                    assert all(memo[name] is fact for name, fact in kept.items())
+                    stack.append(twin)
                     branches += 1
-                e.step(e.cfg.action_of(int(rng.choice(np.flatnonzero(mask)))))
+                pre = e.clone()  # the state before the step, for fresh facts
+                e.step(e.cfg.action_of(int(rng.choice(legal))))
+                assert e._facts is not memo
+                # every fact handed out, the step's own reads among them
+                for name, fact in memo.items():
+                    assert_same_read_only_fact(name, fact, fresh_fact(pre, name))
+                    checked[name] += 1
+    # summarized terminal steps read the sub-answers
+    assert min(checked.values()) > 0, checked
 
 
 def test_step_records_keep_the_state_a_freeze_would_have_shown():

@@ -8,6 +8,7 @@ import pytest
 
 from agentroute.backend import BenchmarkSpec, EXECUTOR, make_benchmark
 from agentroute.baselines import RandomRouter
+from agentroute import harness
 from agentroute.encoder import EncoderDims, RoutingPolicy, init_params
 from agentroute.env import EnvConfig, RoutingEnv, absorb_episode, trace_lines
 from agentroute.harness import (
@@ -163,6 +164,21 @@ def test_evaluate_with_learned_policy_smoke():
     report = evaluate(policy, bench, CFG, 3, protocol="inductive")
     assert len(report.rows) == 3
     assert report.mean_calls >= 1.0
+
+
+def test_evaluation_builds_no_stream_and_ignores_the_seed(monkeypatch):
+    # greedy decoding reads no rng, so an evaluation stream would go unread
+    def no_stream(*key):
+        raise AssertionError(f"evaluation built a stream: {key}")
+
+    monkeypatch.setattr(harness, "det_rng", no_stream, raising=False)
+    bench = make_bench()
+    history = trained_like_history(bench, CFG)
+    for policy in (RandomRouter(), RoutingPolicy(tiny_policy(), "full")):
+        for protocol in ("inductive", "transductive"):
+            rows = [evaluate(policy, bench, CFG, 3, seed=seed, protocol=protocol,
+                             history=history).rows for seed in (0, 12345)]
+            assert rows[0] == rows[1]
 
 
 # -- aggregation and emission -----------------------------------------------------------
