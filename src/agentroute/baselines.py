@@ -14,7 +14,7 @@ import numpy as np
 
 from .env import RoutingEnv
 from . import fields
-from .memory import EncoderInput, QueryNode
+from .memory import HubState, QueryNode
 
 KNN_FORMAT_VERSION = 1
 
@@ -25,7 +25,7 @@ class RandomRouter:
     def prepare(self, hist_input) -> None:
         pass
 
-    def act(self, wf_input: EncoderInput, query_embedding: np.ndarray,
+    def act(self, wf_input: HubState, query_embedding: np.ndarray,
             mask: np.ndarray, mode: str = "sample",
             rng: np.random.Generator | None = None):
         allowed = np.flatnonzero(mask)
@@ -116,7 +116,7 @@ class KnnRouter:
     def prepare(self, hist_input) -> None:
         pass
 
-    def act(self, wf_input: EncoderInput, query_embedding: np.ndarray,
+    def act(self, wf_input: HubState, query_embedding: np.ndarray,
             mask: np.ndarray, mode: str = "sample",
             rng: np.random.Generator | None = None):
         if wf_input.n_queries == 1 and wf_input.n_responses == 0:

@@ -57,7 +57,8 @@ def cmd_eval(args, parser) -> int:
         parser.error(f"checkpoint not found: {ckpt}")
     policy, meta = load_policy(ckpt)
     protocol = args.protocol or cfg.setting("eval", "protocol")
-    episodes = args.episodes or cfg.setting("eval", "episodes")
+    episodes = (cfg.setting("eval", "episodes") if args.episodes is None
+                else args.episodes)
     seed = cfg.setting("eval", "seed") if args.seed is None else args.seed
     history_path = args.history
     if history_path is None and protocol == "transductive":
@@ -88,7 +89,7 @@ def cmd_sweep(args, parser) -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
     out = args.out or "sweep.csv"
     rows = pareto_sweep(benchmark, env_cfg, train_cfg, alphas, seeds,
-                        eval_episodes=args.episodes or 30, out_csv=out,
+                        eval_episodes=args.episodes, out_csv=out,
                         log=print if args.verbose else None)
     print(f"{len(rows)} sweep rows written to {out}")
     return 0
@@ -102,7 +103,7 @@ def cmd_ablate(args, parser) -> int:
     variants = tuple(args.variants.split(","))
     seeds = tuple(int(s) for s in args.seeds.split(","))
     rows = run_ablation(benchmark, env_cfg, train_cfg, variants, seeds,
-                        eval_episodes=args.episodes or 30,
+                        eval_episodes=args.episodes,
                         log=print if args.verbose else None)
     if args.out:
         write_csv(Path(args.out), ("variant", "seed", "acc", "cost", "episodes"),
@@ -208,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--alphas", default="0.0,0.1,0.3,0.5,0.7,0.9")
     p_sweep.add_argument("--seeds", default="0")
-    p_sweep.add_argument("--episodes", type=int, default=None)
+    p_sweep.add_argument("--episodes", type=int, default=30)
 
     p_abl = sub.add_parser("ablate", help="encoder variant ablation",
                            allow_abbrev=False)
     common(p_abl)
     p_abl.add_argument("--variants", default="full,homo,hetero,no_history")
     p_abl.add_argument("--seeds", default="0")
-    p_abl.add_argument("--episodes", type=int, default=None)
+    p_abl.add_argument("--episodes", type=int, default=30)
     for p in (p_train, p_sweep, p_abl):
         p.add_argument("--workers", type=int, default=None,
                        help="validated (at least 1), otherwise ignored")

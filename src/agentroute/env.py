@@ -9,7 +9,7 @@ r_t = -alpha * C_t with the task utility added on the terminal step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,13 +103,21 @@ class StepRecord:
 class Episode:
     records: list[StepRecord]
     utility: float
-    dollars: float
-    scaled_cost: float
     truncated: bool
     family: int
-    root_id: str
     workflow: HeteroGraph
-    actions: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def dollars(self) -> float:
+        return sum(r.dollars for r in self.records)
+
+    @property
+    def scaled_cost(self) -> float:
+        return sum(r.scaled_cost for r in self.records)
+
+    @property
+    def actions(self) -> list[tuple[int, int]]:
+        return [(r.role, r.model) for r in self.records]
 
     @property
     def total_reward(self) -> float:
@@ -131,21 +139,7 @@ class RoutingEnv:
         self.cfg = cfg
         self.benchmark = benchmark
         self.hubs = hubs
-        self.workflow: HeteroGraph | None = None
-        self.root_id: str = ""
-        self.current_id: str = ""
-        self.pending: list[str] = []
-        self.planner_count = 0
-        self.step_count = 0
-        self.finished = False
-        self.truncated = False
-        self.summary_used = False
-        self.utility = 0.0
-        self._resp_counter = 0
-        self._last_answer_quality: float | None = None
-        # the episode's simulator draws, shared by its clones (Benchmark.invoke)
-        self._draws: dict = {}
-        self._facts: dict = {}  # the current state's derived facts (`_fact`)
+        self.workflow: HeteroGraph | None = None  # set by `reset`
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -156,17 +150,17 @@ class RoutingEnv:
         self.workflow = memory.new_workflow(root, self.hubs)
         self.root_id = root.id
         self.current_id = root.id
-        self.pending = []
+        self.pending: list[str] = []
         self.planner_count = 0
         self.step_count = 0
         self.finished = False
         self.truncated = False
         self.summary_used = False
         self.utility = 0.0
-        self._resp_counter = 0
-        self._last_answer_quality = None
-        self._draws = {}
-        self._facts = {}
+        self._last_answer_quality: float | None = None
+        # the episode's simulator draws, shared by its clones (Benchmark.invoke)
+        self._draws: dict = {}
+        self._facts: dict = {}  # the current state's derived facts (`_fact`)
 
     def clone(self) -> "RoutingEnv":
         # The shallow copy copy.copy would make, without its dispatch cost (the
@@ -303,21 +297,6 @@ class RoutingEnv:
 
     # -- transition ---------------------------------------------------------------
 
-    def _new_response_id(self) -> str:
-        rid = f"r{self._resp_counter}"
-        self._resp_counter += 1
-        return rid
-
-    def _make_response(self, query: QueryNode, action: Action, outcome) -> ResponseNode:
-        return ResponseNode(
-            id=self._new_response_id(),
-            embedding=outcome.response_embedding,
-            produced_by=(action.role, action.model),
-            tokens_in=outcome.tokens_in,
-            tokens_out=outcome.tokens_out,
-            quality=outcome.quality,
-        )
-
     def step(self, action: Action) -> tuple[float, bool, dict]:
         """Apply one (role, model) action; returns (reward, done, info)."""
         if self.finished:
@@ -326,67 +305,58 @@ class RoutingEnv:
         if not (0 <= idx < self.cfg.n_actions) or not self._fact("mask")[idx]:
             raise ValueError(f"action {action} is not allowed by the mask")
 
-        bench = self.benchmark
-        cfg = self.cfg
-        cur = self.current
+        bench, cfg, wf, cur = self.benchmark, self.cfg, self.workflow, self.current
         role_name = bench.roles[action.role].name
-        profile = bench.profiles[action.model]
-        done = False
-        quality: float | None = None
         # What the action reads of the state before it comes from the memo
         # that clones share; the state after it starts a memo of its own.
-        if role_name == "summarizer":
+        if role_name == "planner":
+            context = ()
+        elif role_name == "summarizer":
             context, sq = self._fact("answers"), self._fact("summary")
-        elif role_name != "planner":
+        else:
             context = self._fact("context")
         # only an executor resolves a synthesis query, which ends a summarized
         # episode: the one utility that counts the sub-answers
         subs = self._fact("subs") if cur.is_summary else ()
         self._facts = {}
 
+        outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
+        # an executor answer at the root or the synthesis query ends the episode
+        done = role_name == "executor" and (cur.is_summary or cur.id == self.root_id)
         if role_name == "planner":
-            if cfg.phase == PHASE1:
-                width = cfg.phase_width
-            else:
-                width = max(1, min(cfg.width, cur.width_hint))
+            width = (cfg.phase_width if cfg.phase == PHASE1
+                     else max(1, min(cfg.width, cur.width_hint)))
             children = bench.decompose(cur, width)
-            memory.attach_subqueries(self.workflow, cur.id, children,
+            memory.attach_subqueries(wf, cur.id, children,
                                      width_limit=max(cfg.width, width))
-            outcome = bench.invoke(action.model, action.role, cur, [], self._draws)
             self.pending = [c.id for c in children[1:]] + [cur.id] + self.pending
             self.current_id = children[0].id
             self.planner_count += 1
-        elif role_name == "executor":
-            outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
-            resp = self._make_response(cur, action, outcome)
-            memory.attach_response(self.workflow, cur.id, resp, answers=True)
-            quality = outcome.quality
+        else:
+            # a workflow never evicts, so its size numbers the next response;
+            # the summarizer is legal only at the root, so every response
+            # attaches to the current query
+            resp = ResponseNode(id=f"r{len(wf.responses)}",
+                                embedding=outcome.response_embedding,
+                                produced_by=(action.role, action.model),
+                                tokens_in=outcome.tokens_in,
+                                tokens_out=outcome.tokens_out,
+                                quality=outcome.quality)
+            memory.attach_response(wf, cur.id, resp, answers=role_name == "executor")
+        if role_name == "executor":
             self._last_answer_quality = outcome.quality
             if cur.is_summary:
-                self.workflow.set_query(self.root_id, status=STATUS_RESOLVED)
-                done = True
-            elif cur.id == self.root_id:
-                done = True
-            else:
+                wf.set_query(self.root_id, status=STATUS_RESOLVED)
+            elif not done:
                 self.current_id = self.pending.pop(0)
         elif role_name == "summarizer":
-            # the summarizer is legal only at the root
-            outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
-            resp = self._make_response(cur, action, outcome)
-            memory.attach_response(self.workflow, self.root_id, resp, answers=False)
-            self.workflow.set_query(self.root_id, status=STATUS_SUMMARY_PENDING,
-                                    answer_id=resp.id)
-            quality = outcome.quality
-            memory.add_summary_query(self.workflow, self.root_id, sq)
+            wf.set_query(self.root_id, status=STATUS_SUMMARY_PENDING,
+                         answer_id=resp.id)
+            memory.add_summary_query(wf, self.root_id, sq)
             self.current_id = sq.id
             self.summary_used = True
-        else:  # thinker / verifier style mid-episode roles
-            outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
-            resp = self._make_response(cur, action, outcome)
-            memory.attach_response(self.workflow, cur.id, resp, answers=False)
-            quality = outcome.quality
 
-        dollars = cost_of(outcome, profile)
+        dollars = cost_of(outcome, bench.profiles[action.model])
         scaled = dollars * cfg.cost_scale
         reward = -cfg.alpha * scaled
         self.step_count += 1
@@ -406,7 +376,7 @@ class RoutingEnv:
         info = {
             "role": action.role,
             "model": action.model,
-            "quality": quality,
+            "quality": None if role_name == "planner" else outcome.quality,
             "dollars": dollars,
             "scaled_cost": scaled,
             "tokens_in": outcome.tokens_in,
@@ -444,22 +414,10 @@ class RoutingEnv:
                 wf_input=wf_input, query_embedding=q_emb, mask=mask,
                 action_index=int(action_index), logp=float(logp),
                 value=float(value), entropy=float(entropy), reward=reward,
-                done=done or self.truncated, step=len(records),
-                role=info["role"], model=info["model"], quality=info["quality"],
-                dollars=info["dollars"], scaled_cost=info["scaled_cost"],
-                tokens_in=info["tokens_in"], tokens_out=info["tokens_out"],
-                node_id=info["node_id"]))
-        return Episode(
-            records=records,
-            utility=self.utility,
-            dollars=sum(r.dollars for r in records),
-            scaled_cost=sum(r.scaled_cost for r in records),
-            truncated=self.truncated,
-            family=root.family,
-            root_id=self.root_id,
-            workflow=self.workflow,
-            actions=[(r.role, r.model) for r in records],
-        )
+                done=done, step=len(records), **info))
+        return Episode(records=records, utility=self.utility,
+                       truncated=self.truncated, family=root.family,
+                       workflow=self.workflow)
 
 
 def absorb_episode(history: HeteroGraph, episode: Episode, decay: float = 0.9) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 from .backend import (Benchmark, EXECUTOR, PLANNER, SUMMARIZER, THINKER,
                       VERIFIER, cost_of, make_unseen_profile)
 from .encoder import RoutingPolicy
-from .env import EnvConfig, Episode, RoutingEnv, absorb_episode
+from .env import EnvConfig, RoutingEnv, absorb_episode
 from .memory import (HeteroGraph, ResponseNode, deserialize, rebase_history,
                      update_hub_stats)
 from .ppo import TrainConfig, train, write_csv
@@ -50,16 +50,6 @@ class EvalReport:
         return [r["actions"] for r in self.rows]
 
 
-def _cross_check_cost(episode: Episode) -> None:
-    """The step costs a trace would list add up to the episode's cost. A
-    trace line holds each step's `dollars` as JSON, which reads back as the
-    same float, so the sum is taken over the records directly."""
-    traced = sum(float(rec.dollars) for rec in episode.records)
-    if abs(traced - episode.dollars) > 1e-9:
-        raise RuntimeError(
-            f"trace/cost mismatch: trace={traced!r} episode={episode.dollars!r}")
-
-
 def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
              n_episodes: int, *, seed: int = 0, protocol: str = "inductive",
              history: HeteroGraph | None = None,
@@ -78,6 +68,8 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {protocol!r}")
+    if n_episodes < 1:
+        raise ValueError(f"evaluation needs at least one episode, got {n_episodes}")
     if protocol == "transductive":
         if history is None:
             if history_path is None:
@@ -100,7 +92,6 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
         env = RoutingEnv(env_cfg, benchmark, hubs)
         root = benchmark.eval_query(i)
         ep = env.run_episode(root, policy, mode="greedy")
-        _cross_check_cost(ep)
         if absorb:
             absorb_episode(history, ep, decay=decay)
         report.rows.append({
@@ -111,7 +102,7 @@ def evaluate(policy, benchmark: Benchmark, env_cfg: EnvConfig,
             "scaled_cost": ep.scaled_cost,
             "llm_calls": ep.length,
             "truncated": ep.truncated,
-            "actions": [(r.role, r.model) for r in ep.records],
+            "actions": ep.actions,
             "roles": sorted({r.role for r in ep.records}),
         })
     return report
@@ -126,6 +117,8 @@ def pareto_sweep(benchmark: Benchmark, env_cfg: EnvConfig,
                  eval_episodes: int = 30, out_csv: str | Path | None = None,
                  log=None) -> list[dict]:
     """Train and evaluate one policy per (alpha, seed); rows sort by alpha."""
+    if eval_episodes < 1:
+        raise ValueError(f"evaluation needs at least one episode, got {eval_episodes}")
     unique: list[float] = []
     for a in alphas:
         if a in unique:
@@ -169,6 +162,8 @@ def run_ablation(benchmark: Benchmark, env_cfg: EnvConfig,
     no_history keeps the full architecture but trains and evaluates with an
     empty cross-episode memory, isolating what the memory itself adds.
     """
+    if eval_episodes < 1:
+        raise ValueError(f"evaluation needs at least one episode, got {eval_episodes}")
     rows = []
     for variant in variants:
         for seed in seeds:

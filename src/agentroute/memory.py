@@ -246,12 +246,6 @@ class HeteroGraph:
         self.queries[query_id] = q
         return q
 
-    def children_of(self, query_id: str) -> list[QueryNode]:
-        return [self.queries[c] for c in self.child_ids.get(query_id, ())]
-
-    def responses_of(self, query_id: str) -> list[ResponseNode]:
-        return [self.responses[r] for r in self.response_ids.get(query_id, ())]
-
     @property
     def interaction_count(self) -> int:
         return len(self.queries) + len(self.responses)

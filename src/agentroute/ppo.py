@@ -69,6 +69,16 @@ class TrainConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.episodes_per_update < 1 or self.max_episodes < 1:
             raise ValueError("episode counts must be positive")
+        for name in ("hidden", "policy_lr", "value_lr", "clip_eps", "grad_clip"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.gae_lambda <= 1.0:
+            raise ValueError("gae_lambda must be in [0, 1]")
+        for name in ("running_decay", "hub_decay"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not (self.value_coef >= 0 and self.entropy_coef >= 0):
+            raise ValueError("value_coef and entropy_coef must be nonnegative")
 
 
 @dataclass

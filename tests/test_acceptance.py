@@ -278,8 +278,9 @@ def _summarizer_ok(env):
         return False
     if root.status != STATUS_PENDING or env.pending:
         return False
-    resolved = [q for q in env.workflow.children_of(env.root_id)
-                if not q.is_summary and q.status == STATUS_RESOLVED
+    children = [env.workflow.queries[c]
+                for c in env.workflow.child_ids.get(env.root_id, ())]
+    resolved = [q for q in children if not q.is_summary and q.status == STATUS_RESOLVED
                 and q.answer_id is not None]
     return len(resolved) >= 2
 

@@ -211,6 +211,18 @@ def test_eval_uses_the_run_config_memory_settings(tmp_path, monkeypatch, capsys)
     assert report.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
+def test_an_empty_evaluation_is_a_one_line_error(tiny_config, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    for command in (["eval", "--checkpoint", str(run_dir)], ["sweep"], ["ablate"]):
+        for n in ("0", "-2"):
+            assert main([*command, "--config", str(tiny_config), "--episodes", n]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: evaluation needs at least one episode")
+            assert err.count("\n") == 1
+
+
 def test_sweep_command(tiny_config, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(tiny_config), "--alphas", "0.0,0.5",

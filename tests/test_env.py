@@ -252,10 +252,41 @@ def test_truncation_keeps_last_answer():
     env, bench = make_env(p_max=4, width=2, max_steps=3)
     env.reset(bench.generate_query(0, 0))
     env.step(Action(0, 0))   # plan: children c0 c1
-    env.step(Action(1, 0))   # resolve c0
-    _, done, _ = env.step(Action(0, 1))  # plan c1, hits the step cap
+    _, _, answer = env.step(Action(1, 0))   # resolve c0
+    reward, done, _ = env.step(Action(0, 1))  # plan c1, hits the step cap
     assert done and env.truncated
-    assert env.utility > 0.0
+    assert env.utility == answer["quality"] > 0.0
+    assert reward == env.utility  # alpha is 0, so only the utility is paid
+
+
+def test_truncation_ignores_responses_after_the_last_answer():
+    env, bench = make_env(n_roles=5, p_max=1, width=2, max_steps=4)
+    env.reset(bench.generate_query(0, 0))
+    env.step(Action(0, 0))   # plan: children c0 c1
+    _, _, answer = env.step(Action(1, 0))   # resolve c0, move to c1
+    _, _, thought = env.step(Action(3, 1))  # think on c1
+    _, done, verdict = env.step(Action(4, 1))  # verify c1, hits the step cap
+    assert done and env.truncated
+    assert {thought["quality"], verdict["quality"]}.isdisjoint({answer["quality"]})
+    assert env.utility == answer["quality"]
+
+
+def test_every_step_calls_the_simulator_once_and_numbers_its_response(monkeypatch):
+    env, bench = make_env(n_roles=5, p_max=1, width=2)
+    calls = []
+    invoke = bench.invoke
+    monkeypatch.setattr(bench, "invoke",
+                        lambda *a, **kw: calls.append(a[1]) or invoke(*a, **kw))
+    env.reset(bench.generate_query(0, 0))
+    # plan, answer c0, think and verify on c1, answer it, summarize, answer
+    for a in (Action(0, 0), Action(1, 0), Action(3, 1), Action(4, 0),
+              Action(1, 1), Action(2, 0), Action(1, 0)):
+        _, done, _ = env.step(a)
+        assert calls[-1] == a.role
+    assert done and not env.truncated and len(calls) == 7
+    assert list(env.workflow.responses) == [f"r{i}" for i in range(6)]
+    root = env.workflow.queries[env.root_id]
+    assert root.status == STATUS_RESOLVED and env.summary_used
 
 
 # -- cloning and reset hygiene ----------------------------------------------------------

@@ -13,7 +13,6 @@ from agentroute.encoder import EncoderDims, RoutingPolicy, init_params
 from agentroute.env import EnvConfig, RoutingEnv, absorb_episode, trace_lines
 from agentroute.harness import (
     REPORT_COLUMNS,
-    _cross_check_cost,
     SWEEP_COLUMNS,
     EvalReport,
     emit_report,
@@ -57,7 +56,7 @@ CFG = EnvConfig(n_models=2, p_max=1)
 # -- evaluate ------------------------------------------------------------------------
 
 
-def test_cost_cross_check_reads_what_the_trace_lines_say():
+def test_trace_lines_sum_to_the_episode_cost():
     bench = make_bench()
     env = RoutingEnv(EnvConfig(n_models=2, p_max=1, alpha=0.1), bench, bench.build_hubs(3))
     for seed in range(20):  # an episode of several paid steps
@@ -68,10 +67,20 @@ def test_cost_cross_check_reads_what_the_trace_lines_say():
     assert ep.length >= 3
     traced = sum(json.loads(line)["dollars"] for line in trace_lines(ep))
     assert traced == sum(rec.dollars for rec in ep.records) == ep.dollars
-    _cross_check_cost(ep)
-    ep.dollars += 1e-6
-    with pytest.raises(RuntimeError, match="trace/cost mismatch"):
-        _cross_check_cost(ep)
+
+
+def test_an_empty_evaluation_is_rejected(monkeypatch):
+    bench = make_bench()
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="at least one episode"):
+            evaluate(RandomRouter(), bench, CFG, n)
+    # sweeps and ablations reject it before they train anything
+    monkeypatch.setattr(harness, "train", None)
+    tc = TrainConfig(hidden=8, episodes_per_update=4, max_episodes=8)
+    with pytest.raises(ValueError, match="at least one episode"):
+        pareto_sweep(bench, CFG, tc, [0.0], eval_episodes=0)
+    with pytest.raises(ValueError, match="at least one episode"):
+        run_ablation(bench, CFG, tc, eval_episodes=0)
 
 
 def test_evaluate_validates_protocol():

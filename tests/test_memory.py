@@ -167,7 +167,7 @@ def test_attach_subqueries_contract():
     ids = attach_subqueries(g, "q0", [query("a", depth=1, parent="q0"),
                                       query("b", depth=1, parent="q0")])
     assert ids == ["a", "b"]
-    assert [c.id for c in g.children_of("q0")] == ["a", "b"]
+    assert g.child_ids["q0"] == ("a", "b")
     with pytest.raises(ValueError):
         attach_subqueries(g, "q0", [])
     with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ def test_attach_response_resolution():
         attach_response(g, "q0", response("r1"), answers=True)
     # non-answer attachments to a resolved query are fine (summaries)
     attach_response(g, "q0", response("r1"), answers=False)
-    assert len(g.responses_of("q0")) == 2
+    assert g.response_ids["q0"] == ("r0", "r1")
 
 
 def test_attach_subqueries_requires_pending_parent():
@@ -780,8 +780,8 @@ def assert_indexes_are_a_scan(g):
         responses[qid] = responses.get(qid, ()) + (rid,)
     assert g.child_ids == children and g.response_ids == responses
     for qid in g.queries:
-        assert [c.id for c in g.children_of(qid)] == list(children.get(qid, ()))
-        assert [r.id for r in g.responses_of(qid)] == list(responses.get(qid, ()))
+        assert all(c in g.queries for c in g.child_ids.get(qid, ()))
+        assert all(r in g.responses for r in g.response_ids.get(qid, ()))
 
 
 @settings(max_examples=80, deadline=None)

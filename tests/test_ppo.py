@@ -59,8 +59,8 @@ def fake_record(reward, value):
 
 def fake_episode(rewards, values):
     recs = [fake_record(r, v) for r, v in zip(rewards, values)]
-    return Episode(records=recs, utility=0.0, dollars=0.0, scaled_cost=0.0,
-                   truncated=False, family=0, root_id="q", workflow=None)
+    return Episode(records=recs, utility=0.0, truncated=False, family=0,
+                   workflow=None)
 
 
 # -- GAE ---------------------------------------------------------------------------
@@ -104,9 +104,19 @@ def test_normalize_standardizes():
 def test_train_config_validation():
     for kw in (dict(workers=0), dict(epochs=0), dict(gamma=0.0),
                dict(gamma=1.5), dict(episodes_per_update=0),
-               dict(max_episodes=0)):
+               dict(max_episodes=0), dict(hidden=0), dict(policy_lr=-1.0),
+               dict(policy_lr=0.0), dict(value_lr=0.0), dict(clip_eps=0.0),
+               dict(grad_clip=0.0), dict(grad_clip=float("nan")),
+               dict(gae_lambda=-0.1), dict(gae_lambda=1.5),
+               dict(running_decay=1.0), dict(running_decay=-0.1),
+               dict(hub_decay=1.5), dict(hub_decay=1.0),
+               dict(value_coef=-0.5), dict(entropy_coef=-0.01)):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+    # the edges of each range are accepted
+    TrainConfig(gae_lambda=0.0, running_decay=0.0, hub_decay=0.0,
+                value_coef=0.0, entropy_coef=0.0)
+    TrainConfig(gae_lambda=1.0)
 
 
 def test_pool_mismatch_rejected():
@@ -315,9 +325,8 @@ def test_act_on_gradient_free_views_builds_no_tape_and_matches(monkeypatch):
             assert tapes[0] > 0 and tapes[1] == 0  # the views record nothing
             assert outs[0] == outs[1]  # and act exactly as the taped path
             env.step(env_cfg.action_of(outs[0][0]))
-        absorb_episode(hist, Episode(records=[], utility=0.0, dollars=0.0,
-                                     scaled_cost=0.0, truncated=False, family=0,
-                                     root_id=env.root_id, workflow=env.workflow))
+        absorb_episode(hist, Episode(records=[], utility=0.0, truncated=False,
+                                     family=0, workflow=env.workflow))
 
 
 def test_train_rolls_out_on_gradient_free_views(monkeypatch):
