@@ -167,8 +167,11 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     Runs on a noise-free copy of the benchmark so every branch value is the
     model's systematic quality. Depth-first in ascending action-index order
     with strict improvement, so ties resolve to the lexicographically
-    smallest sequence. Raises when the enumeration exceeds `bound` expanded
-    states.
+    smallest sequence. An action that ends the episode is scored by
+    `RoutingEnv.leaf_reward`, without a clone or a step; the others are
+    stepped on a clone, or in place for a state's last branch. Raises when
+    the enumeration exceeds `bound` expanded states, terminal actions
+    included.
     """
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
@@ -186,16 +189,16 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
                 raise RuntimeError(
                     f"oracle enumeration exceeded {bound} states; "
                     "shrink the action space or the step cap")
-            # nothing reads `env` after its last branch, which steps it in place
-            child = env if a == legal[-1] else env.clone()
-            reward, done, _ = child.step(action_of[a])
-            seq = actions + [a]
-            if done:
+            reward = env.leaf_reward(action_of[a])
+            if reward is not None:
                 if total + reward > best_value:
                     best_value = total + reward
-                    best_actions = seq
-            else:
-                explore(child, seq, total + reward)
+                    best_actions = actions + [a]
+                continue
+            # nothing reads `env` after its last branch, which steps it in place
+            child = env if a == legal[-1] else env.clone()
+            reward, _, _ = child.step(action_of[a])
+            explore(child, actions + [a], total + reward)
 
     explore(base, [], 0.0)
     if best_actions is None:

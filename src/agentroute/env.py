@@ -297,32 +297,79 @@ class RoutingEnv:
 
     # -- transition ---------------------------------------------------------------
 
-    def step(self, action: Action) -> tuple[float, bool, dict]:
-        """Apply one (role, model) action; returns (reward, done, info)."""
+    def _check(self, action: Action) -> None:
         if self.finished:
             raise RuntimeError("episode already finished")
-        idx = self.cfg.action_index(action)
-        if not (0 <= idx < self.cfg.n_actions) or not self._fact("mask")[idx]:
+        cfg = self.cfg
+        # a model outside the pool would alias another role's action index
+        if not (0 <= action.role < cfg.n_roles and 0 <= action.model < cfg.n_models
+                and self._fact("mask")[cfg.action_index(action)]):
             raise ValueError(f"action {action} is not allowed by the mask")
 
-        bench, cfg, wf, cur = self.benchmark, self.cfg, self.workflow, self.current
-        role_name = bench.roles[action.role].name
-        # What the action reads of the state before it comes from the memo
-        # that clones share; the state after it starts a memo of its own.
+    def _ends(self, role_name: str) -> tuple[bool, bool]:
+        """(done, truncated) after one `role_name` action from this state: an
+        executor answer at the root or the synthesis query is done, and any
+        other action that takes the last allowed step truncates."""
+        cur = self.current
+        done = role_name == "executor" and (cur.is_summary or cur.id == self.root_id)
+        return done, not done and self.step_count + 1 >= self.cfg.max_steps
+
+    def _score(self, action: Action, role_name: str, done: bool, truncated: bool):
+        """(outcome, dollars, scaled cost, reward, utility) of `action` from
+        this state, the utility None unless the action ends the episode.
+        Reads the state's facts and writes nothing but the draw memo."""
+        bench, cfg = self.benchmark, self.cfg
         if role_name == "planner":
             context = ()
         elif role_name == "summarizer":
-            context, sq = self._fact("answers"), self._fact("summary")
+            context = self._fact("answers")
         else:
             context = self._fact("context")
-        # only an executor resolves a synthesis query, which ends a summarized
-        # episode: the one utility that counts the sub-answers
-        subs = self._fact("subs") if cur.is_summary else ()
+        outcome = bench.invoke(action.model, action.role, self.current, context,
+                               self._draws)
+        dollars = cost_of(outcome, bench.profiles[action.model])
+        scaled = dollars * cfg.cost_scale
+        reward = -cfg.alpha * scaled
+        if done:
+            # only an executor resolves a synthesis query, which ends a
+            # summarized episode: the one utility that counts the sub-answers
+            subs = self._fact("subs") if self.current.is_summary else ()
+            utility = final_utility(outcome.quality, subs, self.summary_used,
+                                    cfg.utility_mode)
+        elif truncated:
+            partial = (outcome.quality if role_name == "executor"
+                       else self._last_answer_quality)
+            utility = final_utility(partial if partial is not None else 0.0, [],
+                                    False, cfg.utility_mode)
+        else:
+            return outcome, dollars, scaled, reward, None
+        return outcome, dollars, scaled, reward + utility, utility
+
+    def leaf_reward(self, action: Action) -> float | None:
+        """The reward `step(action)` would return if the action ends the
+        episode, bit for bit, and None if it does not; changes no state, so
+        the oracle scores terminal actions without a clone or a step."""
+        self._check(action)
+        role_name = self.benchmark.roles[action.role].name
+        done, truncated = self._ends(role_name)
+        if not (done or truncated):
+            return None
+        return self._score(action, role_name, done, truncated)[3]
+
+    def step(self, action: Action) -> tuple[float, bool, dict]:
+        """Apply one (role, model) action; returns (reward, done, info)."""
+        self._check(action)
+        bench, cfg, wf, cur = self.benchmark, self.cfg, self.workflow, self.current
+        role_name = bench.roles[action.role].name
+        done, truncated = self._ends(role_name)
+        # What the action reads of the state before it comes from the memo
+        # that clones share; the state after it starts a memo of its own.
+        outcome, dollars, scaled, reward, utility = self._score(
+            action, role_name, done, truncated)
+        if role_name == "summarizer":
+            sq = self._fact("summary")
         self._facts = {}
 
-        outcome = bench.invoke(action.model, action.role, cur, context, self._draws)
-        # an executor answer at the root or the synthesis query ends the episode
-        done = role_name == "executor" and (cur.is_summary or cur.id == self.root_id)
         if role_name == "planner":
             width = (cfg.phase_width if cfg.phase == PHASE1
                      else max(1, min(cfg.width, cur.width_hint)))
@@ -356,22 +403,11 @@ class RoutingEnv:
             self.current_id = sq.id
             self.summary_used = True
 
-        dollars = cost_of(outcome, bench.profiles[action.model])
-        scaled = dollars * cfg.cost_scale
-        reward = -cfg.alpha * scaled
         self.step_count += 1
-
-        if not done and self.step_count >= cfg.max_steps:
+        if utility is not None:
             self.finished = True
-            self.truncated = True
-            partial = self._last_answer_quality if self._last_answer_quality is not None else 0.0
-            self.utility = final_utility(partial, [], False, cfg.utility_mode)
-            reward += self.utility
-        elif done:
-            self.finished = True
-            self.utility = final_utility(outcome.quality, subs, self.summary_used,
-                                         cfg.utility_mode)
-            reward += self.utility
+            self.truncated = truncated
+            self.utility = utility
 
         info = {
             "role": action.role,

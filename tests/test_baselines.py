@@ -314,18 +314,28 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
         k_models=env_kw["n_models"])
     cfg = EnvConfig(**env_kw)
     hubs = bench.build_hubs(cfg.n_roles)
-    steps, step = [0], RoutingEnv.step
+    steps, leaves = [0], [0]
+    step, leaf_reward = RoutingEnv.step, RoutingEnv.leaf_reward
 
     def counted_step(env, action):
         steps[0] += 1
         return step(env, action)
 
+    def counted_leaf_reward(env, action):
+        reward = leaf_reward(env, action)
+        leaves[0] += reward is not None
+        return reward
+
     for i in roots:
         root = bench.eval_query(i)
         plan, value, expanded = cloning_oracle(cfg, bench, hubs, root)
         monkeypatch.setattr(RoutingEnv, "step", counted_step)
-        steps[0] = 0
+        monkeypatch.setattr(RoutingEnv, "leaf_reward", counted_leaf_reward)
+        steps[0] = leaves[0] = 0
         got_plan, got_value = oracle_route(cfg, bench, hubs, root)
         monkeypatch.undo()
-        # each expanded state is stepped once, in place or on a clone
-        assert (got_plan, got_value.hex(), steps[0]) == (plan, value.hex(), expanded)
+        # each expanded state is scored as a leaf or stepped once, in place
+        # or on a clone; terminal actions are never stepped
+        assert (got_plan, got_value.hex(), steps[0] + leaves[0]) == \
+            (plan, value.hex(), expanded)
+        assert steps[0] < expanded

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentroute.backend import BenchmarkSpec, make_benchmark
+from agentroute.backend import BenchmarkSpec, final_utility, make_benchmark
 from agentroute.baselines import RandomRouter
 from agentroute.env import (
     PHASE1,
@@ -136,10 +136,15 @@ def test_summarizer_unlocks_and_summary_is_executor_only():
 def test_illegal_action_rejected():
     env, bench = make_env(p_max=0)
     env.reset(bench.generate_query(0, 0))
-    with pytest.raises(ValueError):
-        env.step(Action(0, 0))  # planner masked out
-    with pytest.raises(ValueError):
-        env.step(Action(2, 0))  # summarizer masked out
+    # the leaf scorer refuses what `step` refuses, with the same error
+    for act in (env.step, env.leaf_reward):
+        for action in (Action(0, 0),   # planner masked out
+                       Action(2, 0),   # summarizer masked out
+                       Action(3, 0),   # no such role
+                       Action(0, K)):  # no such model
+            with pytest.raises(ValueError, match="not allowed by the mask"):
+                act(action)
+    assert env.step_count == 0 and not env.finished
 
 
 def test_finished_episode_refuses_everything():
@@ -147,8 +152,9 @@ def test_finished_episode_refuses_everything():
     env.reset(bench.generate_query(0, 0))
     _, done, _ = env.step(Action(1, 0))
     assert done
-    with pytest.raises(RuntimeError):
-        env.step(Action(1, 0))
+    for act in (env.step, env.leaf_reward):
+        with pytest.raises(RuntimeError, match="episode already finished"):
+            act(Action(1, 0))
     with pytest.raises(RuntimeError):
         env.legal_mask()
 
@@ -269,6 +275,74 @@ def test_truncation_ignores_responses_after_the_last_answer():
     assert done and env.truncated
     assert {thought["quality"], verdict["quality"]}.isdisjoint({answer["quality"]})
     assert env.utility == answer["quality"]
+
+
+# -- leaf scoring --------------------------------------------------------------------
+
+
+def separable_env(width, n_models, **cfg_kw):
+    """A noise-free env over the separable pool, as the oracle searches it."""
+    bench = make_benchmark(
+        BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
+                      seed=7, width_profile=(width,)),
+        k_models=n_models)
+    cfg = EnvConfig(n_models=n_models, width=width, **cfg_kw)
+    return RoutingEnv(cfg, bench.with_noise(False), bench.build_hubs(cfg.n_roles))
+
+
+def episode_state(env):
+    return (serialize(env.workflow), env.step_count, env.current_id,
+            list(env.pending), env.finished, env.utility, env._last_answer_quality)
+
+
+@pytest.mark.parametrize("cfg_kw, roots", [
+    # the oracle benchmark's configuration
+    (dict(width=2, n_models=4, n_roles=3, p_max=1, max_steps=16, alpha=0.1), 1),
+    # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees
+    (dict(width=3, n_models=2, n_roles=5, p_max=2, max_steps=6, alpha=0.1), 1),
+    # a step cap that truncates planners, thinkers and executors alike
+    (dict(width=3, n_models=2, n_roles=5, p_max=2, max_steps=3, alpha=0.1,
+          utility_mode="binary"), 4),
+], ids=["oracle-search", "five-role", "truncating-binary"])
+def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
+    env = separable_env(**cfg_kw)
+    cfg, roles = env.cfg, env.benchmark.roles
+    ends = set()
+    for i in range(roots):
+        env.reset(env.benchmark.eval_query(i))
+        stack = [env]
+        while stack:
+            e = stack.pop()
+            legal = np.flatnonzero(e.legal_mask()).tolist()
+            actions = [cfg.action_of(a) for a in legal]
+            before = episode_state(e)
+            leaves = [e.leaf_reward(action) for action in actions]
+            assert episode_state(e) == before
+            for action, leaf in zip(actions, leaves):
+                child = e.clone()
+                reward, done, info = child.step(action)
+                assert (leaf is None) == (not done)
+                if not done:
+                    stack.append(child)
+                    continue
+                assert leaf.hex() == reward.hex()
+                # the step's own end, by the MDP's rules: an executor answer
+                # at the root or the synthesis query, or the step cap
+                role, cur = roles[action.role].name, e.current
+                answered = role == "executor" and (cur.is_summary
+                                                   or cur.id == e.root_id)
+                assert answered or e.step_count + 1 == cfg.max_steps
+                assert child.truncated == (not answered)
+                if child.truncated:
+                    partial = (info["quality"] if role == "executor"
+                               else e._last_answer_quality)
+                    assert child.utility == final_utility(
+                        0.0 if partial is None else partial, [], False,
+                        cfg.utility_mode)
+                ends.add((role, child.truncated))
+    assert ("executor", False) in ends
+    if cfg.max_steps == 3:
+        assert {("planner", True), ("executor", True), ("thinker", True)} <= ends
 
 
 def test_every_step_calls_the_simulator_once_and_numbers_its_response(monkeypatch):
