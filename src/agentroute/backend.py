@@ -148,10 +148,9 @@ def _call_draws(seed: int, query_id: str, role: RoleSpec, model_name: str,
     return noise_term, t_in, t_out, noise_vec
 
 
-def cost_of(outcome: ActionOutcome, profile: LLMProfile) -> float:
+def cost_of(tokens_in: int, tokens_out: int, profile: LLMProfile) -> float:
     """Dollar cost of one invocation, linear in both token counts."""
-    return (outcome.tokens_in / 1e6) * profile.price_in + \
-           (outcome.tokens_out / 1e6) * profile.price_out
+    return (tokens_in / 1e6) * profile.price_in + (tokens_out / 1e6) * profile.price_out
 
 
 class Benchmark:
@@ -261,43 +260,59 @@ class Benchmark:
         thinker = sum(1 for c in context if c.produced_by[0] == self.thinker_index)
         return min(0.15, 0.05 * (len(context) - thinker)) + (0.15 if thinker else 0.0)
 
+    def _calls(self, role_index: int, query: QueryNode, context: list[ResponseNode],
+               draws: dict | None, models) -> list[tuple[float, tuple]]:
+        """(quality, hashed draws) of a `role_index` call on `query` with
+        `context` by each model of `models`; the context bonus, the difficulty
+        and the context's quality floor are computed once for all of them.
+        `draws`, when given, memoises the draws (`_call_draws`) across calls."""
+        if not (0 <= role_index < len(self.roles)):
+            raise ValueError(f"unknown role index: {role_index}")
+        role = self.roles[role_index]
+        bonus = self._context_bonus(context)
+        diff = self.difficulty_of(query)
+        # A verify pass returns the best draft, never below the verifier's
+        # own level; an executor never answers below a verified draft.
+        verify = role_index == self.verifier_index and bool(context)
+        if verify:
+            floor = max(c.quality for c in context)
+        elif role.name == "executor":
+            floor = max((c.quality for c in context
+                         if c.produced_by[0] == self.verifier_index), default=None)
+        else:
+            floor = None
+        out = []
+        for m in models:
+            profile = self.profiles[m]
+            key = (self.seed, query.id, role, profile.name, self.d_q,
+                   self.noise_sigma if self.noise else None)
+            if draws is None:
+                drawn = _call_draws(*key)
+            else:
+                drawn = draws.get(key)
+                if drawn is None:
+                    drawn = draws[key] = _call_draws(*key)
+            skill = float(profile.skill[role_index, query.family])
+            quality = min(max(skill + bonus - 0.5 * diff + drawn[0], 0.0), 1.0)
+            if floor is not None:
+                quality = max(quality, floor, skill) if verify else max(quality, floor)
+            out.append((quality, drawn))
+        return out
+
     def invoke(self, model_index: int, role_index: int, query: QueryNode,
                context: list[ResponseNode], draws: dict | None = None) -> ActionOutcome:
         """Simulate one model call; bitwise deterministic per (seed, inputs).
 
         `draws`, when given, memoises the call's hashed draws (see
         `_call_draws`) across calls; one episode and its clones share one.
+        `invoke_pool` reads the same quality and token counts for every model
+        at once, without the response embedding; the oracle scores its
+        terminal roles with it, one pass per (state, role).
         """
         if not (0 <= model_index < self.n_models):
             raise ValueError(f"unknown model index: {model_index}")
-        if not (0 <= role_index < len(self.roles)):
-            raise ValueError(f"unknown role index: {role_index}")
-        profile = self.profiles[model_index]
-        role = self.roles[role_index]
-        key = (self.seed, query.id, role, profile.name, self.d_q,
-               self.noise_sigma if self.noise else None)
-        if draws is None:
-            drawn = _call_draws(*key)
-        else:
-            drawn = draws.get(key)
-            if drawn is None:
-                drawn = draws[key] = _call_draws(*key)
-        noise_term, t_in, t_out, noise_vec = drawn
-
-        skill = float(profile.skill[role_index, query.family])
-        bonus = self._context_bonus(context)
-        diff = self.difficulty_of(query)
-        quality = min(max(skill + bonus - 0.5 * diff + noise_term, 0.0), 1.0)
-
-        if role_index == self.verifier_index and context:
-            # A verify pass returns the best draft, never below the
-            # verifier's own level.
-            quality = max(quality, max(c.quality for c in context), skill)
-        if role.name == "executor":
-            floors = [c.quality for c in context if c.produced_by[0] == self.verifier_index]
-            if floors:
-                quality = max(quality, max(floors))
-
+        [(quality, (_, t_in, t_out, noise_vec))] = self._calls(
+            role_index, query, context, draws, (model_index,))
         # (2q - 1) * content_of(query) + noise: the noise is 0 at both
         # reserved coordinates, so the difficulty slot comes out +0.0 either way
         emb = (2.0 * quality - 1.0) * query.embedding + noise_vec
@@ -306,6 +321,16 @@ class Benchmark:
 
         return ActionOutcome(response_embedding=emb, quality=quality,
                              tokens_in=t_in, tokens_out=t_out)
+
+    def invoke_pool(self, role_index: int, query: QueryNode,
+                    context: list[ResponseNode],
+                    draws: dict | None = None) -> list[tuple[float, int, int]]:
+        """(quality, tokens_in, tokens_out) of `invoke(m, role_index, query,
+        context, draws)` for every model m of the pool, bit for bit, in one
+        pass that reads the draws through the same memo and key and builds no
+        response embedding."""
+        return [(quality, drawn[1], drawn[2]) for quality, drawn
+                in self._calls(role_index, query, context, draws, range(self.n_models))]
 
     def decompose(self, query: QueryNode, width: int) -> list[QueryNode]:
         """Split a query into exactly `width` easier children."""
@@ -373,11 +398,13 @@ def mean(xs: list):
 
 
 def final_utility(answer_quality: float, sub_qualities: list[float],
-                  summarized: bool, mode: str = "continuous") -> float:
+                  summarized: bool, mode: str = "continuous",
+                  sub_mean: float | None = None) -> float:
     """Task utility of a finished episode.
 
     The final answer quality stands alone unless a summarizer was used, in
-    which case it is averaged with the mean resolved sub-answer quality.
+    which case it is averaged with the mean resolved sub-answer quality
+    (`sub_mean` when the caller has computed it as `float(mean(sub_qualities))`).
     Binary mode thresholds at 0.5.
     """
     if mode not in ("continuous", "binary"):
@@ -386,7 +413,9 @@ def final_utility(answer_quality: float, sub_qualities: list[float],
     if summarized:
         if not sub_qualities:
             raise ValueError("summarized episode without resolved sub-answers")
-        u = 0.5 * (u + float(mean(sub_qualities)))
+        if sub_mean is None:
+            sub_mean = float(mean(sub_qualities))
+        u = 0.5 * (u + sub_mean)
     if mode == "binary":
         return 1.0 if u >= 0.5 else 0.0
     return u

@@ -166,9 +166,10 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
 
     Runs on a noise-free copy of the benchmark so every branch value is the
     model's systematic quality. Depth-first in ascending action-index order
-    with strict improvement, so ties resolve to the lexicographically
-    smallest sequence. An action that ends the episode is scored by
-    `RoutingEnv.leaf_reward`, without a clone or a step; the others are
+    (role-major) with strict improvement, so ties resolve to the
+    lexicographically smallest sequence. The actions of a role that ends the
+    episode are scored in one `RoutingEnv.leaf_rewards` pass per (state,
+    role), with no clone, no step and no response embedding; the others are
     stepped on a clone, or in place for a state's last branch. Raises when
     the enumeration exceeds `bound` expanded states, terminal actions
     included.
@@ -178,27 +179,33 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     best_value = -np.inf
     best_actions: list[int] | None = None
     expanded = 0
+    k = cfg.n_models
     action_of = [cfg.action_of(i) for i in range(cfg.n_actions)]
 
     def explore(env: RoutingEnv, actions: list[int], total: float) -> None:
         nonlocal best_value, best_actions, expanded
-        legal = np.flatnonzero(env.legal_mask()).tolist()
-        for a in legal:
-            expanded += 1
-            if expanded > bound:
-                raise RuntimeError(
-                    f"oracle enumeration exceeded {bound} states; "
-                    "shrink the action space or the step cap")
-            reward = env.leaf_reward(action_of[a])
-            if reward is not None:
-                if total + reward > best_value:
-                    best_value = total + reward
-                    best_actions = actions + [a]
-                continue
-            # nothing reads `env` after its last branch, which steps it in place
-            child = env if a == legal[-1] else env.clone()
-            reward, _, _ = child.step(action_of[a])
-            explore(child, actions + [a], total + reward)
+        # the mask allows a role for all of its models or for none
+        mask = env.legal_mask()
+        roles = [r for r in range(cfg.n_roles) if mask[r * k]]
+        last = roles[-1] * k + k - 1
+        for role in roles:
+            leaves = env.leaf_rewards(role)
+            for m in range(k):
+                a = role * k + m
+                expanded += 1
+                if expanded > bound:
+                    raise RuntimeError(
+                        f"oracle enumeration exceeded {bound} states; "
+                        "shrink the action space or the step cap")
+                if leaves is not None:
+                    if total + leaves[m] > best_value:
+                        best_value = total + leaves[m]
+                        best_actions = actions + [a]
+                    continue
+                # nothing reads `env` after its last branch, which steps it in place
+                child = env if a == last else env.clone()
+                reward, _, _ = child.step(action_of[a])
+                explore(child, actions + [a], total + reward)
 
     explore(base, [], 0.0)
     if best_actions is None:

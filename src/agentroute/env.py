@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memory
-from .backend import Benchmark, cost_of, final_utility
+from .backend import Benchmark, cost_of, final_utility, mean
 from .memory import (HeteroGraph, HubSet, HubState, QueryNode, ResponseNode,
                      STATUS_PENDING, STATUS_RESOLVED, STATUS_SUMMARY_PENDING)
 
@@ -259,7 +259,8 @@ class RoutingEnv:
 
     def legal_mask(self) -> np.ndarray:
         """Boolean mask over the flat (role, model) action space (a fact of
-        the state, so computed once and read-only)."""
+        the state, so computed once and read-only); it allows a role for all
+        of its models or for none."""
         if self.finished:
             raise RuntimeError("episode already finished")
         return self._fact("mask")
@@ -297,14 +298,18 @@ class RoutingEnv:
 
     # -- transition ---------------------------------------------------------------
 
-    def _check(self, action: Action) -> None:
+    def _check(self, role: int, model: int | None = None) -> None:
+        """Refuse any action on a finished episode, and a (role, model)
+        action, or with `model` None the role, that the mask does not allow."""
         if self.finished:
             raise RuntimeError("episode already finished")
         cfg = self.cfg
         # a model outside the pool would alias another role's action index
-        if not (0 <= action.role < cfg.n_roles and 0 <= action.model < cfg.n_models
-                and self._fact("mask")[cfg.action_index(action)]):
-            raise ValueError(f"action {action} is not allowed by the mask")
+        if not (0 <= role < cfg.n_roles
+                and (model is None or 0 <= model < cfg.n_models)
+                and self._fact("mask")[role * cfg.n_models + (model or 0)]):
+            what = f"role {role}" if model is None else f"action {Action(role, model)}"
+            raise ValueError(f"{what} is not allowed by the mask")
 
     def _ends(self, role_name: str) -> tuple[bool, bool]:
         """(done, truncated) after one `role_name` action from this state: an
@@ -314,58 +319,72 @@ class RoutingEnv:
         done = role_name == "executor" and (cur.is_summary or cur.id == self.root_id)
         return done, not done and self.step_count + 1 >= self.cfg.max_steps
 
-    def _score(self, action: Action, role_name: str, done: bool, truncated: bool):
-        """(outcome, dollars, scaled cost, reward, utility) of `action` from
-        this state, the utility None unless the action ends the episode.
-        Reads the state's facts and writes nothing but the draw memo."""
-        bench, cfg = self.benchmark, self.cfg
+    def _context(self, role_name: str) -> tuple[ResponseNode, ...]:
+        """What a `role_name` call reads of this state: nothing for a planner,
+        the child answers for a summarizer, the full context otherwise."""
         if role_name == "planner":
-            context = ()
-        elif role_name == "summarizer":
-            context = self._fact("answers")
-        else:
-            context = self._fact("context")
-        outcome = bench.invoke(action.model, action.role, self.current, context,
-                               self._draws)
-        dollars = cost_of(outcome, bench.profiles[action.model])
-        scaled = dollars * cfg.cost_scale
-        reward = -cfg.alpha * scaled
+            return ()
+        return self._fact("answers" if role_name == "summarizer" else "context")
+
+    def _rewards(self, role_name: str, done: bool, truncated: bool,
+                 results, models) -> list[tuple[float, float, float, float | None]]:
+        """(dollars, scaled cost, reward, utility) of each `role_name` call
+        from this state, one per model and its call's (quality, tokens_in,
+        tokens_out); the utility is None unless the action ends the episode.
+        Reads the state's facts and writes nothing."""
+        bench, cfg = self.benchmark, self.cfg
         if done:
             # only an executor resolves a synthesis query, which ends a
             # summarized episode: the one utility that counts the sub-answers
             subs = self._fact("subs") if self.current.is_summary else ()
-            utility = final_utility(outcome.quality, subs, self.summary_used,
-                                    cfg.utility_mode)
-        elif truncated:
-            partial = (outcome.quality if role_name == "executor"
-                       else self._last_answer_quality)
-            utility = final_utility(partial if partial is not None else 0.0, [],
-                                    False, cfg.utility_mode)
-        else:
-            return outcome, dollars, scaled, reward, None
-        return outcome, dollars, scaled, reward + utility, utility
+            sub_mean = float(mean(subs)) if subs else None
+        out = []
+        for (quality, tokens_in, tokens_out), model in zip(results, models):
+            dollars = cost_of(tokens_in, tokens_out, bench.profiles[model])
+            scaled = dollars * cfg.cost_scale
+            reward = -cfg.alpha * scaled
+            utility = None
+            if done:
+                utility = final_utility(quality, subs, self.summary_used,
+                                        cfg.utility_mode, sub_mean)
+            elif truncated:
+                partial = (quality if role_name == "executor"
+                           else self._last_answer_quality)
+                utility = final_utility(partial if partial is not None else 0.0, [],
+                                        False, cfg.utility_mode)
+            out.append((dollars, scaled,
+                        reward if utility is None else reward + utility, utility))
+        return out
 
-    def leaf_reward(self, action: Action) -> float | None:
-        """The reward `step(action)` would return if the action ends the
-        episode, bit for bit, and None if it does not; changes no state, so
-        the oracle scores terminal actions without a clone or a step."""
-        self._check(action)
-        role_name = self.benchmark.roles[action.role].name
+    def leaf_rewards(self, role: int) -> list[float] | None:
+        """Per model m, the reward `step(Action(role, m))` would return, bit
+        for bit, when a `role` action ends the episode, and None when it does
+        not. Scores the whole pool in one `Benchmark.invoke_pool` pass and
+        changes no state but the shared draw memo, so the oracle scores a
+        state's terminal actions without a clone or a step."""
+        self._check(role)
+        role_name = self.benchmark.roles[role].name
         done, truncated = self._ends(role_name)
         if not (done or truncated):
             return None
-        return self._score(action, role_name, done, truncated)[3]
+        results = self.benchmark.invoke_pool(role, self.current,
+                                             self._context(role_name), self._draws)
+        return [r[2] for r in self._rewards(role_name, done, truncated, results,
+                                            range(self.cfg.n_models))]
 
     def step(self, action: Action) -> tuple[float, bool, dict]:
         """Apply one (role, model) action; returns (reward, done, info)."""
-        self._check(action)
+        self._check(action.role, action.model)
         bench, cfg, wf, cur = self.benchmark, self.cfg, self.workflow, self.current
         role_name = bench.roles[action.role].name
         done, truncated = self._ends(role_name)
         # What the action reads of the state before it comes from the memo
         # that clones share; the state after it starts a memo of its own.
-        outcome, dollars, scaled, reward, utility = self._score(
-            action, role_name, done, truncated)
+        outcome = bench.invoke(action.model, action.role, cur,
+                               self._context(role_name), self._draws)
+        [(dollars, scaled, reward, utility)] = self._rewards(
+            role_name, done, truncated,
+            [(outcome.quality, outcome.tokens_in, outcome.tokens_out)], [action.model])
         if role_name == "summarizer":
             sq = self._fact("summary")
         self._facts = {}

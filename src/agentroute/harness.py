@@ -277,7 +277,7 @@ def inject_role_interactions(benchmark: Benchmark, history: HeteroGraph, *,
             history.add_response(f"{tag}/{root.id}", resp,
                                  answers=(r == EXECUTOR), episode=tag)
             context.append(resp)
-            dollars = cost_of(outcome, benchmark.profiles[m])
+            dollars = cost_of(outcome.tokens_in, outcome.tokens_out, benchmark.profiles[m])
             update_hub_stats(history.hubs.get(r, m), outcome.quality,
                              dollars * cost_scale, decay=decay)
             injected += 1

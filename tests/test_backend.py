@@ -14,7 +14,6 @@ from agentroute.backend import (
     SUMMARIZER,
     THINKER,
     VERIFIER,
-    ActionOutcome,
     Benchmark,
     BenchmarkSpec,
     cost_of,
@@ -55,19 +54,15 @@ def test_cost_frozen_values():
         "LLaMA-3.3 Nemotron Super (49B)", "Mixtral (8x22B)"]
     qwen, mixtral = b.profiles[0], b.profiles[3]
     # 1M prompt + 1M completion tokens at $0.20/$0.20
-    out = ActionOutcome(np.zeros(4), 0.5, 1_000_000, 1_000_000)
-    assert cost_of(out, qwen) == pytest.approx(0.40, abs=1e-12)
+    assert cost_of(1_000_000, 1_000_000, qwen) == pytest.approx(0.40, abs=1e-12)
     # 0.5M + 0.5M at $1.20/$1.20
-    out = ActionOutcome(np.zeros(4), 0.5, 500_000, 500_000)
-    assert cost_of(out, mixtral) == pytest.approx(1.20, abs=1e-12)
+    assert cost_of(500_000, 500_000, mixtral) == pytest.approx(1.20, abs=1e-12)
 
 
 def test_cost_is_linear_in_tokens():
     b = bench()
     p = b.profiles[0]
-    a = ActionOutcome(np.zeros(4), 0.5, 100, 200)
-    twice = ActionOutcome(np.zeros(4), 0.5, 200, 400)
-    assert cost_of(twice, p) == pytest.approx(2.0 * cost_of(a, p), rel=1e-12)
+    assert cost_of(200, 400, p) == pytest.approx(2.0 * cost_of(100, 200, p), rel=1e-12)
 
 
 def save_catalog(path: str, catalog) -> None:
@@ -330,6 +325,10 @@ def _outcome_bytes(out):
             out.tokens_out)
 
 
+def _row_bits(quality, tokens_in, tokens_out):
+    return (quality.hex(), tokens_in, tokens_out)
+
+
 @settings(max_examples=60, deadline=None)
 @given(noise=st.booleans(), family=st.integers(0, 2), index=st.integers(0, 20),
        node=st.sampled_from(["root", "child0", "child1", "summary"]),
@@ -343,21 +342,33 @@ def test_invoke_memo_is_bit_identical_to_fresh_draws(noise, family, index, node,
     drafts = [ctx_node(EXECUTOR, 0.4, "d0"), ctx_node(PLANNER, 0.7, "d1")]
     query = {"root": root, "child0": children[0], "child1": children[1],
              "summary": b.summary_query(root, drafts)}[node]
-    ctx = {"none": [], "draft": drafts[:1], "thinker": [ctx_node(THINKER, 0.6, "t")],
-           "verifier": [ctx_node(VERIFIER, 0.9, "v")],
-           "all": drafts + [ctx_node(THINKER, 0.6, "t"), ctx_node(VERIFIER, 0.9, "v")]}[context]
+    contexts = {"none": [], "draft": drafts[:1], "thinker": [ctx_node(THINKER, 0.6, "t")],
+                "verifier": [ctx_node(VERIFIER, 0.9, "v")],
+                "all": drafts + [ctx_node(THINKER, 0.6, "t"), ctx_node(VERIFIER, 0.9, "v")]}
+    ctx = contexts[context]
 
     fresh = b.invoke(model, role, query, ctx)
     cold = b.invoke(model, role, query, ctx, {})
-    # warmed by the same call under another context and the other noise
-    # setting, and by the neighbouring calls
+    # warmed by the same call under the other noise setting before its own
+    # first use, then under another context, and by the neighbouring calls
     warm: dict = {}
-    b.invoke(model, role, query, [], warm)
     b.with_noise(not noise).invoke(model, role, query, ctx, warm)
+    b.invoke(model, role, query, [], warm)
     for other in range(b.n_models):
         b.invoke(other, role, query, drafts, warm)
     hit = b.invoke(model, role, query, ctx, warm)
     assert _outcome_bytes(fresh) == _outcome_bytes(cold) == _outcome_bytes(hit)
+
+    # the pool reader's rows are invoke's, bit for bit, for every model,
+    # role, context kind and noise setting, with no memo and through one
+    # memo that both noise settings fill
+    for nb in (b.with_noise(False), b.with_noise(True)):
+        for r in range(len(nb.roles)):
+            for c in contexts.values():
+                outcomes = [nb.invoke(m, r, query, c) for m in range(nb.n_models)]
+                want = [_row_bits(o.quality, o.tokens_in, o.tokens_out) for o in outcomes]
+                assert [_row_bits(*row) for row in nb.invoke_pool(r, query, c)] == \
+                    [_row_bits(*row) for row in nb.invoke_pool(r, query, c, warm)] == want
 
 
 def test_memoised_noise_vector_is_read_only():

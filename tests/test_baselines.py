@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -314,28 +315,35 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
         k_models=env_kw["n_models"])
     cfg = EnvConfig(**env_kw)
     hubs = bench.build_hubs(cfg.n_roles)
-    steps, leaves = [0], [0]
-    step, leaf_reward = RoutingEnv.step, RoutingEnv.leaf_reward
+    steps, leaves, scored = [0], [0], Counter()
+    memos = []  # keeps each scored state's fact memo, and so its id, alive
+    step, leaf_rewards = RoutingEnv.step, RoutingEnv.leaf_rewards
 
     def counted_step(env, action):
         steps[0] += 1
         return step(env, action)
 
-    def counted_leaf_reward(env, action):
-        reward = leaf_reward(env, action)
-        leaves[0] += reward is not None
-        return reward
+    def counted_leaf_rewards(env, role):
+        rewards = leaf_rewards(env, role)
+        leaves[0] += 0 if rewards is None else len(rewards)
+        # a state's facts memo is its own: clones share it, a step replaces it
+        memos.append(env._facts)
+        scored[id(env._facts), role] += 1
+        return rewards
 
     for i in roots:
         root = bench.eval_query(i)
         plan, value, expanded = cloning_oracle(cfg, bench, hubs, root)
         monkeypatch.setattr(RoutingEnv, "step", counted_step)
-        monkeypatch.setattr(RoutingEnv, "leaf_reward", counted_leaf_reward)
+        monkeypatch.setattr(RoutingEnv, "leaf_rewards", counted_leaf_rewards)
         steps[0] = leaves[0] = 0
+        scored.clear()
         got_plan, got_value = oracle_route(cfg, bench, hubs, root)
         monkeypatch.undo()
         # each expanded state is scored as a leaf or stepped once, in place
-        # or on a clone; terminal actions are never stepped
+        # or on a clone; terminal actions are never stepped, and each
+        # state's role is scored in one pass
         assert (got_plan, got_value.hex(), steps[0] + leaves[0]) == \
             (plan, value.hex(), expanded)
         assert steps[0] < expanded
+        assert max(scored.values()) == 1

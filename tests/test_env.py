@@ -136,14 +136,16 @@ def test_summarizer_unlocks_and_summary_is_executor_only():
 def test_illegal_action_rejected():
     env, bench = make_env(p_max=0)
     env.reset(bench.generate_query(0, 0))
-    # the leaf scorer refuses what `step` refuses, with the same error
-    for act in (env.step, env.leaf_reward):
-        for action in (Action(0, 0),   # planner masked out
-                       Action(2, 0),   # summarizer masked out
-                       Action(3, 0),   # no such role
-                       Action(0, K)):  # no such model
-            with pytest.raises(ValueError, match="not allowed by the mask"):
-                act(action)
+    for action in (Action(0, 0),   # planner masked out
+                   Action(2, 0),   # summarizer masked out
+                   Action(3, 0),   # no such role
+                   Action(0, K)):  # no such model
+        with pytest.raises(ValueError, match="not allowed by the mask"):
+            env.step(action)
+    # the leaf scorer refuses the roles `step` refuses, with the same error
+    for role in (0, 2, 3, -1):
+        with pytest.raises(ValueError, match="not allowed by the mask"):
+            env.leaf_rewards(role)
     assert env.step_count == 0 and not env.finished
 
 
@@ -152,9 +154,10 @@ def test_finished_episode_refuses_everything():
     env.reset(bench.generate_query(0, 0))
     _, done, _ = env.step(Action(1, 0))
     assert done
-    for act in (env.step, env.leaf_reward):
-        with pytest.raises(RuntimeError, match="episode already finished"):
-            act(Action(1, 0))
+    with pytest.raises(RuntimeError, match="episode already finished"):
+        env.step(Action(1, 0))
+    with pytest.raises(RuntimeError, match="episode already finished"):
+        env.leaf_rewards(1)
     with pytest.raises(RuntimeError):
         env.legal_mask()
 
@@ -306,26 +309,28 @@ def episode_state(env):
 ], ids=["oracle-search", "five-role", "truncating-binary"])
 def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
     env = separable_env(**cfg_kw)
-    cfg, roles = env.cfg, env.benchmark.roles
+    cfg, roles, k = env.cfg, env.benchmark.roles, env.cfg.n_models
     ends = set()
     for i in range(roots):
         env.reset(env.benchmark.eval_query(i))
         stack = [env]
         while stack:
             e = stack.pop()
-            legal = np.flatnonzero(e.legal_mask()).tolist()
-            actions = [cfg.action_of(a) for a in legal]
+            mask = e.legal_mask()
+            # the mask allows a role for all of its models or for none
+            assert np.array_equal(mask, np.repeat(mask[::k], k))
             before = episode_state(e)
-            leaves = [e.leaf_reward(action) for action in actions]
+            leaves = {r: e.leaf_rewards(r) for r in range(cfg.n_roles) if mask[r * k]}
             assert episode_state(e) == before
-            for action, leaf in zip(actions, leaves):
+            for action in (Action(r, m) for r in leaves for m in range(k)):
+                leaf = leaves[action.role]
                 child = e.clone()
                 reward, done, info = child.step(action)
                 assert (leaf is None) == (not done)
                 if not done:
                     stack.append(child)
                     continue
-                assert leaf.hex() == reward.hex()
+                assert len(leaf) == k and leaf[action.model].hex() == reward.hex()
                 # the step's own end, by the MDP's rules: an executor answer
                 # at the root or the synthesis query, or the step cap
                 role, cur = roles[action.role].name, e.current
