@@ -43,6 +43,8 @@ EXTRA_ROLES: list[RoleSpec] = [
 
 ALL_ROLES: list[RoleSpec] = BASE_ROLES + EXTRA_ROLES
 
+# a role is its index into ALL_ROLES everywhere; an env with n_roles active
+# roles offers ALL_ROLES[:n_roles]
 PLANNER, EXECUTOR, SUMMARIZER, THINKER, VERIFIER = range(5)
 
 TOKEN_SIGMA = 0.25
@@ -120,11 +122,7 @@ def _hashed_text_embedding(text: str, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v) * np.sqrt(dim)
 
 
-def _role_position(roles: list[RoleSpec], name: str) -> int | None:
-    return next((i for i, r in enumerate(roles) if r.name == name), None)
-
-
-def _call_draws(seed: int, query_id: str, role: RoleSpec, model_name: str,
+def _call_draws(seed: int, query_id: str, role_index: int, model_name: str,
                d_q: int, noise_sigma: float | None) -> tuple[float, int, int, np.ndarray]:
     """The hashed draws of one (query, role, model) call, independent of context.
 
@@ -133,6 +131,7 @@ def _call_draws(seed: int, query_id: str, role: RoleSpec, model_name: str,
     noise with its two reserved coordinates zeroed, times 0.15), read-only so
     a memoised copy stays put.
     """
+    role = ALL_ROLES[role_index]
     noise_term = 0.0
     if noise_sigma is not None:
         noise_rng = det_rng(seed, "noise", query_id, role.name, model_name)
@@ -157,21 +156,16 @@ class Benchmark:
     """A frozen task distribution plus the simulated model pool serving it."""
 
     def __init__(self, spec: BenchmarkSpec, profiles: list[LLMProfile],
-                 family_dirs: np.ndarray, d_q: int, roles: list[RoleSpec],
+                 family_dirs: np.ndarray, d_q: int,
                  difficulty: tuple[float, float], noise_sigma: float,
-                 margin: float, noise: bool = True):
+                 noise: bool = True):
         self.spec = spec
         self.profiles = profiles
         self.family_dirs = family_dirs
         self.d_q = d_q
-        self.roles = roles
         self.difficulty = difficulty
         self.noise_sigma = noise_sigma
-        self.margin = margin
         self.noise = noise
-        # the context-sensitive roles, resolved once; None when absent
-        self.thinker_index = _role_position(roles, "thinker")
-        self.verifier_index = _role_position(roles, "verifier")
 
     # -- basic accessors ------------------------------------------------------
 
@@ -192,22 +186,13 @@ class Benchmark:
         # hub features are the role/model embedding plus the two running stats
         return self.profiles[0].embedding.shape[0] + 2
 
-    def role_index(self, name: str) -> int:
-        i = _role_position(self.roles, name)
-        if i is None:
-            raise ValueError(f"unknown role: {name!r}")
-        return i
-
     def with_noise(self, flag: bool) -> "Benchmark":
-        clone = Benchmark(self.spec, self.profiles, self.family_dirs, self.d_q,
-                          self.roles, self.difficulty, self.noise_sigma,
-                          self.margin, noise=flag)
-        return clone
+        return Benchmark(self.spec, self.profiles, self.family_dirs, self.d_q,
+                         self.difficulty, self.noise_sigma, noise=flag)
 
     def extended_with(self, extra: list[LLMProfile]) -> "Benchmark":
         return Benchmark(self.spec, self.profiles + list(extra), self.family_dirs,
-                         self.d_q, self.roles, self.difficulty, self.noise_sigma,
-                         self.margin, noise=self.noise)
+                         self.d_q, self.difficulty, self.noise_sigma, noise=self.noise)
 
     # -- queries ---------------------------------------------------------------
 
@@ -257,7 +242,7 @@ class Benchmark:
     def _context_bonus(self, context: list[ResponseNode]) -> float:
         if not context:
             return 0.0
-        thinker = sum(1 for c in context if c.produced_by[0] == self.thinker_index)
+        thinker = sum(1 for c in context if c.produced_by[0] == THINKER)
         return min(0.15, 0.05 * (len(context) - thinker)) + (0.15 if thinker else 0.0)
 
     def _calls(self, role_index: int, query: QueryNode, context: list[ResponseNode],
@@ -266,25 +251,24 @@ class Benchmark:
         `context` by each model of `models`; the context bonus, the difficulty
         and the context's quality floor are computed once for all of them.
         `draws`, when given, memoises the draws (`_call_draws`) across calls."""
-        if not (0 <= role_index < len(self.roles)):
+        if not (0 <= role_index < len(ALL_ROLES)):
             raise ValueError(f"unknown role index: {role_index}")
-        role = self.roles[role_index]
         bonus = self._context_bonus(context)
         diff = self.difficulty_of(query)
         # A verify pass returns the best draft, never below the verifier's
         # own level; an executor never answers below a verified draft.
-        verify = role_index == self.verifier_index and bool(context)
+        verify = role_index == VERIFIER and bool(context)
         if verify:
             floor = max(c.quality for c in context)
-        elif role.name == "executor":
+        elif role_index == EXECUTOR:
             floor = max((c.quality for c in context
-                         if c.produced_by[0] == self.verifier_index), default=None)
+                         if c.produced_by[0] == VERIFIER), default=None)
         else:
             floor = None
         out = []
         for m in models:
             profile = self.profiles[m]
-            key = (self.seed, query.id, role, profile.name, self.d_q,
+            key = (self.seed, query.id, role_index, profile.name, self.d_q,
                    self.noise_sigma if self.noise else None)
             if draws is None:
                 drawn = _call_draws(*key)
@@ -317,7 +301,7 @@ class Benchmark:
         # reserved coordinates, so the difficulty slot comes out +0.0 either way
         emb = (2.0 * quality - 1.0) * query.embedding + noise_vec
         emb[0] = 0.0
-        emb[1] = 1.0 if role_index == self.thinker_index else 0.0
+        emb[1] = 1.0 if role_index == THINKER else 0.0
 
         return ActionOutcome(response_embedding=emb, quality=quality,
                              tokens_in=t_in, tokens_out=t_out)
@@ -368,7 +352,7 @@ class Benchmark:
     # -- hubs -----------------------------------------------------------------
 
     def role_text_embedding(self, role_index: int) -> np.ndarray:
-        role = self.roles[role_index]
+        role = ALL_ROLES[role_index]
         return _hashed_text_embedding(f"role: {role.name}: {role.description}",
                                       self.profiles[0].embedding.shape[0])
 
@@ -383,7 +367,7 @@ class Benchmark:
             for m in range(self.n_models):
                 hubs.append(RoleHubNode(
                     role_index=r, model_index=m,
-                    role_name=self.roles[r].name,
+                    role_name=ALL_ROLES[r].name,
                     model_name=self.profiles[m].name,
                     role_embedding=self.hub_embedding(r, m)))
         return HubSet(hubs, n_roles=n_roles, n_models=self.n_models)
@@ -440,13 +424,19 @@ def skill_correlated_embedding(seed: int, skill: np.ndarray, name: str,
     return base + 0.15 * jitter * np.sqrt(dim) / np.linalg.norm(jitter)
 
 
+def _fill_extra_roles(t: np.ndarray) -> None:
+    """Set a skill table's thinker and verifier rows from its executor row."""
+    t[THINKER] = np.clip(t[EXECUTOR] - 0.1, 0.0, 1.0)
+    t[VERIFIER] = t[EXECUTOR].copy()
+
+
 def _build_skills(kind: str, seed: int, n_models: int, n_families: int,
                   margin: float, overrides: dict[str, float] | None) -> list[np.ndarray]:
     """Per-model (n_roles_total, n_families) skill tables for one benchmark kind."""
-    n_roles = len(ALL_ROLES)
+    row_of = {r.name: i for i, r in enumerate(ALL_ROLES)}
     tables = []
     for m in range(n_models):
-        t = np.zeros((n_roles, n_families))
+        t = np.zeros((len(ALL_ROLES), n_families))
         for f in range(n_families):
             if kind == "separable":
                 # top level 0.75 leaves headroom for stronger held-out probes
@@ -468,14 +458,12 @@ def _build_skills(kind: str, seed: int, n_models: int, n_families: int,
                     t[r, f] = 0.7
             else:
                 raise ValueError(f"unknown benchmark kind: {kind!r}")
-        t[THINKER] = np.clip(t[EXECUTOR] - 0.1, 0.0, 1.0)
-        t[VERIFIER] = t[EXECUTOR].copy()
+        _fill_extra_roles(t)
         if overrides:
             for role_name, val in overrides.items():
-                idx = [i for i, r in enumerate(ALL_ROLES) if r.name == role_name]
-                if not idx:
+                if role_name not in row_of:
                     raise ValueError(f"unknown role in skill override: {role_name!r}")
-                t[idx[0], :] = val
+                t[row_of[role_name], :] = val
         tables.append(np.clip(t, 0.0, 1.0))
     return tables
 
@@ -543,8 +531,7 @@ def make_benchmark(spec: BenchmarkSpec, k_models: int = 4,
         v[1] = 0.0
         fam_dirs[f] = v / np.linalg.norm(v) * np.sqrt(d_q)
 
-    return Benchmark(spec, profiles, fam_dirs, d_q, list(ALL_ROLES),
-                     difficulty, noise_sigma, margin)
+    return Benchmark(spec, profiles, fam_dirs, d_q, difficulty, noise_sigma)
 
 
 def make_unseen_profile(bench: Benchmark, name: str, level: float,
@@ -569,8 +556,7 @@ def make_unseen_profile(bench: Benchmark, name: str, level: float,
         else:
             t[r, :] = off_level if off_level is not None else 0.52
             t[r, strong_family] = level
-    t[THINKER] = np.clip(t[EXECUTOR] - 0.1, 0.0, 1.0)
-    t[VERIFIER] = t[EXECUTOR].copy()
+    _fill_extra_roles(t)
     t = np.clip(t, 0.0, 1.0)
     emb = skill_correlated_embedding(bench.seed, t, name, n_families,
                                      bench.profiles[0].embedding.shape[0])

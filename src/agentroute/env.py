@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memory
-from .backend import Benchmark, cost_of, final_utility, mean
+from .backend import (ALL_ROLES, BASE_ROLES, EXECUTOR, PLANNER, SUMMARIZER,
+                      THINKER, VERIFIER, Benchmark, cost_of, final_utility, mean)
 from .memory import (HeteroGraph, HubSet, HubState, QueryNode, ResponseNode,
                      STATUS_PENDING, STATUS_RESOLVED, STATUS_SUMMARY_PENDING)
 
@@ -31,7 +32,7 @@ class Action:
 @dataclass
 class EnvConfig:
     n_models: int
-    n_roles: int = 3              # active roles; extras appended for protocols
+    n_roles: int = len(BASE_ROLES)  # active roles: ALL_ROLES[:n_roles]
     p_max: int = 1
     width: int = 2
     max_steps: int = 16
@@ -45,8 +46,10 @@ class EnvConfig:
     def __post_init__(self):
         if self.n_models < 1:
             raise ValueError("need at least one model")
-        if self.n_roles < 3:
+        if self.n_roles < len(BASE_ROLES):
             raise ValueError("the three base roles are always active")
+        if self.n_roles > len(ALL_ROLES):
+            raise ValueError(f"n_roles must be at most {len(ALL_ROLES)}")
         if self.p_max < 0:
             raise ValueError("p_max must be nonnegative")
         if self.width < 1:
@@ -252,10 +255,10 @@ class RoutingEnv:
         if (self.planner_count < self.cfg.phase_depth and not cur.is_summary
                 and cur.id not in self.workflow.child_ids
                 and cur.depth == self.planner_count):
-            return 0  # planner
+            return PLANNER
         if self._summarizer_legal():
-            return 2  # summarizer
-        return 1      # executor
+            return SUMMARIZER
+        return EXECUTOR
 
     def legal_mask(self) -> np.ndarray:
         """Boolean mask over the flat (role, model) action space (a fact of
@@ -268,31 +271,27 @@ class RoutingEnv:
     def _compute_mask(self) -> np.ndarray:
         cfg = self.cfg
         mask = np.zeros(cfg.n_actions, dtype=bool)
-        k = cfg.n_models
+        roles = mask.reshape(cfg.n_roles, cfg.n_models)  # a view: one row per role
         if cfg.phase == PHASE1:
-            role = self._template_role()
-            mask[role * k:(role + 1) * k] = True
+            roles[self._template_role()] = True
         else:
-            mask[1 * k:2 * k] = True  # executor is always available
+            roles[EXECUTOR] = True    # executor is always available
             cur = self.current
             if not cur.is_summary:    # synthesis resolution is executor-only
                 if (self.planner_count < cfg.p_max
                         and cur.id not in self.workflow.child_ids):
-                    mask[0 * k:1 * k] = True
+                    roles[PLANNER] = True
                 if self._summarizer_legal():
-                    mask[2 * k:3 * k] = True
-                if cfg.n_roles > 3:
+                    roles[SUMMARIZER] = True
+                if cfg.n_roles > THINKER:
                     # child answers are an executor's (`_compute_answers`), so
                     # any thinker or verifier response in the context is attached
                     context = self._fact("context")
-                    t = self.benchmark.thinker_index
-                    v = self.benchmark.verifier_index
-                    if t is not None and t < cfg.n_roles and \
-                            not any(r.produced_by[0] == t for r in context):
-                        mask[t * k:(t + 1) * k] = True
-                    if v is not None and v < cfg.n_roles and context and \
-                            not any(r.produced_by[0] == v for r in context):
-                        mask[v * k:(v + 1) * k] = True
+                    if not any(r.produced_by[0] == THINKER for r in context):
+                        roles[THINKER] = True
+                    if cfg.n_roles > VERIFIER and context and \
+                            not any(r.produced_by[0] == VERIFIER for r in context):
+                        roles[VERIFIER] = True
         mask.flags.writeable = False
         return mask
 
@@ -311,24 +310,24 @@ class RoutingEnv:
             what = f"role {role}" if model is None else f"action {Action(role, model)}"
             raise ValueError(f"{what} is not allowed by the mask")
 
-    def _ends(self, role_name: str) -> tuple[bool, bool]:
-        """(done, truncated) after one `role_name` action from this state: an
+    def _ends(self, role: int) -> tuple[bool, bool]:
+        """(done, truncated) after one `role` action from this state: an
         executor answer at the root or the synthesis query is done, and any
         other action that takes the last allowed step truncates."""
         cur = self.current
-        done = role_name == "executor" and (cur.is_summary or cur.id == self.root_id)
+        done = role == EXECUTOR and (cur.is_summary or cur.id == self.root_id)
         return done, not done and self.step_count + 1 >= self.cfg.max_steps
 
-    def _context(self, role_name: str) -> tuple[ResponseNode, ...]:
-        """What a `role_name` call reads of this state: nothing for a planner,
+    def _context(self, role: int) -> tuple[ResponseNode, ...]:
+        """What a `role` call reads of this state: nothing for a planner,
         the child answers for a summarizer, the full context otherwise."""
-        if role_name == "planner":
+        if role == PLANNER:
             return ()
-        return self._fact("answers" if role_name == "summarizer" else "context")
+        return self._fact("answers" if role == SUMMARIZER else "context")
 
-    def _rewards(self, role_name: str, done: bool, truncated: bool,
+    def _rewards(self, role: int, done: bool, truncated: bool,
                  results, models) -> list[tuple[float, float, float, float | None]]:
-        """(dollars, scaled cost, reward, utility) of each `role_name` call
+        """(dollars, scaled cost, reward, utility) of each `role` call
         from this state, one per model and its call's (quality, tokens_in,
         tokens_out); the utility is None unless the action ends the episode.
         Reads the state's facts and writes nothing."""
@@ -348,7 +347,7 @@ class RoutingEnv:
                 utility = final_utility(quality, subs, self.summary_used,
                                         cfg.utility_mode, sub_mean)
             elif truncated:
-                partial = (quality if role_name == "executor"
+                partial = (quality if role == EXECUTOR
                            else self._last_answer_quality)
                 utility = final_utility(partial if partial is not None else 0.0, [],
                                         False, cfg.utility_mode)
@@ -363,33 +362,31 @@ class RoutingEnv:
         changes no state but the shared draw memo, so the oracle scores a
         state's terminal actions without a clone or a step."""
         self._check(role)
-        role_name = self.benchmark.roles[role].name
-        done, truncated = self._ends(role_name)
+        done, truncated = self._ends(role)
         if not (done or truncated):
             return None
         results = self.benchmark.invoke_pool(role, self.current,
-                                             self._context(role_name), self._draws)
-        return [r[2] for r in self._rewards(role_name, done, truncated, results,
+                                             self._context(role), self._draws)
+        return [r[2] for r in self._rewards(role, done, truncated, results,
                                             range(self.cfg.n_models))]
 
     def step(self, action: Action) -> tuple[float, bool, dict]:
         """Apply one (role, model) action; returns (reward, done, info)."""
         self._check(action.role, action.model)
         bench, cfg, wf, cur = self.benchmark, self.cfg, self.workflow, self.current
-        role_name = bench.roles[action.role].name
-        done, truncated = self._ends(role_name)
+        role = action.role
+        done, truncated = self._ends(role)
         # What the action reads of the state before it comes from the memo
         # that clones share; the state after it starts a memo of its own.
-        outcome = bench.invoke(action.model, action.role, cur,
-                               self._context(role_name), self._draws)
+        outcome = bench.invoke(action.model, role, cur, self._context(role), self._draws)
         [(dollars, scaled, reward, utility)] = self._rewards(
-            role_name, done, truncated,
+            role, done, truncated,
             [(outcome.quality, outcome.tokens_in, outcome.tokens_out)], [action.model])
-        if role_name == "summarizer":
+        if role == SUMMARIZER:
             sq = self._fact("summary")
         self._facts = {}
 
-        if role_name == "planner":
+        if role == PLANNER:
             width = (cfg.phase_width if cfg.phase == PHASE1
                      else max(1, min(cfg.width, cur.width_hint)))
             children = bench.decompose(cur, width)
@@ -404,18 +401,18 @@ class RoutingEnv:
             # attaches to the current query
             resp = ResponseNode(id=f"r{len(wf.responses)}",
                                 embedding=outcome.response_embedding,
-                                produced_by=(action.role, action.model),
+                                produced_by=(role, action.model),
                                 tokens_in=outcome.tokens_in,
                                 tokens_out=outcome.tokens_out,
                                 quality=outcome.quality)
-            memory.attach_response(wf, cur.id, resp, answers=role_name == "executor")
-        if role_name == "executor":
+            memory.attach_response(wf, cur.id, resp, answers=role == EXECUTOR)
+        if role == EXECUTOR:
             self._last_answer_quality = outcome.quality
             if cur.is_summary:
                 wf.set_query(self.root_id, status=STATUS_RESOLVED)
             elif not done:
                 self.current_id = self.pending.pop(0)
-        elif role_name == "summarizer":
+        elif role == SUMMARIZER:
             wf.set_query(self.root_id, status=STATUS_SUMMARY_PENDING,
                          answer_id=resp.id)
             memory.add_summary_query(wf, self.root_id, sq)
@@ -429,9 +426,9 @@ class RoutingEnv:
             self.utility = utility
 
         info = {
-            "role": action.role,
+            "role": role,
             "model": action.model,
-            "quality": None if role_name == "planner" else outcome.quality,
+            "quality": None if role == PLANNER else outcome.quality,
             "dollars": dollars,
             "scaled_cost": scaled,
             "tokens_in": outcome.tokens_in,

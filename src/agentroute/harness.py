@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import (Benchmark, EXECUTOR, PLANNER, SUMMARIZER, THINKER,
-                      VERIFIER, cost_of, make_unseen_profile)
+from .backend import (ALL_ROLES, BASE_ROLES, Benchmark, EXECUTOR, PLANNER,
+                      SUMMARIZER, THINKER, VERIFIER, cost_of, make_unseen_profile)
 from .encoder import RoutingPolicy
 from .env import EnvConfig, RoutingEnv, absorb_episode
 from .memory import (HeteroGraph, ResponseNode, deserialize, rebase_history,
@@ -297,7 +297,7 @@ def new_role_eval(policy_params, variant: str, beta: float,
     interactions are written straight into memory (hub statistics included)
     before evaluation. Policy weights never change in any phase.
     """
-    if env_cfg.n_roles != 3:
+    if env_cfg.n_roles != len(BASE_ROLES):
         raise ValueError("the base configuration uses the three core roles")
     policy = RoutingPolicy(policy_params, variant, beta)
 
@@ -305,18 +305,18 @@ def new_role_eval(policy_params, variant: str, beta: float,
                            seed=seed, protocol="transductive",
                            history=history, absorb=False)
 
-    cfg5 = replace(env_cfg, n_roles=5)
-    hist_zero = rebase_history(history, benchmark.build_hubs(5))
-    zero_report = evaluate(policy, benchmark, cfg5, eval_episodes,
+    cfg_all = replace(env_cfg, n_roles=len(ALL_ROLES))
+    hist_zero = rebase_history(history, benchmark.build_hubs(cfg_all.n_roles))
+    zero_report = evaluate(policy, benchmark, cfg_all, eval_episodes,
                            seed=seed, protocol="transductive",
                            history=hist_zero, absorb=False)
 
-    hist_few = rebase_history(history, benchmark.build_hubs(5))
+    hist_few = rebase_history(history, benchmark.build_hubs(cfg_all.n_roles))
     injected = inject_role_interactions(benchmark, hist_few,
                                         n_queries=inject_queries,
                                         cost_scale=env_cfg.cost_scale,
                                         decay=decay)
-    few_report = evaluate(policy, benchmark, cfg5, eval_episodes,
+    few_report = evaluate(policy, benchmark, cfg_all, eval_episodes,
                           seed=seed, protocol="transductive",
                           history=hist_few, absorb=False)
 

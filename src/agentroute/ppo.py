@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backend import Benchmark
+from .backend import ALL_ROLES, Benchmark
 from .encoder import (EncoderDims, RoutingPolicy, encoder, entropy_of,
                       init_params, logprob_of)
 from .env import Episode, EnvConfig, RoutingEnv, absorb_episode
@@ -207,7 +207,7 @@ def build_meta(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
         "dims": asdict(dims),
         "n_models": len(benchmark.profiles),
         "n_roles": env_cfg.n_roles,
-        "roles": [r.name for r in benchmark.roles[:env_cfg.n_roles]],
+        "roles": [r.name for r in ALL_ROLES[:env_cfg.n_roles]],
         "models": [p.name for p in benchmark.profiles],
         "env": asdict(env_cfg),
         "benchmark": asdict(benchmark.spec),

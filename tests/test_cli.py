@@ -123,6 +123,12 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
     assert main(["train", "--config", str(bad),
                  "--out", str(tmp_path / "run")]) == 1
     assert "error:" in capsys.readouterr().err
+    # more roles than the role table holds: one line, not a traceback
+    bad = write_config(tmp_path, {**TINY, "env": {"n_roles": 6}})
+    assert main(["train", "--config", str(bad),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_roles") and err.count("\n") == 1
     bad = write_config(tmp_path, {"benchmark": {"difficulty": [0.3]}})
     assert main(["genbench", "--config", str(bad),
                  "--out", str(tmp_path / "bench.json")]) == 1

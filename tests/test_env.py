@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentroute.backend import BenchmarkSpec, final_utility, make_benchmark
+from agentroute.backend import (ALL_ROLES, THINKER, VERIFIER, BenchmarkSpec,
+                                final_utility, make_benchmark)
 from agentroute.baselines import RandomRouter
 from agentroute.env import (
     PHASE1,
@@ -59,7 +60,7 @@ class PreferRole:
 
 
 def test_config_validation():
-    bad = [dict(n_models=0), dict(n_models=K, n_roles=2),
+    bad = [dict(n_models=0), dict(n_models=K, n_roles=2), dict(n_models=K, n_roles=6),
            dict(n_models=K, p_max=-1), dict(n_models=K, width=0),
            dict(n_models=K, max_steps=0), dict(n_models=K, alpha=-0.1),
            dict(n_models=K, phase="phase3"),
@@ -178,6 +179,32 @@ def test_extra_role_masks():
     mask = env.legal_mask()
     assert not mask[v:v + K].any()     # one verify pass per query
     assert mask[1 * K:2 * K].all()
+
+
+def test_four_roles_offer_the_thinker_and_never_the_verifier():
+    bench = make_bench(width=(3,))
+    t = THINKER * K
+    offered = after_thinker = 0
+    for seed in range(6):
+        env, _ = make_env(bench=bench, n_roles=4, p_max=2, width=3)
+        env.reset(bench.train_query(seed))
+        rng = np.random.default_rng(seed)
+        while not env.finished:
+            mask = env.legal_mask()
+            assert mask.shape == (4 * K,)
+            wf = env.workflow
+            thought = any(wf.responses[r].produced_by[0] == THINKER
+                          for r in wf.response_ids.get(env.current_id, ()))
+            # one thinker pass per query, never on the synthesis query
+            assert mask[t:t + K].all() == (not thought and not env.current.is_summary)
+            offered += bool(mask[t])
+            if thought:
+                # a five-role env would offer the verifier here
+                after_thinker += 1
+                with pytest.raises(ValueError):
+                    env.step(Action(VERIFIER, 0))
+            env.step(env.cfg.action_of(int(rng.choice(np.flatnonzero(mask)))))
+    assert offered and after_thinker
 
 
 # -- phase-1 templates ------------------------------------------------------------------
@@ -309,7 +336,7 @@ def episode_state(env):
 ], ids=["oracle-search", "five-role", "truncating-binary"])
 def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
     env = separable_env(**cfg_kw)
-    cfg, roles, k = env.cfg, env.benchmark.roles, env.cfg.n_models
+    cfg, k = env.cfg, env.cfg.n_models
     ends = set()
     for i in range(roots):
         env.reset(env.benchmark.eval_query(i))
@@ -333,7 +360,7 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
                 assert len(leaf) == k and leaf[action.model].hex() == reward.hex()
                 # the step's own end, by the MDP's rules: an executor answer
                 # at the root or the synthesis query, or the step cap
-                role, cur = roles[action.role].name, e.current
+                role, cur = ALL_ROLES[action.role].name, e.current
                 answered = role == "executor" and (cur.is_summary
                                                    or cur.id == e.root_id)
                 assert answered or e.step_count + 1 == cfg.max_steps
