@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import fields
 from .memory import QueryNode, ResponseNode, RoleHubNode, HubSet
 from .streams import det_rng
 
@@ -77,10 +78,19 @@ DEFAULT_CATALOG: list[CatalogEntry] = [
 
 
 def load_catalog(path: str) -> list[CatalogEntry]:
+    """Entries of a JSON list of models; a malformed one is a ValueError."""
     with open(path) as fh:
         rows = json.load(fh)
-    return [CatalogEntry(r["name"], r["scale"], float(r["price_in"]), float(r["price_out"]))
-            for r in rows]
+    if not isinstance(rows, list):
+        raise ValueError(f"catalog: expected a JSON list, got {type(rows).__name__}")
+    out = []
+    for i, r in enumerate(rows):
+        where = f"catalog entry {i}"
+        out.append(CatalogEntry(
+            fields.field(r, "name", str, where), fields.field(r, "scale", str, where),
+            float(fields.field(r, "price_in", fields.NUMBER, where)),
+            float(fields.field(r, "price_out", fields.NUMBER, where))))
+    return out
 
 
 @dataclass
@@ -484,6 +494,8 @@ def make_benchmark(spec: BenchmarkSpec, k_models: int = 4,
         raise ValueError(f"unknown benchmark kind: {spec.kind!r}")
     if k_models < 1:
         raise ValueError("pool needs at least one model")
+    if d_q < 3:
+        raise ValueError("d_q must be at least 3: query coordinates 0 and 1 are reserved")
     if spec.queries_per_family < 1:
         raise ValueError("queries_per_family must be positive")
     if not spec.families:

@@ -1,7 +1,7 @@
 """Non-learned routers: random, nearest-neighbor replay, exhaustive oracle.
 
-All three expose the same act() contract as the learned policy so the
-environment and the evaluation harness do not care which one is driving.
+Each router's act() returns (action_index, value), as the learned policy's
+does, so the environment and the evaluation harness do not care which drives.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ class RandomRouter:
             idx = int(allowed[0])
         else:
             idx = int(rng.choice(allowed))
-        logp = float(-np.log(allowed.size))
-        entropy = float(np.log(allowed.size))
-        return idx, logp, 0.0, entropy
+        return idx, 0.0
 
 
 @dataclass
@@ -86,9 +84,7 @@ class KnnStore:
         return store
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            # dumps takes the C encoder; json.dump writes the same bytes in Python
-            fh.write(json.dumps(self.to_jsonable(), sort_keys=True))
+        fields.write_atomic(path, json.dumps(self.to_jsonable(), sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "KnnStore":
@@ -137,7 +133,7 @@ class KnnRouter:
                 raise ValueError("no action is allowed by the mask")
             idx = int(allowed[0])
         self._step += 1
-        return idx, 0.0, 0.0, 0.0
+        return idx, 0.0
 
 
 class ScriptedPolicy:
@@ -157,7 +153,7 @@ class ScriptedPolicy:
         if not mask[idx]:
             raise RuntimeError(f"scripted action {idx} is masked at step {self._step}")
         self._step += 1
-        return idx, 0.0, 0.0, 0.0
+        return idx, 0.0
 
 
 def oracle_route(cfg, benchmark, hubs, root: QueryNode,

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig
+from .fields import write_atomic
 from .harness import (emit_report, evaluate, pareto_sweep, report_rows,
                       run_ablation)
 from .memory import deserialize
@@ -131,8 +132,7 @@ def cmd_genbench(args, parser) -> int:
         "sample_difficulties": [benchmark.difficulty_of(q) for q in sample],
     }
     out = Path(args.out or "benchmark.json")
-    with open(out, "w") as fh:
-        json.dump(blob, fh, sort_keys=True, indent=2)
+    write_atomic(out, json.dumps(blob, sort_keys=True, indent=2))
     print(f"benchmark description written to {out}")
     return 0
 
@@ -149,6 +149,8 @@ def cmd_inspect(args, parser) -> int:
     try:
         blob = json.loads(data)
     except json.JSONDecodeError:
+        blob = None
+    if not isinstance(blob, dict):
         parser.error(f"not a readable artifact: {target}")
     if "tensors" in blob:
         params, meta = load_params(target)

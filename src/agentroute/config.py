@@ -15,7 +15,7 @@ from pathlib import Path
 from .backend import (Benchmark, BenchmarkSpec, KINDS, load_catalog,
                       make_benchmark)
 from .env import EnvConfig
-from .fields import NUMBER, field as checked_field, items
+from .fields import NUMBER, field as checked_field, items, write_atomic
 from .ppo import TrainConfig
 
 BENCHMARK_DEFAULTS = {
@@ -132,10 +132,4 @@ class RunConfig:
         }
 
     def dump_resolved(self, path: str | Path) -> None:
-        blob = self.resolved()
-        for sect in ("benchmark", "env", "train", "eval"):
-            for k, v in blob[sect].items():
-                if isinstance(v, tuple):
-                    blob[sect][k] = list(v)
-        with open(path, "w") as fh:
-            json.dump(blob, fh, sort_keys=True, indent=2)
+        write_atomic(path, json.dumps(self.resolved(), sort_keys=True, indent=2))

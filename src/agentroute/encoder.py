@@ -249,7 +249,4 @@ class RoutingPolicy:
             if rng is None:
                 raise ValueError("sampling mode needs an rng stream")
             idx = int(rng.choice(probs.shape[0], p=probs))
-        pos = probs > 0.0
-        entropy = float(-(probs[pos] * np.log(probs[pos])).sum())
-        logp = float(np.log(probs[idx]))
-        return idx, logp, float(value_t.data[0]), entropy
+        return idx, float(value_t.data[0])

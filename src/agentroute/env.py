@@ -80,18 +80,14 @@ class EnvConfig:
 
 @dataclass
 class StepRecord:
-    """What the policy saw and did at one step, enough to replay its logprob."""
+    """What the policy saw and did at step i, where i is its index in the episode."""
     wf_input: HubState
     query_embedding: np.ndarray
     mask: np.ndarray
     action_index: int
-    logp: float
     value: float
-    entropy: float
     reward: float
-    done: bool
     # bookkeeping for traces, reports, and hub updates
-    step: int
     role: int
     model: int
     quality: float | None
@@ -449,7 +445,7 @@ class RoutingEnv:
         """Roll one episode under `policy`; returns the full trajectory.
 
         policy.act(wf_input, query_embedding, mask, mode, rng) must return
-        (action_index, logp, value, entropy).
+        (action_index, value).
         """
         if mode not in ("sample", "greedy"):
             raise ValueError(f"unknown decoding mode: {mode!r}")
@@ -458,15 +454,12 @@ class RoutingEnv:
         while not self.finished:
             wf_input, q_emb = self.snapshot()
             mask = self.legal_mask()
-            action_index, logp, value, entropy = policy.act(
-                wf_input, q_emb, mask, mode, rng)
-            action = self.cfg.action_of(int(action_index))
-            reward, done, info = self.step(action)
+            action_index, value = policy.act(wf_input, q_emb, mask, mode, rng)
+            reward, _, info = self.step(self.cfg.action_of(int(action_index)))
             records.append(StepRecord(
                 wf_input=wf_input, query_embedding=q_emb, mask=mask,
-                action_index=int(action_index), logp=float(logp),
-                value=float(value), entropy=float(entropy), reward=reward,
-                done=done, step=len(records), **info))
+                action_index=int(action_index), value=float(value),
+                reward=reward, **info))
         return Episode(records=records, utility=self.utility,
                        truncated=self.truncated, family=root.family,
                        workflow=self.workflow)
@@ -492,9 +485,9 @@ def trace_lines(episode: Episode) -> list[str]:
     """Line-delimited structured trace, one record per step."""
     import json
     out = []
-    for rec in episode.records:
+    for step, rec in enumerate(episode.records):
         out.append(json.dumps({
-            "step": rec.step,
+            "step": step,
             "role": rec.role,
             "model": rec.model,
             "reward": rec.reward,

@@ -1,4 +1,4 @@
-"""Checked reads of parsed JSON: the persisted formats and run configs.
+"""Checked reads of parsed JSON, and the one writer of persisted artifacts.
 
 Every reader raises ValueError naming the offending field, so a malformed
 history, checkpoint, kNN or config file fails the same clean way whatever
@@ -6,6 +6,8 @@ field is wrong, not with a KeyError or TypeError from inside a constructor.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -48,3 +50,11 @@ def items(obj, key: str, types, where: str) -> list:
     if not all(_has_type(v, types) for v in value):
         raise ValueError(f"{where}: field {key!r} holds an item of the wrong type")
     return value
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Replace path by way of a temporary sibling: a failed write leaves it whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode() if isinstance(data, str) else data)
+    os.replace(tmp, path)

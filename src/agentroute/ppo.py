@@ -16,7 +16,7 @@ neither execution nor any artifact.
 from __future__ import annotations
 
 import csv
-import os
+import io
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,6 +27,7 @@ from .backend import ALL_ROLES, Benchmark
 from .encoder import (EncoderDims, RoutingPolicy, encoder, entropy_of,
                       init_params, logprob_of)
 from .env import Episode, EnvConfig, RoutingEnv, absorb_episode
+from .fields import write_atomic
 from .memory import HeteroGraph, serialize
 from .streams import det_rng
 from .tensor import Adam, Tensor, clip_global_norm, save_params
@@ -288,14 +289,13 @@ def train(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
 
 def write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
     """Atomic CSV write; floats use repr so they round-trip exactly."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float)
-                             else row[c] for c in columns])
-    os.replace(tmp, path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(row[c]) if isinstance(row[c], float)
+                         else row[c] for c in columns])
+    write_atomic(path, buf.getvalue())
 
 
 def write_artifacts(out_dir: Path, result: TrainResult) -> None:
@@ -305,10 +305,7 @@ def write_artifacts(out_dir: Path, result: TrainResult) -> None:
                 meta=result.meta)
     write_csv(out_dir / "curve.csv", CURVE_COLUMNS, result.curve)
     if result.history is not None:
-        blob = serialize(result.history)
-        tmp = out_dir / "history.json.tmp"
-        tmp.write_bytes(blob)
-        os.replace(tmp, out_dir / "history.json")
+        write_atomic(out_dir / "history.json", serialize(result.history))
 
 
 def load_policy(checkpoint: str | Path) -> tuple[RoutingPolicy, dict]:

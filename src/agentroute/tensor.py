@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fields import field, floats, items
+from .fields import field, floats, items, write_atomic
 
 Array = np.ndarray
 
@@ -399,9 +399,7 @@ def save_params(path: str, params: dict[str, Tensor], meta: dict | None = None) 
     blob = params_to_jsonable(params)
     if meta is not None:
         blob["meta"] = meta
-    with open(path, "w") as fh:
-        # dumps takes the C encoder; json.dump writes the same bytes in Python
-        fh.write(json.dumps(blob, sort_keys=True))
+    write_atomic(path, json.dumps(blob, sort_keys=True))
 
 
 def load_params(path: str, requires_grad: bool = True) -> tuple[dict[str, Tensor], dict]:

@@ -78,6 +78,27 @@ def test_catalog_roundtrip(tmp_path):
     assert load_catalog(path) == DEFAULT_CATALOG
 
 
+@pytest.mark.parametrize("blob, words", [
+    ([{"name": "a"}], ("catalog entry 0", "'scale'")),
+    ([{"name": "a", "scale": "small", "price_in": 1, "price_out": 1}, 5],
+     ("catalog entry 1", "JSON object")),
+    ([{"name": 7, "scale": "small", "price_in": 1, "price_out": 1}],
+     ("catalog entry 0", "'name'")),
+    ([{"name": "a", "scale": "small", "price_in": "1", "price_out": 1}],
+     ("catalog entry 0", "'price_in'")),
+    ([{"name": "a", "scale": "small", "price_in": 1, "price_out": True}],
+     ("catalog entry 0", "'price_out'")),
+    ({"name": "a"}, ("catalog", "list")),
+    (5, ("catalog", "list")),
+])
+def test_malformed_catalog_names_the_entry_and_field(tmp_path, blob, words):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError) as exc:
+        load_catalog(str(path))
+    assert all(w in str(exc.value) for w in words), str(exc.value)
+
+
 # -- utility -----------------------------------------------------------------------
 
 
@@ -192,6 +213,9 @@ def test_make_benchmark_validation():
         make_benchmark(spec(), difficulty=(0.0, 0.5))
     with pytest.raises(ValueError):
         make_benchmark(spec(), difficulty=(0.6, 0.5))
+    for d_q in (1, 2):  # coordinates 0 and 1 are reserved
+        with pytest.raises(ValueError, match="d_q"):
+            make_benchmark(spec(), d_q=d_q)
 
 
 # -- queries -----------------------------------------------------------------------

@@ -51,18 +51,16 @@ def test_random_router_respects_mask():
     mask = np.array([False, True, False, True])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        idx, logp, value, entropy = router.act(fresh_root_input(), np.zeros(4),
-                                               mask, "sample", rng)
+        idx, value = router.act(fresh_root_input(), np.zeros(4), mask,
+                                "sample", rng)
         assert mask[idx]
-        assert logp == pytest.approx(-np.log(2))
-        assert entropy == pytest.approx(np.log(2))
         assert value == 0.0
 
 
 def test_random_router_greedy_is_first_allowed():
     router = RandomRouter()
     mask = np.array([False, False, True, True])
-    idx, _, _, _ = router.act(fresh_root_input(), np.zeros(4), mask, "greedy")
+    idx, _ = router.act(fresh_root_input(), np.zeros(4), mask, "greedy")
     assert idx == 2
 
 
@@ -100,10 +98,10 @@ def test_knn_router_majority_vote():
     store = store_with([([0.0], [1, 0]), ([0.1], [1, 2]), ([0.2], [3, 2])])
     router = KnnRouter(store, k=3)
     mask = np.ones(6, dtype=bool)
-    idx, _, _, _ = router.act(fresh_root_input(), np.array([0.0]), mask)
+    idx, _ = router.act(fresh_root_input(), np.array([0.0]), mask)
     assert idx == 1
     # step advances: majority at step 1 is action 2
-    idx, _, _, _ = router.act(later_step_input(), np.array([0.0]), mask)
+    idx, _ = router.act(later_step_input(), np.array([0.0]), mask)
     assert idx == 2
 
 
@@ -112,14 +110,14 @@ def test_knn_router_falls_through_masked_votes():
     router = KnnRouter(store, k=3)
     mask = np.ones(6, dtype=bool)
     mask[4] = False
-    idx, _, _, _ = router.act(fresh_root_input(), np.array([0.0]), mask)
+    idx, _ = router.act(fresh_root_input(), np.array([0.0]), mask)
     assert idx == 1
 
 
 def test_knn_router_first_allowed_when_no_votes():
     router = KnnRouter(KnnStore(), k=3)
     mask = np.array([False, False, True, True])
-    idx, _, _, _ = router.act(fresh_root_input(), np.zeros(1), mask)
+    idx, _ = router.act(fresh_root_input(), np.zeros(1), mask)
     assert idx == 2
 
 
@@ -127,9 +125,9 @@ def test_knn_router_re_picks_neighbors_per_episode():
     store = store_with([([0.0], [1]), ([10.0], [2])])
     router = KnnRouter(store, k=1)
     mask = np.ones(6, dtype=bool)
-    idx, _, _, _ = router.act(fresh_root_input(), np.array([0.0]), mask)
+    idx, _ = router.act(fresh_root_input(), np.array([0.0]), mask)
     assert idx == 1
-    idx, _, _, _ = router.act(fresh_root_input(), np.array([10.0]), mask)
+    idx, _ = router.act(fresh_root_input(), np.array([10.0]), mask)
     assert idx == 2
 
 

@@ -115,6 +115,16 @@ def test_inspect_missing_file(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"params"', "[1, 2]", "{"])
+def test_inspect_non_object_json_is_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "artifact.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect", str(path)])
+    assert exc.value.code == 2
+    assert "not a readable artifact" in capsys.readouterr().err
+
+
 # -- runtime errors (exit code 1) ---------------------------------------------------
 
 
@@ -133,6 +143,23 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
     assert main(["genbench", "--config", str(bad),
                  "--out", str(tmp_path / "bench.json")]) == 1
     assert "difficulty" in capsys.readouterr().err
+    # query widths below 3 leave no free coordinate (d_q 1 raised IndexError)
+    for d_q in (1, 2):
+        bad = write_config(tmp_path, {**TINY, "benchmark": {**TINY["benchmark"],
+                                                            "d_q": d_q}})
+        assert main(["train", "--config", str(bad),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: d_q") and err.count("\n") == 1
+    # a catalog entry without a scale raised KeyError
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{"name": "a"}]))
+    bad = write_config(tmp_path, {"benchmark": {"catalog": str(catalog)}})
+    assert main(["genbench", "--config", str(bad),
+                 "--out", str(tmp_path / "bench.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: catalog entry 0") and err.count("\n") == 1
+    assert not (tmp_path / "bench.json").exists()
 
 
 def test_corrupt_history_file_is_one_line_error(tiny_config, tmp_path, capsys):

@@ -498,15 +498,12 @@ def test_policy_greedy_is_argmax_and_deterministic():
     _, wf, hist = workflow_and_history()
     policy.prepare(hist)
     mask = np.ones(6, dtype=bool)
-    idx, logp, value, entropy = policy.act(wf, np.ones(64), mask, mode="greedy")
-    idx2, logp2, value2, entropy2 = policy.act(wf, np.ones(64), mask,
-                                               mode="greedy")
-    assert (idx, logp, value, entropy) == (idx2, logp2, value2, entropy2)
-    probs, _ = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask,
-                         policy._his_hubs)
+    idx, value = policy.act(wf, np.ones(64), mask, mode="greedy")
+    assert policy.act(wf, np.ones(64), mask, mode="greedy") == (idx, value)
+    probs, values = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask,
+                              policy._his_hubs)
     assert idx == int(np.argmax(probs.data[0]))
-    assert logp == float(np.log(probs.data[0, idx]))
-    assert entropy == pytest.approx(float(entropy_of(probs).data))
+    assert value == float(values.data[0])
 
 
 def test_policy_sampling_needs_rng():
@@ -516,8 +513,8 @@ def test_policy_sampling_needs_rng():
     with pytest.raises(ValueError):
         policy.act(wf, np.ones(64), np.ones(6, dtype=bool), mode="sample")
     rng = np.random.default_rng(0)
-    idx, _, _, _ = policy.act(wf, np.ones(64), np.ones(6, dtype=bool),
-                              mode="sample", rng=rng)
+    idx, _ = policy.act(wf, np.ones(64), np.ones(6, dtype=bool),
+                        mode="sample", rng=rng)
     assert 0 <= idx < 6
 
 

@@ -1,14 +1,17 @@
 """Harness tests: protocols, probes, injection, aggregation, CSV emission."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from agentroute.backend import BenchmarkSpec, EXECUTOR, make_benchmark
-from agentroute.baselines import RandomRouter
+from agentroute.baselines import KnnRouter, KnnStore, RandomRouter, ScriptedPolicy
 from agentroute import harness
+from agentroute import tensor as T
+from agentroute.config import RunConfig
 from agentroute.encoder import EncoderDims, RoutingPolicy, init_params
 from agentroute.env import EnvConfig, RoutingEnv, absorb_episode, trace_lines
 from agentroute.harness import (
@@ -239,6 +242,62 @@ def test_write_csv_is_atomic_overwrite(tmp_path):
         parsed = list(csv.reader(fh))
     assert parsed == [["a", "b"], ["2", repr(0.2)]]
     assert not path.with_suffix(".csv.tmp").exists()
+
+
+def test_a_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "artifact"
+    unserializable = np.array([object()])
+    failing = {
+        "params": lambda: T.save_params(path, {"w": T.Tensor(np.zeros(2))},
+                                        meta={"x": object()}),
+        "knn": lambda: KnnStore([unserializable], [[0]]).save(path),
+        "csv": lambda: write_csv(path, ("a", "b"), [{"a": 1}]),
+        "config": lambda: RunConfig.from_dict({}).dump_resolved(path),
+    }
+    monkeypatch.setattr(RunConfig, "resolved", lambda self: {"x": object()})
+    for name, write in failing.items():
+        path.write_bytes(b"old bytes")
+        with pytest.raises((TypeError, KeyError)):
+            write()
+        assert path.read_bytes() == b"old bytes", name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"], name
+
+
+def test_every_router_acts_through_the_two_value_contract():
+    bench = make_bench()
+    env_cfg = EnvConfig(n_models=2, p_max=1)
+    hubs = bench.build_hubs(env_cfg.n_roles)
+    root = bench.eval_query(0)
+    plan = [r.action_index for r in RoutingEnv(env_cfg, bench, hubs)
+            .run_episode(root, RandomRouter(), mode="greedy").records]
+    store = KnnStore()
+    store.add(root.embedding, plan)
+    params = init_params(EncoderDims(64, 64, 64, 8), "full")
+    routers = {
+        "policy": lambda: RoutingPolicy(params, "full"),
+        "random": RandomRouter,
+        "knn": lambda: KnnRouter(store, k=1),
+        "scripted": lambda: ScriptedPolicy(plan),
+    }
+    for (name, make), mode in itertools.product(routers.items(),
+                                                ("greedy", "sample")):
+        router, outs = make(), []
+
+        def act(wf_input, q_emb, mask, mode, rng, inner=router.act):
+            out = inner(wf_input, q_emb, mask, mode, rng)
+            outs.append((out, mask))
+            return out
+
+        router.act = act
+        router.prepare(HeteroGraph("history", hubs, capacity=64).hub_state())
+        ep = RoutingEnv(env_cfg, bench, hubs).run_episode(
+            root, router, mode, np.random.default_rng(0))
+        assert ep.length == len(outs) > 0, name
+        for rec, ((idx, value), mask) in zip(ep.records, outs):
+            assert mask[idx] and rec.action_index == idx, name
+            assert isinstance(value, float) and rec.value == value, name
+            for gone in ("logp", "entropy", "step", "done"):
+                assert not hasattr(rec, gone), name
 
 
 # -- sweeps and ablations ----------------------------------------------------------------

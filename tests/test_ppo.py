@@ -17,7 +17,6 @@ from agentroute.encoder import (
     RoutingPolicy,
     encoder,
     init_params,
-    logprob_of,
 )
 from agentroute.env import Episode, EnvConfig, RoutingEnv, StepRecord, absorb_episode
 from agentroute.memory import HeteroGraph
@@ -51,8 +50,7 @@ def small_cfg(**kw):
 
 def fake_record(reward, value):
     return StepRecord(wf_input=None, query_embedding=None, mask=None,
-                      action_index=0, logp=0.0, value=value, entropy=0.0,
-                      reward=reward, done=False, step=0, role=1, model=0,
+                      action_index=0, value=value, reward=reward, role=1, model=0,
                       quality=None, dollars=0.0, scaled_cost=0.0,
                       tokens_in=0, tokens_out=0, node_id="q")
 
@@ -140,19 +138,6 @@ def collected_window(beta=1.0, count=3):
     episodes = collect_window(bench, env_cfg, hubs, policy, update=0,
                               first_episode=0, count=count, seed=0)
     return params, hist_input, episodes
-
-
-def test_recomputed_ratio_is_exactly_one():
-    # a batch-of-one recompute runs the rollout's own code path, so before
-    # any step the importance ratio is exactly exp(0)
-    params, hist_input, episodes = collected_window()
-    for ep in episodes:
-        for rec in ep.records:
-            probs, _ = encoder(params, "full", 1.0, hist_input, [rec.wf_input],
-                               rec.query_embedding[None, :], rec.mask[None, :])
-            logp = logprob_of(probs, [rec.action_index])
-            ratio = float(np.exp(logp.data[0] - rec.logp))
-            assert ratio == 1.0
 
 
 def run_update(params, hist_input, episodes, **kw):
