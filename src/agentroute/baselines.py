@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import RoutingEnv
+from .backend import PLANNER
+from .env import Action, RoutingEnv
 from . import fields
 from .memory import HubState, QueryNode
 
@@ -161,49 +162,76 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     """Exhaustive search for the reward-optimal action sequence.
 
     Runs on a noise-free copy of the benchmark so every branch value is the
-    model's systematic quality. Depth-first in ascending action-index order
+    model's systematic quality. Two phases. `expand` builds the search tree
+    from env work: the models of a role that ends the episode are scored in
+    one `RoutingEnv.pool_rewards` pass per (state, role), with no clone, no
+    step and no response embedding; a planner's models get their rewards
+    from one such pass and share one child, stepped once with model 0,
+    since a planner call's model changes only that call's cost; every other
+    action is stepped on a clone, or in place for a state's last branch.
+    `search` then walks the tree depth-first in ascending action-index order
     (role-major) with strict improvement, so ties resolve to the
-    lexicographically smallest sequence. The actions of a role that ends the
-    episode are scored in one `RoutingEnv.leaf_rewards` pass per (state,
-    role), with no clone, no step and no response embedding; the others are
-    stepped on a clone, or in place for a state's last branch. Raises when
-    the enumeration exceeds `bound` expanded states, terminal actions
-    included.
+    lexicographically smallest sequence. Raises when the enumeration,
+    terminal actions included and a shared subtree counted once per action
+    that reaches it, exceeds `bound` expanded states.
     """
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
-    best_value = -np.inf
-    best_actions: list[int] | None = None
-    expanded = 0
     k = cfg.n_models
-    action_of = [cfg.action_of(i) for i in range(cfg.n_actions)]
+    expanded = 0
 
-    def explore(env: RoutingEnv, actions: list[int], total: float) -> None:
-        nonlocal best_value, best_actions, expanded
+    def expand(env: RoutingEnv, paths: int) -> list:
+        """[(first action index, per-model rewards, per-model children or
+        None if the role ends the episode)] over the state's legal roles in
+        ascending order; `paths` counts the actions that reach this state."""
+        nonlocal expanded
         # the mask allows a role for all of its models or for none
         mask = env.legal_mask()
         roles = [r for r in range(cfg.n_roles) if mask[r * k]]
-        last = roles[-1] * k + k - 1
+        node = []
         for role in roles:
-            leaves = env.leaf_rewards(role)
-            for m in range(k):
-                a = role * k + m
-                expanded += 1
-                if expanded > bound:
-                    raise RuntimeError(
-                        f"oracle enumeration exceeded {bound} states; "
-                        "shrink the action space or the step cap")
-                if leaves is not None:
-                    if total + leaves[m] > best_value:
-                        best_value = total + leaves[m]
-                        best_actions = actions + [a]
-                    continue
-                # nothing reads `env` after its last branch, which steps it in place
-                child = env if a == last else env.clone()
-                reward, _, _ = child.step(action_of[a])
-                explore(child, actions + [a], total + reward)
+            expanded += k * paths
+            if expanded > bound:
+                raise RuntimeError(
+                    f"oracle enumeration exceeded {bound} states; "
+                    "shrink the action space or the step cap")
+            # nothing reads `env` after its last branch, which steps it in place
+            last = role == roles[-1]
+            if any(env.ends(role)):
+                node.append((role * k, env.pool_rewards(role), None))
+            elif role == PLANNER:
+                rewards = env.pool_rewards(role)
+                child = env if last else env.clone()
+                child.step(Action(role, 0))
+                node.append((role * k, rewards, [expand(child, k * paths)] * k))
+            else:
+                rewards, children = [], []
+                for m in range(k):
+                    child = env if last and m == k - 1 else env.clone()
+                    reward, _, _ = child.step(Action(role, m))
+                    rewards.append(reward)
+                    children.append(expand(child, paths))
+                node.append((role * k, rewards, children))
+        return node
 
-    explore(base, [], 0.0)
+    best_value = -np.inf
+    best_actions: list[int] | None = None
+    path: list[int] = []
+
+    def search(node: list, total: float) -> None:
+        nonlocal best_value, best_actions
+        for first, rewards, children in node:
+            for m, reward in enumerate(rewards):
+                if children is None:
+                    if total + reward > best_value:
+                        best_value = total + reward
+                        best_actions = path + [first + m]
+                    continue
+                path.append(first + m)
+                search(children[m], total + reward)
+                path.pop()
+
+    search(expand(base, 1), 0.0)
     if best_actions is None:
         raise RuntimeError("oracle found no terminating action sequence")
     return best_actions, float(best_value)

@@ -307,12 +307,17 @@ class RoutingEnv:
             raise ValueError(f"{what} is not allowed by the mask")
 
     def _ends(self, role: int) -> tuple[bool, bool]:
-        """(done, truncated) after one `role` action from this state: an
-        executor answer at the root or the synthesis query is done, and any
-        other action that takes the last allowed step truncates."""
         cur = self.current
         done = role == EXECUTOR and (cur.is_summary or cur.id == self.root_id)
         return done, not done and self.step_count + 1 >= self.cfg.max_steps
+
+    def ends(self, role: int) -> tuple[bool, bool]:
+        """(done, truncated) after one `role` action from this state: an
+        executor answer at the root or the synthesis query is done, and any
+        other action that takes the last allowed step truncates. Refuses a
+        role `step` refuses, with the same error."""
+        self._check(role)
+        return self._ends(role)
 
     def _context(self, role: int) -> tuple[ResponseNode, ...]:
         """What a `role` call reads of this state: nothing for a planner,
@@ -351,16 +356,13 @@ class RoutingEnv:
                         reward if utility is None else reward + utility, utility))
         return out
 
-    def leaf_rewards(self, role: int) -> list[float] | None:
+    def pool_rewards(self, role: int) -> list[float]:
         """Per model m, the reward `step(Action(role, m))` would return, bit
-        for bit, when a `role` action ends the episode, and None when it does
-        not. Scores the whole pool in one `Benchmark.invoke_pool` pass and
-        changes no state but the shared draw memo, so the oracle scores a
-        state's terminal actions without a clone or a step."""
-        self._check(role)
-        done, truncated = self._ends(role)
-        if not (done or truncated):
-            return None
+        for bit, for any role the mask allows. Scores the whole pool in one
+        `Benchmark.invoke_pool` pass and changes no state but the shared draw
+        memo, so the oracle scores a state's terminal actions without a clone
+        or a step, and a planner's models with one step for all of them."""
+        done, truncated = self.ends(role)
         results = self.benchmark.invoke_pool(role, self.current,
                                              self._context(role), self._draws)
         return [r[2] for r in self._rewards(role, done, truncated, results,

@@ -352,10 +352,14 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[k] / b1t
-            v_hat = self.v[k] / b2t
+            m, v = self.m[k], self.v[k]
+            # in place, rounding as the out-of-place update does
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / b1t
+            v_hat = v / b2t
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:

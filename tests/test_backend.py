@@ -1,6 +1,7 @@
 """Simulator tests: pricing, skills, query generation, invoke semantics."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,15 @@ def test_make_benchmark_validation():
     for d_q in (1, 2):  # coordinates 0 and 1 are reserved
         with pytest.raises(ValueError, match="d_q"):
             make_benchmark(spec(), d_q=d_q)
+    # two hub features are running stats: d_hub 1 raised a numpy error
+    # naming no key, and d_hub 2 built a memory-dependent pool through 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("uniform", "memory-dependent"):
+            for d_hub in (1, 2):
+                with pytest.raises(ValueError, match="d_hub"):
+                    make_benchmark(spec(kind=kind), d_hub=d_hub)
+            assert make_benchmark(spec(kind=kind), d_hub=3).d_hub == 3
 
 
 # -- queries -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentroute.backend import BenchmarkSpec, make_benchmark
+from agentroute.backend import PLANNER, BenchmarkSpec, make_benchmark
 from agentroute.baselines import (
     KnnRouter,
     KnnStore,
@@ -245,6 +245,17 @@ def test_oracle_bound_guard():
     hubs = bench.build_hubs(3)
     with pytest.raises(RuntimeError):
         oracle_route(cfg, bench, hubs, bench.generate_query(0, 0), bound=3)
+    # the exact boundary on the oracle benchmark's configuration, whose
+    # enumeration expands 1,624 states per query, the states below a shared
+    # planner child counted once per planner model
+    bench = make_benchmark(
+        BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
+                      seed=7, width_profile=(2,)), k_models=4)
+    cfg = EnvConfig(n_models=4, n_roles=3, p_max=1, width=2, max_steps=16, alpha=0.1)
+    hubs = bench.build_hubs(cfg.n_roles)
+    with pytest.raises(RuntimeError, match="exceeded 1623 states"):
+        oracle_route(cfg, bench, hubs, bench.eval_query(0), bound=1623)
+    oracle_route(cfg, bench, hubs, bench.eval_query(0), bound=1624)
 
 
 # Oracle plans and values for six held-out queries of the oracle benchmark's
@@ -275,38 +286,49 @@ def test_oracle_plans_match_the_golden_file():
 
 
 def cloning_oracle(cfg, benchmark, hubs, root):
-    """`oracle_route` with a clone for every branch, the last one included;
-    returns the plan, the value and the number of expanded states."""
+    """`oracle_route` with a clone and a step for every branch, the last one
+    and every planner model included; returns the plan, the value, the
+    number of expanded states and how many of them are a planner action with
+    a model other than 0 that does not end the episode, or lie below one."""
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
     best = (-np.inf, None)
-    expanded = 0
+    expanded = shared = 0
 
-    def explore(env, actions, total):
-        nonlocal best, expanded
+    def explore(env, actions, total, below):
+        nonlocal best, expanded, shared
         for a in np.flatnonzero(env.legal_mask()).tolist():
-            expanded += 1
+            action = cfg.action_of(a)
             child = env.clone()
-            reward, done, _ = child.step(cfg.action_of(a))
+            reward, done, _ = child.step(action)
+            expanded += 1
+            a_below = below or (action.role == PLANNER and action.model > 0
+                                and not done)
+            shared += a_below
             if not done:
-                explore(child, actions + [a], total + reward)
+                explore(child, actions + [a], total + reward, a_below)
             elif total + reward > best[0]:
                 best = (total + reward, actions + [a])
 
-    explore(base, [], 0.0)
-    return best[1], float(best[0]), expanded
+    explore(base, [], 0.0, False)
+    return best[1], float(best[0]), expanded, shared
 
 
-@pytest.mark.parametrize("spec_kw, env_kw, roots", [
-    # the oracle benchmark's configuration
+@pytest.mark.parametrize("spec_kw, env_kw, roots, counts", [
+    # the oracle benchmark's configuration: 1,215 of the 1,624 states per
+    # query are a planner model other than 0 or lie below one
     (dict(width_profile=(2,)), dict(n_models=4, n_roles=3, p_max=1, width=2,
-                                    max_steps=16, alpha=0.1), range(4)),
+                                    max_steps=16, alpha=0.1), range(4), (1624, 1215)),
     # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees
     (dict(width_profile=(3,)), dict(n_models=2, n_roles=5, p_max=2, width=3,
-                                    max_steps=6, alpha=0.1), range(2)),
-], ids=["oracle-search", "five-role"])
+                                    max_steps=6, alpha=0.1), range(2), None),
+    # phase-1 templates: a planner as a state's only role, stepped in place
+    (dict(width_profile=(3,)), dict(n_models=3, n_roles=3, phase="phase1",
+                                    phase_depth=2, phase_width=2, alpha=0.1),
+     range(1), (9840, 8746)),
+], ids=["oracle-search", "five-role", "phase1"])
 def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
-                                                           env_kw, roots):
+                                                           env_kw, roots, counts):
     bench = make_benchmark(
         BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
                       seed=7, **spec_kw),
@@ -315,15 +337,15 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
     hubs = bench.build_hubs(cfg.n_roles)
     steps, leaves, scored = [0], [0], Counter()
     memos = []  # keeps each scored state's fact memo, and so its id, alive
-    step, leaf_rewards = RoutingEnv.step, RoutingEnv.leaf_rewards
+    step, pool_rewards = RoutingEnv.step, RoutingEnv.pool_rewards
 
     def counted_step(env, action):
         steps[0] += 1
         return step(env, action)
 
-    def counted_leaf_rewards(env, role):
-        rewards = leaf_rewards(env, role)
-        leaves[0] += 0 if rewards is None else len(rewards)
+    def counted_pool_rewards(env, role):
+        rewards = pool_rewards(env, role)
+        leaves[0] += len(rewards) if any(env.ends(role)) else 0
         # a state's facts memo is its own: clones share it, a step replaces it
         memos.append(env._facts)
         scored[id(env._facts), role] += 1
@@ -331,17 +353,20 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
 
     for i in roots:
         root = bench.eval_query(i)
-        plan, value, expanded = cloning_oracle(cfg, bench, hubs, root)
+        plan, value, expanded, shared = cloning_oracle(cfg, bench, hubs, root)
         monkeypatch.setattr(RoutingEnv, "step", counted_step)
-        monkeypatch.setattr(RoutingEnv, "leaf_rewards", counted_leaf_rewards)
+        monkeypatch.setattr(RoutingEnv, "pool_rewards", counted_pool_rewards)
         steps[0] = leaves[0] = 0
         scored.clear()
         got_plan, got_value = oracle_route(cfg, bench, hubs, root)
         monkeypatch.undo()
         # each expanded state is scored as a leaf or stepped once, in place
-        # or on a clone; terminal actions are never stepped, and each
-        # state's role is scored in one pass
+        # or on a clone, except the planner models that share model 0's
+        # child; terminal actions are never stepped, and each state's role
+        # is scored in at most one pass
         assert (got_plan, got_value.hex(), steps[0] + leaves[0]) == \
-            (plan, value.hex(), expanded)
-        assert steps[0] < expanded
+            (plan, value.hex(), expanded - shared)
         assert max(scored.values()) == 1
+        if counts:
+            assert (expanded, shared) == counts
+        assert shared > 0

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,17 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: d_q") and err.count("\n") == 1
+    # hub widths below 3 leave no room for the role/model embedding
+    # (d_hub 1 printed a numpy error, d_hub 2 warned of a 0/0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d_hub in (1, 2):
+            bad = write_config(tmp_path, {"benchmark": {
+                "kind": "memory-dependent", "d_hub": d_hub}})
+            assert main(["genbench", "--config", str(bad),
+                         "--out", str(tmp_path / "bench.json")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: d_hub") and err.count("\n") == 1
     # a catalog entry without a scale raised KeyError
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps([{"name": "a"}]))

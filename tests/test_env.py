@@ -143,10 +143,12 @@ def test_illegal_action_rejected():
                    Action(0, K)):  # no such model
         with pytest.raises(ValueError, match="not allowed by the mask"):
             env.step(action)
-    # the leaf scorer refuses the roles `step` refuses, with the same error
+    # the pool scorer and the end test refuse the roles `step` refuses,
+    # with the same error
     for role in (0, 2, 3, -1):
-        with pytest.raises(ValueError, match="not allowed by the mask"):
-            env.leaf_rewards(role)
+        for query in (env.pool_rewards, env.ends):
+            with pytest.raises(ValueError, match="not allowed by the mask"):
+                query(role)
     assert env.step_count == 0 and not env.finished
 
 
@@ -157,8 +159,9 @@ def test_finished_episode_refuses_everything():
     assert done
     with pytest.raises(RuntimeError, match="episode already finished"):
         env.step(Action(1, 0))
-    with pytest.raises(RuntimeError, match="episode already finished"):
-        env.leaf_rewards(1)
+    for query in (env.pool_rewards, env.ends):
+        with pytest.raises(RuntimeError, match="episode already finished"):
+            query(1)
     with pytest.raises(RuntimeError):
         env.legal_mask()
 
@@ -306,7 +309,7 @@ def test_truncation_ignores_responses_after_the_last_answer():
     assert env.utility == answer["quality"]
 
 
-# -- leaf scoring --------------------------------------------------------------------
+# -- pool scoring --------------------------------------------------------------------
 
 
 def separable_env(width, n_models, **cfg_kw):
@@ -321,7 +324,8 @@ def separable_env(width, n_models, **cfg_kw):
 
 def episode_state(env):
     return (serialize(env.workflow), env.step_count, env.current_id,
-            list(env.pending), env.finished, env.utility, env._last_answer_quality)
+            list(env.pending), env.planner_count, env.summary_used, env.finished,
+            env.truncated, env.utility, env._last_answer_quality)
 
 
 @pytest.mark.parametrize("cfg_kw, roots", [
@@ -336,7 +340,7 @@ def episode_state(env):
 def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
     env = separable_env(**cfg_kw)
     cfg, k = env.cfg, env.cfg.n_models
-    ends = set()
+    ends, shared = set(), 0
     for i in range(roots):
         env.reset(env.benchmark.eval_query(i))
         stack = [env]
@@ -345,33 +349,47 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
             mask = e.legal_mask()
             # the mask allows a role for all of its models or for none
             assert np.array_equal(mask, np.repeat(mask[::k], k))
+            roles = [r for r in range(cfg.n_roles) if mask[r * k]]
             before = episode_state(e)
-            leaves = {r: e.leaf_rewards(r) for r in range(cfg.n_roles) if mask[r * k]}
+            pools = {r: e.pool_rewards(r) for r in roles}
+            stops = {r: e.ends(r) for r in roles}
             assert episode_state(e) == before
-            for action in (Action(r, m) for r in leaves for m in range(k)):
-                leaf = leaves[action.role]
-                child = e.clone()
-                reward, done, info = child.step(action)
-                assert (leaf is None) == (not done)
-                if not done:
-                    stack.append(child)
-                    continue
-                assert len(leaf) == k and leaf[action.model].hex() == reward.hex()
-                # the step's own end, by the MDP's rules: an executor answer
-                # at the root or the synthesis query, or the step cap
-                role, cur = ALL_ROLES[action.role].name, e.current
-                answered = role == "executor" and (cur.is_summary
-                                                   or cur.id == e.root_id)
-                assert answered or e.step_count + 1 == cfg.max_steps
-                assert child.truncated == (not answered)
-                if child.truncated:
-                    partial = (info["quality"] if role == "executor"
-                               else e._last_answer_quality)
-                    assert child.utility == final_utility(
-                        0.0 if partial is None else partial, [], False,
-                        cfg.utility_mode)
-                ends.add((role, child.truncated))
-    assert ("executor", False) in ends
+            for role in roles:
+                assert len(pools[role]) == k
+                children = []
+                for m in range(k):
+                    child = e.clone()
+                    reward, done, info = child.step(Action(role, m))
+                    # one pool pass gives every model's step reward, and the
+                    # end test its step's end, terminal or not
+                    assert pools[role][m].hex() == reward.hex()
+                    assert stops[role] == (done and not child.truncated,
+                                           child.truncated)
+                    if not done:
+                        children.append(child)
+                        continue
+                    # the step's own end, by the MDP's rules: an executor answer
+                    # at the root or the synthesis query, or the step cap
+                    name, cur = ALL_ROLES[role].name, e.current
+                    answered = name == "executor" and (cur.is_summary
+                                                       or cur.id == e.root_id)
+                    assert answered or e.step_count + 1 == cfg.max_steps
+                    assert child.truncated == (not answered)
+                    if child.truncated:
+                        partial = (info["quality"] if name == "executor"
+                                   else e._last_answer_quality)
+                        assert child.utility == final_utility(
+                            0.0 if partial is None else partial, [], False,
+                            cfg.utility_mode)
+                    ends.add((name, child.truncated))
+                if children and ALL_ROLES[role].name == "planner":
+                    # a planner's model changes only its call's cost, so the
+                    # oracle searches one child for all of them
+                    first = episode_state(children[0])
+                    assert all(episode_state(c) == first for c in children)
+                    children, shared = children[:1], shared + 1
+                stack += children
+    assert ("executor", False) in ends and shared > 0
     if cfg.max_steps == 3:
         assert {("planner", True), ("executor", True), ("thinker", True)} <= ends
 
