@@ -301,7 +301,7 @@ class Benchmark:
         `_call_draws`) across calls; one episode and its clones share one.
         `invoke_pool` reads the same quality and token counts for every model
         at once, without the response embedding; the oracle scores its
-        terminal roles and its planners with it, one pass per (state, role).
+        terminal and its shared roles with it, one pass per (state, role).
         """
         if not (0 <= model_index < self.n_models):
             raise ValueError(f"unknown model index: {model_index}")
@@ -498,6 +498,8 @@ def make_benchmark(spec: BenchmarkSpec, k_models: int = 4,
         raise ValueError("d_q must be at least 3: query coordinates 0 and 1 are reserved")
     if d_hub < 3:
         raise ValueError("d_hub must be at least 3: two hub features are running stats")
+    if not noise_sigma >= 0:  # written so that NaN fails too
+        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma}")
     if spec.queries_per_family < 1:
         raise ValueError("queries_per_family must be positive")
     if not spec.families:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import PLANNER
+from .backend import PLANNER, SUMMARIZER, THINKER, VERIFIER
 from .env import Action, RoutingEnv
 from . import fields
 from .memory import HubState, QueryNode
@@ -165,10 +165,16 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     model's systematic quality. Two phases. `expand` builds the search tree
     from env work: the models of a role that ends the episode are scored in
     one `RoutingEnv.pool_rewards` pass per (state, role), with no clone, no
-    step and no response embedding; a planner's models get their rewards
-    from one such pass and share one child, stepped once with model 0,
-    since a planner call's model changes only that call's cost; every other
-    action is stepped on a clone, or in place for a state's last branch.
+    step and no response embedding. The models of a role whose response
+    quality nothing downstream reads get their rewards from one such pass
+    and share one child, stepped once with model 0: the call's model then
+    changes only that call's reward. That holds for a planner, and for a
+    summarizer or a thinker when the pool has no verifier. The mask, the
+    episode end, the context bonus and the final utility read only roles,
+    counts and executor answers; the one reader of any other response's
+    quality is the verifier, whose floor is the best quality in its context
+    and which an executor then floors at. Every other action is stepped on
+    a clone, or in place for a state's last branch.
     `search` then walks the tree depth-first in ascending action-index order
     (role-major) with strict improvement, so ties resolve to the
     lexicographically smallest sequence. Raises when the enumeration,
@@ -178,6 +184,9 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
     k = cfg.n_models
+    # a verifier reads the quality of its context, summaries and thoughts too
+    shared_roles = ({PLANNER} if cfg.n_roles > VERIFIER
+                    else {PLANNER, SUMMARIZER, THINKER})
     expanded = 0
 
     def expand(env: RoutingEnv, paths: int) -> list:
@@ -199,7 +208,7 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
             last = role == roles[-1]
             if any(env.ends(role)):
                 node.append((role * k, env.pool_rewards(role), None))
-            elif role == PLANNER:
+            elif role in shared_roles:
                 rewards = env.pool_rewards(role)
                 child = env if last else env.clone()
                 child.step(Action(role, 0))

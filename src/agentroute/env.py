@@ -162,11 +162,11 @@ class RoutingEnv:
         self._facts: dict = {}  # the current state's derived facts (`_fact`)
 
     def clone(self) -> "RoutingEnv":
-        # The shallow copy copy.copy would make, without its dispatch cost (the
-        # oracle clones tens of thousands of times per query batch); every
-        # field but these two is immutable or shared with the original on
-        # purpose, the episode's draw memo and the state's read-only facts
-        # among them.
+        # The shallow copy copy.copy would make, without its dispatch cost
+        # (the oracle, its one caller, clones 16 times per query on the
+        # oracle-search workload); every field but these two is immutable or
+        # shared with the original on purpose, the episode's draw memo and
+        # the state's read-only facts among them.
         out = object.__new__(RoutingEnv)
         out.__dict__.update(self.__dict__)
         out.workflow = memory.clone_workflow(self.workflow)
@@ -361,7 +361,9 @@ class RoutingEnv:
         for bit, for any role the mask allows. Scores the whole pool in one
         `Benchmark.invoke_pool` pass and changes no state but the shared draw
         memo, so the oracle scores a state's terminal actions without a clone
-        or a step, and a planner's models with one step for all of them."""
+        or a step, and the models of a role whose response quality nothing
+        downstream reads (a planner; without a verifier, a summarizer or a
+        thinker) with one step for all of them."""
         done, truncated = self.ends(role)
         results = self.benchmark.invoke_pool(role, self.current,
                                              self._context(role), self._draws)

@@ -217,6 +217,11 @@ def test_make_benchmark_validation():
     for d_q in (1, 2):  # coordinates 0 and 1 are reserved
         with pytest.raises(ValueError, match="d_q"):
             make_benchmark(spec(), d_q=d_q)
+    # a negative sigma failed only at the first draw, naming no key
+    for sigma in (-1.0, -1e-9, float("nan")):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            make_benchmark(spec(), noise_sigma=sigma)
+    make_benchmark(spec(), noise_sigma=0.0)
     # two hub features are running stats: d_hub 1 raised a numpy error
     # naming no key, and d_hub 2 built a memory-dependent pool through 0/0
     with warnings.catch_warnings():

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentroute.backend import PLANNER, BenchmarkSpec, make_benchmark
+from agentroute.backend import (PLANNER, SUMMARIZER, THINKER, VERIFIER, BenchmarkSpec,
+                               make_benchmark)
 from agentroute.baselines import (
     KnnRouter,
     KnnStore,
@@ -287,13 +288,17 @@ def test_oracle_plans_match_the_golden_file():
 
 def cloning_oracle(cfg, benchmark, hubs, root):
     """`oracle_route` with a clone and a step for every branch, the last one
-    and every planner model included; returns the plan, the value, the
-    number of expanded states and how many of them are a planner action with
-    a model other than 0 that does not end the episode, or lie below one."""
+    and every shared model included; returns the plan, the value, the number
+    of expanded states and how many of them are a shared action with a model
+    other than 0 that does not end the episode, or lie below one. A shared
+    action is a planner's, or without a verifier a summarizer's or a
+    thinker's."""
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
     best = (-np.inf, None)
     expanded = shared = 0
+    shared_roles = ({PLANNER} if cfg.n_roles > VERIFIER
+                    else {PLANNER, SUMMARIZER, THINKER})
 
     def explore(env, actions, total, below):
         nonlocal best, expanded, shared
@@ -302,7 +307,7 @@ def cloning_oracle(cfg, benchmark, hubs, root):
             child = env.clone()
             reward, done, _ = child.step(action)
             expanded += 1
-            a_below = below or (action.role == PLANNER and action.model > 0
+            a_below = below or (action.role in shared_roles and action.model > 0
                                 and not done)
             shared += a_below
             if not done:
@@ -315,18 +320,22 @@ def cloning_oracle(cfg, benchmark, hubs, root):
 
 
 @pytest.mark.parametrize("spec_kw, env_kw, roots, counts", [
-    # the oracle benchmark's configuration: 1,215 of the 1,624 states per
-    # query are a planner model other than 0 or lie below one
+    # the oracle benchmark's configuration: 1,455 of the 1,624 states per
+    # query are a planner or summarizer model other than 0 or lie below one
     (dict(width_profile=(2,)), dict(n_models=4, n_roles=3, p_max=1, width=2,
-                                    max_steps=16, alpha=0.1), range(4), (1624, 1215)),
-    # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees
+                                    max_steps=16, alpha=0.1), range(4), (1624, 1455)),
+    # four roles: a thinker shares its child too
+    (dict(width_profile=(2,)), dict(n_models=2, n_roles=4, p_max=1, width=2,
+                                    max_steps=8, alpha=0.1), range(2), (3374, 3061)),
+    # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees;
+    # the verifier reads its context's quality, so only planners share
     (dict(width_profile=(3,)), dict(n_models=2, n_roles=5, p_max=2, width=3,
-                                    max_steps=6, alpha=0.1), range(2), None),
+                                    max_steps=6, alpha=0.1), range(2), (13414, 8616)),
     # phase-1 templates: a planner as a state's only role, stepped in place
     (dict(width_profile=(3,)), dict(n_models=3, n_roles=3, phase="phase1",
                                     phase_depth=2, phase_width=2, alpha=0.1),
-     range(1), (9840, 8746)),
-], ids=["oracle-search", "five-role", "phase1"])
+     range(1), (9840, 9394)),
+], ids=["oracle-search", "four-role", "five-role", "phase1"])
 def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
                                                            env_kw, roots, counts):
     bench = make_benchmark(
@@ -361,7 +370,7 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
         got_plan, got_value = oracle_route(cfg, bench, hubs, root)
         monkeypatch.undo()
         # each expanded state is scored as a leaf or stepped once, in place
-        # or on a clone, except the planner models that share model 0's
+        # or on a clone, except the shared models that share model 0's
         # child; terminal actions are never stepped, and each state's role
         # is scored in at most one pass
         assert (got_plan, got_value.hex(), steps[0] + leaves[0]) == \

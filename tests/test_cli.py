@@ -1,5 +1,6 @@
 """CLI tests: exit codes, artifact round-trips, config validation."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -163,6 +164,21 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
                          "--out", str(tmp_path / "bench.json")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: d_hub") and err.count("\n") == 1
+    # a negative or NaN noise sigma passed genbench, and train wrote
+    # config.json before numpy refused it with "high - low < 0"
+    for sigma in (-1, float("nan")):
+        bad = write_config(tmp_path, {"benchmark": {"noise_sigma": sigma}})
+        assert main(["genbench", "--config", str(bad),
+                     "--out", str(tmp_path / "bench.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_sigma") and err.count("\n") == 1
+        bad = write_config(tmp_path, {**TINY, "benchmark": {**TINY["benchmark"],
+                                                            "noise_sigma": sigma}})
+        assert main(["train", "--config", str(bad),
+                     "--out", str(tmp_path / "noisy")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise_sigma") and err.count("\n") == 1
+        assert not (tmp_path / "noisy" / "config.json").exists()
     # a catalog entry without a scale raised KeyError
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps([{"name": "a"}]))
@@ -355,3 +371,7 @@ def test_runconfig_resolved_is_stable(tmp_path):
     assert blob["benchmark"]["k_models"] == 2
     assert blob["train"]["hidden"] == 8
     assert blob["eval"]["episodes"] == 2
+    # the defaults' resolved config, pinned byte for byte
+    RunConfig.from_dict({}).dump_resolved(a)
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == \
+        "7c7729561c47c80ab14492d54f39565c8bab08aad3fdd48aaa7ef75512caeda0"

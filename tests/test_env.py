@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentroute.backend import (ALL_ROLES, THINKER, VERIFIER, BenchmarkSpec,
+from agentroute.backend import (ALL_ROLES, EXECUTOR, THINKER, VERIFIER, BenchmarkSpec,
                                 final_utility, make_benchmark)
 from agentroute.baselines import RandomRouter
 from agentroute.env import (
@@ -328,15 +328,40 @@ def episode_state(env):
             env.truncated, env.utility, env._last_answer_quality)
 
 
+def assert_same_subtrees(envs):
+    """Walk the subtrees below `envs` in lockstep: each state below one of
+    them has the mask, the ends and the pool rewards of the same state below
+    every other."""
+    k = envs[0].cfg.n_models
+    stack = [envs]
+    while stack:
+        group = stack.pop()
+        mask = group[0].legal_mask()
+        assert all(np.array_equal(e.legal_mask(), mask) for e in group)
+        for role in np.flatnonzero(mask[::k]).tolist():
+            views = [(e.ends(role), [r.hex() for r in e.pool_rewards(role)])
+                     for e in group]
+            assert all(v == views[0] for v in views)
+            if any(views[0][0]):
+                continue
+            for m in range(k):
+                children = [e.clone() for e in group]
+                for child in children:
+                    child.step(Action(role, m))
+                stack.append(children)
+
+
 @pytest.mark.parametrize("cfg_kw, roots", [
     # the oracle benchmark's configuration
     (dict(width=2, n_models=4, n_roles=3, p_max=1, max_steps=16, alpha=0.1), 1),
+    # four roles: a thinker and no verifier
+    (dict(width=2, n_models=2, n_roles=4, p_max=1, max_steps=6, alpha=0.1), 1),
     # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees
     (dict(width=3, n_models=2, n_roles=5, p_max=2, max_steps=6, alpha=0.1), 1),
     # a step cap that truncates planners, thinkers and executors alike
     (dict(width=3, n_models=2, n_roles=5, p_max=2, max_steps=3, alpha=0.1,
           utility_mode="binary"), 4),
-], ids=["oracle-search", "five-role", "truncating-binary"])
+], ids=["oracle-search", "four-role", "five-role", "truncating-binary"])
 def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
     env = separable_env(**cfg_kw)
     cfg, k = env.cfg, env.cfg.n_models
@@ -388,10 +413,37 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
                     first = episode_state(children[0])
                     assert all(episode_state(c) == first for c in children)
                     children, shared = children[:1], shared + 1
+                elif children and cfg.n_roles <= VERIFIER and \
+                        ALL_ROLES[role].name in ("summarizer", "thinker"):
+                    # without a verifier nothing downstream reads a summary's
+                    # or a thought's quality, so the oracle searches one child
+                    # for all of them too
+                    assert_same_subtrees(children)
+                    children, shared = children[:1], shared + 1
                 stack += children
     assert ("executor", False) in ends and shared > 0
     if cfg.max_steps == 3:
         assert {("planner", True), ("executor", True), ("thinker", True)} <= ends
+
+
+def test_a_verifier_reads_the_quality_of_a_thought():
+    """Why the oracle shares a thinker's child only without a verifier: a
+    verify pass floors at its context's best quality and an executor at the
+    verified draft, so the thinker's model reaches the final answer."""
+    bench = make_benchmark(
+        BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
+                      seed=7, width_profile=(3,)),
+        k_models=2, skill_overrides={"verifier": 0.0, "executor": 0.0})
+    cfg = EnvConfig(n_models=2, n_roles=5, width=3)
+    env = RoutingEnv(cfg, bench.with_noise(False), bench.build_hubs(cfg.n_roles))
+    for i in range(6):
+        answers = []
+        for m in range(2):
+            env.reset(bench.eval_query(i))
+            env.step(Action(THINKER, m))
+            env.step(Action(VERIFIER, 0))
+            answers.append(env.pool_rewards(EXECUTOR))
+        assert answers[0] != answers[1]
 
 
 def test_every_step_calls_the_simulator_once_and_numbers_its_response(monkeypatch):
