@@ -133,14 +133,10 @@ def _hashed_text_embedding(text: str, dim: int) -> np.ndarray:
 
 
 def _call_draws(seed: int, query_id: str, role_index: int, model_name: str,
-               d_q: int, noise_sigma: float | None) -> tuple[float, int, int, np.ndarray]:
-    """The hashed draws of one (query, role, model) call, independent of context.
-
-    Returns the quality noise (0.0 when `noise_sigma` is None), the prompt
-    and completion token counts, and the response-embedding noise term (the
-    noise with its two reserved coordinates zeroed, times 0.15), read-only so
-    a memoised copy stays put.
-    """
+               noise_sigma: float | None) -> tuple[float, int, int]:
+    """The hashed draws of one (query, role, model) call, independent of
+    context: the quality noise (0.0 when `noise_sigma` is None) and the prompt
+    and completion token counts."""
     role = ALL_ROLES[role_index]
     noise_term = 0.0
     if noise_sigma is not None:
@@ -149,12 +145,32 @@ def _call_draws(seed: int, query_id: str, role_index: int, model_name: str,
     tok_rng = det_rng(seed, "tokens", query_id, role.name, model_name)
     t_in = 1 + int(round(math.exp(role.tokens_in_mu + TOKEN_SIGMA * tok_rng.normal())))
     t_out = 1 + int(round(math.exp(role.tokens_out_mu + TOKEN_SIGMA * tok_rng.normal())))
+    return noise_term, t_in, t_out
+
+
+def _response_noise(seed: int, query_id: str, role_index: int, model_name: str,
+                    d_q: int) -> np.ndarray:
+    """The response-embedding noise term of one call: the hashed noise with
+    its two reserved coordinates zeroed, times 0.15; read-only, so a memoised
+    copy stays put."""
+    role = ALL_ROLES[role_index]
     noise_vec = det_rng(seed, "resp", query_id, role.name, model_name).normal(size=d_q)
     noise_vec[0] = 0.0
     noise_vec[1] = 0.0
     noise_vec = 0.15 * noise_vec
     noise_vec.flags.writeable = False
-    return noise_term, t_in, t_out, noise_vec
+    return noise_vec
+
+
+def _memoised(draws: dict | None, key: tuple, draw):
+    """`draw(*key[1:])`, read through the memo `draws` when one is given;
+    key[0] names the kind of draw."""
+    if draws is None:
+        return draw(*key[1:])
+    out = draws.get(key)
+    if out is None:
+        out = draws[key] = draw(*key[1:])
+    return out
 
 
 def cost_of(tokens_in: int, tokens_out: int, profile: LLMProfile) -> float:
@@ -278,14 +294,10 @@ class Benchmark:
         out = []
         for m in models:
             profile = self.profiles[m]
-            key = (self.seed, query.id, role_index, profile.name, self.d_q,
-                   self.noise_sigma if self.noise else None)
-            if draws is None:
-                drawn = _call_draws(*key)
-            else:
-                drawn = draws.get(key)
-                if drawn is None:
-                    drawn = draws[key] = _call_draws(*key)
+            drawn = _memoised(draws, ("call", self.seed, query.id, role_index,
+                                      profile.name,
+                                      self.noise_sigma if self.noise else None),
+                              _call_draws)
             skill = float(profile.skill[role_index, query.family])
             quality = min(max(skill + bonus - 0.5 * diff + drawn[0], 0.0), 1.0)
             if floor is not None:
@@ -298,15 +310,19 @@ class Benchmark:
         """Simulate one model call; bitwise deterministic per (seed, inputs).
 
         `draws`, when given, memoises the call's hashed draws (see
-        `_call_draws`) across calls; one episode and its clones share one.
-        `invoke_pool` reads the same quality and token counts for every model
-        at once, without the response embedding; the oracle scores its
-        terminal and its shared roles with it, one pass per (state, role).
+        `_call_draws` and `_response_noise`) across calls; one episode and its
+        clones share one. `invoke_pool` reads the same quality and token
+        counts for every model at once, without the response embedding or its
+        noise draw; the oracle scores its terminal and its shared roles with
+        it, one pass per (state, role).
         """
         if not (0 <= model_index < self.n_models):
             raise ValueError(f"unknown model index: {model_index}")
-        [(quality, (_, t_in, t_out, noise_vec))] = self._calls(
+        [(quality, (_, t_in, t_out))] = self._calls(
             role_index, query, context, draws, (model_index,))
+        noise_vec = _memoised(draws, ("resp", self.seed, query.id, role_index,
+                                      self.profiles[model_index].name, self.d_q),
+                              _response_noise)
         # (2q - 1) * content_of(query) + noise: the noise is 0 at both
         # reserved coordinates, so the difficulty slot comes out +0.0 either way
         emb = (2.0 * quality - 1.0) * query.embedding + noise_vec

@@ -14,8 +14,11 @@ encoding of the union of the history and workflow graphs, with shared or
 per-type projections.
 
 `encoder` maps a stack of decision points to masked action distributions and
-values. Rollouts call it with a batch of one and the PPO update with a whole
-window, so both run the same code.
+values on the tape; the PPO update calls it with a whole window.
+`RoutingPolicy` acts on one decision point at a time, for rollouts and
+evaluation, with its own plain-array forward: what depends only on the
+weights and the history snapshot is computed once per snapshot, and the rest
+runs `encoder`'s numpy ops on a batch of one, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from .streams import det_rng
 from .tensor import Tensor
 
 VARIANTS = ("full", "homo", "hetero")
+# per variant, the (W_q, W_r, W_m) that encode the graph the head scores
+MESSAGE_WEIGHTS = {"full": ("loc.W_q", "loc.W_r", "loc.W_m"),
+                   "homo": ("enc.W",) * 3,
+                   "hetero": ("enc.W_q", "enc.W_r", "enc.W_m")}
 
 
 @dataclass(frozen=True)
@@ -78,15 +85,37 @@ def init_params(dims: EncoderDims, variant: str = "full", seed: int = 0,
 
 def _stack(parts: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
     """Stack per-graph sums; None (no such node) stacks as zeros, all-None as None."""
+    if len(parts) == 1:
+        return None if parts[0] is None else parts[0][None]
     present = [p for p in parts if p is not None]
     if not present:
         return None
-    if len(parts) == 1:
-        return parts[0][None]
     if len(present) < len(parts):
         zero = np.zeros_like(present[0])
         parts = [zero if p is None else p for p in parts]
     return np.stack(parts)
+
+
+def _mean_messages(graphs: list[EncoderInput | HubState],
+                   shared: EncoderInput | HubState | None,
+                   beta: float) -> tuple[np.ndarray | None, tuple[bool, bool]]:
+    """(N*H, d) beta-scaled means of the raw features over each hub's incoming
+    edges in N graphs (`shared`'s sums add to each graph's), and which of
+    (queries, responses) they stack, in that order; None when no graph has
+    either kind of node."""
+    N, H = len(graphs), graphs[0].n_hubs
+    sums = [_stack(parts) for parts in zip(*(g.hub_sums for g in graphs))]
+    if shared is not None:
+        sums = [b if s is None else s if b is None else s + b
+                for s, b in zip(sums, shared.hub_sums)]
+    deg, q_sum, r_sum = sums
+    kinds = (q_sum is not None, r_sum is not None)
+    if not any(kinds):
+        return None, kinds
+    means = np.concatenate([np.broadcast_to(s, (N,) + s.shape) if s.ndim == 2
+                            else s for s in (q_sum, r_sum) if s is not None], axis=2)
+    means *= (beta / np.maximum(deg, 1.0))[:, :, None]
+    return means.reshape(N * H, -1), kinds
 
 
 def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
@@ -112,21 +141,11 @@ def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
     h_hub = T.matmul(hubs, W_m)
     N, h = len(graphs), h_hub.shape[1]
     base = T.reshape(h_hub, (1, H, h))
-    if beta == 0.0:
+    means, kinds = (None, ()) if beta == 0.0 else _mean_messages(graphs, shared, beta)
+    if means is None:  # every hub keeps h
         return T.broadcast_to(base, (N, H, h))
-    sums = [_stack(parts) for parts in zip(*(g.hub_sums for g in graphs))]
-    if shared is not None:
-        sums = [b if s is None else s if b is None else s + b
-                for s, b in zip(sums, shared.hub_sums)]
-    deg, q_sum, r_sum = sums
-    kept = [(s, W) for s, W in ((q_sum, W_q), (r_sum, W_r)) if s is not None]
-    if not kept:  # no query or response: every hub keeps h
-        return T.broadcast_to(base, (N, H, h))
-    means = np.concatenate([np.broadcast_to(s, (N,) + s.shape) if s.ndim == 2
-                            else s for s, _ in kept], axis=2)
-    means *= (beta / np.maximum(deg, 1.0))[:, :, None]
-    msg = T.matmul(Tensor(means.reshape(N * H, -1)),
-                   T.concat([W for _, W in kept], axis=0))
+    W = T.concat([W for W, kept in zip((W_q, W_r), kinds) if kept], axis=0)
+    msg = T.matmul(Tensor(means), W)
     return T.add(base, T.reshape(msg, (N, H, h)))
 
 
@@ -147,38 +166,28 @@ def history_hub_rows(params: dict[str, Tensor], variant: str, beta: float,
 def encoder(params: dict[str, Tensor], variant: str, beta: float,
             hist_input: EncoderInput | HubState | None,
             wf_inputs: list[EncoderInput | HubState],
-            queries: np.ndarray, masks: np.ndarray,
-            his_hubs: Tensor | None = None) -> tuple[Tensor, Tensor]:
+            queries: np.ndarray, masks: np.ndarray) -> tuple[Tensor, Tensor]:
     """Masked action distributions (N, R*K) and values (N,) of N decision
     points that share one history snapshot.
 
-    Row i scores wf_inputs[i] against queries[i] under masks[i]. Rollouts
-    pass one decision point, the update a whole window; every weight is
-    applied with one matmul whatever N is. The full variant encodes the
-    history once (or takes its cached rows as his_hubs) and feeds those rows
-    to every workflow pass as hub inputs; merged variants encode each
-    workflow together with the history.
+    Row i scores wf_inputs[i] against queries[i] under masks[i]; every weight
+    is applied with one matmul whatever N is. The full variant encodes the
+    history once and feeds its rows to every workflow pass as hub inputs;
+    merged variants encode each workflow together with the history.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown encoder variant: {variant!r}")
+    if hist_input is None:
+        raise ValueError("the encoder needs the history input")
+    Wq, Wr, Wm = (params[name] for name in MESSAGE_WEIGHTS[variant])
     if variant == "full":
-        if his_hubs is None:
-            if hist_input is None:
-                raise ValueError("the full variant needs the history input")
-            his_hubs = history_hub_rows(params, variant, beta, hist_input)
-        score_rows = encode_graph(his_hubs, wf_inputs, params["loc.W_q"],
-                                  params["loc.W_r"], params["loc.W_m"], beta)
+        his_hubs = history_hub_rows(params, variant, beta, hist_input)
+        score_rows = encode_graph(his_hubs, wf_inputs, Wq, Wr, Wm, beta)
         value_rows = T.reshape(his_hubs, (1,) + his_hubs.shape)
-    elif variant in ("homo", "hetero"):
-        if hist_input is None:
-            raise ValueError("merged variants need the history input")
-        if variant == "homo":
-            Wq = Wr = Wm = params["enc.W"]
-        else:
-            Wq, Wr, Wm = params["enc.W_q"], params["enc.W_r"], params["enc.W_m"]
+    else:
         score_rows = encode_graph(Tensor(hist_input.hub_feats), wf_inputs,
                                   Wq, Wr, Wm, beta, shared=hist_input)
         value_rows = score_rows
-    else:
-        raise ValueError(f"unknown encoder variant: {variant!r}")
     return _head(params, score_rows, value_rows, queries, masks)
 
 
@@ -209,44 +218,91 @@ def logprob_of(probs: Tensor, actions: np.ndarray) -> Tensor:
     return T.log(T.pick_rows(probs, actions))
 
 
-class RoutingPolicy:
-    """Inference-mode policy: `encoder` on a batch of one decision point.
+def _message_weights(W_q: np.ndarray, W_r: np.ndarray) -> dict:
+    """The weights a (queries, responses) presence pair multiplies the mean
+    messages by: [W_q; W_r] for both, else the one present."""
+    return {(True, True): np.concatenate([W_q, W_r], axis=0),
+            (True, False): W_q, (False, True): W_r}
 
-    For the full variant the history encoding is cached once per prepare()
-    call; merged variants encode the history with every workflow by
-    construction (its edge sums stay cached on the history input).
+
+def _rows_of_one(base: np.ndarray, graph: EncoderInput | HubState,
+                 shared: EncoderInput | HubState | None, weights: dict,
+                 beta: float) -> np.ndarray:
+    """`encode_graph`'s (1, H, hidden) rows of one graph on plain arrays,
+    from its projected hub rows `base` = hubs @ W_m and `_message_weights`."""
+    H, h = base.shape
+    if any(g.n_hubs != H for g in (graph, shared) if g is not None):
+        raise ValueError("hub sets differ between the graphs being encoded")
+    rows = base.reshape(1, H, h)
+    means, kinds = (None, ()) if beta == 0.0 else _mean_messages([graph], shared, beta)
+    return rows if means is None else rows + (means @ weights[kinds]).reshape(1, H, h)
+
+
+class RoutingPolicy:
+    """Inference-mode policy: `encoder`'s forward on one decision point, off
+    the tape.
+
+    It keeps each parameter's array as it is at construction, never a
+    Tensor, so it records no tape whatever `requires_grad` says, and an
+    optimizer step, which rebinds `Tensor.data`, leaves its weights as they
+    were; it also stacks the message weights then. `prepare` computes once per
+    history snapshot what depends only on the weights and the snapshot: the
+    full variant's history hub rows, their loc.W_m projection and pooled value
+    rows; a merged variant's projected history hubs (its edge sums stay cached
+    on the history input). `act` runs the rest with the numpy ops `encoder`
+    runs on a batch of one, in the same order and on the same shapes, so its
+    probabilities and values are the tape's bit for bit.
     """
 
     def __init__(self, params: dict[str, Tensor], variant: str = "full",
                  beta: float = 1.0):
         if variant not in VARIANTS:
             raise ValueError(f"unknown encoder variant: {variant!r}")
-        self.params = params
+        self.params = {k: p.data for k, p in params.items()}
         self.variant = variant
         self.beta = beta
         self.hist_input: EncoderInput | HubState | None = None
-        self._his_hubs: Tensor | None = None
+        W_q, W_r, self._W_m = (self.params[n] for n in MESSAGE_WEIGHTS[variant])
+        self._weights = _message_weights(W_q, W_r)
+        self._base: np.ndarray | None = None
+        self._pooled_value: np.ndarray | None = None
 
     def prepare(self, hist_input: EncoderInput | HubState) -> None:
+        w = self.params
+        if self.variant == "full":
+            his = _rows_of_one(hist_input.hub_feats @ w["his.W_m"], hist_input, None,
+                               _message_weights(w["his.W_q"], w["his.W_r"]),
+                               self.beta)
+            self._base = his[0] @ self._W_m
+            self._pooled_value = his.sum(axis=1) * (1.0 / his.shape[1])
+        else:
+            self._base = hist_input.hub_feats @ self._W_m
         self.hist_input = hist_input
-        self._his_hubs = history_hub_rows(self.params, self.variant, self.beta,
-                                          hist_input)
 
     def act(self, wf_input: EncoderInput | HubState, query_embedding: np.ndarray,
             mask: np.ndarray, mode: str = "sample",
             rng: np.random.Generator | None = None):
         if self.hist_input is None:
             raise RuntimeError("call prepare() with a history snapshot first")
-        probs_t, value_t = encoder(self.params, self.variant, self.beta,
-                                   self.hist_input, [wf_input],
-                                   np.asarray(query_embedding)[None, :],
-                                   np.asarray(mask, dtype=bool)[None, :],
-                                   self._his_hubs)
-        probs = probs_t.data[0]
+        w = self.params
+        shared = None if self.variant == "full" else self.hist_input
+        rows = _rows_of_one(self._base, wf_input, shared, self._weights, self.beta)
+        _, H, h = rows.shape
+        # `_head` on one point: T.row_normalize, then T.relu
+        a = np.asarray(query_embedding, dtype=np.float64)[None, :] @ w["fuse.W"]
+        a = a / (np.sqrt((a * a).sum(axis=1, keepdims=True)) + 1e-6)
+        z = a * (a > 0.0)
+        scores = (rows * z.reshape(1, 1, h)).sum(axis=2)
+        probs = T.masked_softmax_array(scores, np.asarray(mask, dtype=bool)[None, :])[0]
+        pooled = rows.sum(axis=1) * (1.0 / H)
+        value_pooled = pooled if self._pooled_value is None else self._pooled_value
+        feat = np.concatenate([z, pooled, value_pooled], axis=1)
+        hidden = feat @ w["value.W1"] + w["value.b1"]
+        value = (hidden * (hidden > 0.0)) @ w["value.W2"] + w["value.b2"]
         if mode == "greedy":
-            idx = int(np.argmax(probs))
+            idx = int(probs.argmax())
         else:
             if rng is None:
                 raise ValueError("sampling mode needs an rng stream")
             idx = int(rng.choice(probs.shape[0], p=probs))
-        return idx, float(value_t.data[0])
+        return idx, float(value[0, 0])

@@ -201,8 +201,10 @@ class HeteroGraph:
         # query id -> the ids of its child queries / of the responses attached to it
         self.child_ids: dict[str, tuple[str, ...]] = {}
         self.response_ids: dict[str, tuple[str, ...]] = {}
-        # History bookkeeping: nodes tagged by consolidation episode, FIFO order.
+        # History bookkeeping: nodes tagged by consolidation episode, FIFO order;
+        # `episode_nodes` inverts `episode_of`: tag -> its nodes' ids, in tagging order.
         self.episode_of: dict[str, str] = {}
+        self.episode_nodes: dict[str, dict[str, None]] = {}
         self.episode_order: list[str] = []
         self._episode_counter = 0
 
@@ -215,7 +217,7 @@ class HeteroGraph:
         if q.parent is not None:
             _link(self.child_ids, q.parent, q.id)
         if self.kind == "history" and episode is not None:
-            self.episode_of[q.id] = episode
+            self._tag(q.id, episode)
 
     def add_response(self, query_id: str, r: ResponseNode, answers: bool,
                      episode: str | None = None) -> None:
@@ -233,7 +235,7 @@ class HeteroGraph:
         if answers:
             self.set_query(query_id, status=STATUS_RESOLVED, answer_id=r.id)
         if self.kind == "history" and episode is not None:
-            self.episode_of[r.id] = episode
+            self._tag(r.id, episode)
 
     def set_query(self, query_id: str, **changes) -> QueryNode:
         """Replace a query with a copy whose `status` and `answer_id` take
@@ -245,6 +247,19 @@ class HeteroGraph:
         q.__dict__.update(self.queries[query_id].__dict__, **changes)
         self.queries[query_id] = q
         return q
+
+    def _tag(self, nid: str, episode: str) -> None:
+        self._untag(nid)
+        self.episode_of[nid] = episode
+        self.episode_nodes.setdefault(episode, {})[nid] = None
+
+    def _untag(self, nid: str) -> None:
+        episode = self.episode_of.pop(nid, None)
+        if episode is not None:
+            nodes = self.episode_nodes[episode]
+            del nodes[nid]
+            if not nodes:
+                del self.episode_nodes[episode]
 
     @property
     def interaction_count(self) -> int:
@@ -287,7 +302,7 @@ class HeteroGraph:
             query_id = self.query_of.pop(nid, None)
             if query_id is not None:
                 _unlink(self.response_ids, query_id, nid)
-            self.episode_of.pop(nid, None)
+            self._untag(nid)
 
     def enforce_capacity(self) -> None:
         """Evict oldest episodes until the interaction budget is met."""
@@ -297,8 +312,7 @@ class HeteroGraph:
         # truncated by dropping the oldest nodes, queries before responses.
         while self.interaction_count > self.capacity and len(self.episode_order) > 1:
             ep = self.episode_order.pop(0)
-            doomed = {nid for nid, e in self.episode_of.items() if e == ep}
-            self._drop_nodes(doomed)
+            self._drop_nodes(set(self.episode_nodes.get(ep, ())))
         excess = self.interaction_count - self.capacity
         if excess > 0:
             self._drop_nodes(set([*self.queries, *self.responses][:excess]))
@@ -472,6 +486,7 @@ def clone_workflow(g: HeteroGraph) -> HeteroGraph:
     out.child_ids = dict(g.child_ids)
     out.response_ids = dict(g.response_ids)
     out.episode_of = {}
+    out.episode_nodes = {}
     out.episode_order = []
     return out
 
@@ -508,6 +523,7 @@ def rebase_history(old: HeteroGraph, new_hubs: HubSet,
     out.child_ids = dict(old.child_ids)
     out.response_ids = dict(old.response_ids)
     out.episode_of = dict(old.episode_of)
+    out.episode_nodes = {ep: dict(nodes) for ep, nodes in old.episode_nodes.items()}
     out.episode_order = list(old.episode_order)
     out._episode_counter = old._episode_counter
     return out
@@ -617,7 +633,7 @@ def deserialize(data: bytes) -> HeteroGraph:
         )
         g.queries[node.id] = node
         if q.get("episode") is not None:
-            g.episode_of[node.id] = field(q, "episode", str, where)
+            g._tag(node.id, field(q, "episode", str, where))
     for i, r in enumerate(field(blob, "responses", list, "graph")):
         where = f"graph response {i}"
         produced_by = tuple(items(r, "produced_by", int, where))
@@ -635,7 +651,7 @@ def deserialize(data: bytes) -> HeteroGraph:
         )
         g.responses[node.id] = node
         if r.get("episode") is not None:
-            g.episode_of[node.id] = field(r, "episode", str, where)
+            g._tag(node.id, field(r, "episode", str, where))
     # The stored edge lists must be exactly the ones the nodes imply, so an
     # accepted blob serializes back to the same bytes.
     edges = field(blob, "edges", dict, "graph")

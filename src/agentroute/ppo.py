@@ -1,16 +1,17 @@
 """Clipped-surrogate policy optimization over routing episodes.
 
 Collection windows are frozen: parameters and the history snapshot taken at
-the start of a window are used for every rollout in it. The update runs one
-batched forward per epoch over all decision points of the window, through
-the same `encoder` the rollouts call with a batch of one. Its old
-log-probabilities are the first epoch's own, detached, so the importance
-ratio is exactly one on the first epoch by construction (a batch-of-one
-recompute can differ from the batched one in the last bit, so the rollout's
-values are not reused). A window's episodes run one after another on the
-calling thread, each on its own RNG stream keyed by (seed, update, episode
-index). `TrainConfig.workers` is validated and otherwise ignored: it changes
-neither execution nor any artifact.
+the start of a window are used for every rollout in it. Rollouts act through
+`RoutingPolicy`, whose plain-array forward equals `encoder` on a batch of
+one bit for bit; the update runs `encoder` on the tape, one batched forward
+per epoch over all decision points of the window. Its old log-probabilities
+are the first epoch's own, detached, so the importance ratio is exactly one
+on the first epoch by construction (a batch-of-one recompute can differ from
+the batched one in the last bit, so the rollout's values are not reused). A
+window's episodes run one after another on the calling thread, each on its
+own RNG stream keyed by (seed, update, episode index). `TrainConfig.workers`
+is validated and otherwise ignored: it changes neither execution nor any
+artifact.
 """
 
 from __future__ import annotations
@@ -240,9 +241,7 @@ def train(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
         count = min(cfg.episodes_per_update,
                     cfg.max_episodes - result.episodes_seen)
         hist_input = history.hub_state()
-        # gradient-free views of the window's weights: rollouts record no tape
-        policy = RoutingPolicy({k: Tensor(p.data) for k, p in params.items()},
-                               cfg.variant, cfg.beta)
+        policy = RoutingPolicy(params, cfg.variant, cfg.beta)
         policy.prepare(hist_input)
         episodes = collect_window(benchmark, env_cfg, hubs, policy, update,
                                   result.episodes_seen, count, cfg.seed)
@@ -310,7 +309,6 @@ def write_artifacts(out_dir: Path, result: TrainResult) -> None:
 
 def load_policy(checkpoint: str | Path) -> tuple[RoutingPolicy, dict]:
     from .tensor import load_params
-    # inference only: parameters that need no gradient record no tape
     params, meta = load_params(checkpoint, requires_grad=False)
     variant = meta.get("variant", "full")
     beta = float(meta.get("beta", 1.0))

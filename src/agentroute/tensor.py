@@ -24,8 +24,8 @@ class Tensor:
 
     Parents are (tensor, backward_fn) pairs; backward_fn maps the output
     gradient to that parent's gradient contribution. Ops only record parents
-    when some input requires grad, and the encoder's ops build no backward
-    closure otherwise, so inference paths pay only for the forward pass.
+    when some input requires grad. Only training builds Tensors: inference
+    (`encoder.RoutingPolicy`) runs its forward on plain arrays.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents")
@@ -117,8 +117,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out)
     return _make(out, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
@@ -135,8 +133,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out)
     return _make(out, [
         (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
         (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
@@ -145,8 +141,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    if not a.requires_grad:
-        return Tensor(a.data * c)
     return _make(a.data * c, [(a, lambda g: g * c)])
 
 
@@ -154,8 +148,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul expects 2-d operands")
     out = a.data @ b.data
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out)
     return _make(out, [
         (a, lambda g: g @ b.data.T),
         (b, lambda g: a.data.T @ g),
@@ -164,8 +156,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
-    if not a.requires_grad:
-        return Tensor(out)
     return _make(out, [(a, lambda g: g.reshape(a.data.shape))])
 
 
@@ -173,8 +163,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat of zero tensors")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    if not any(p.requires_grad for p in parts):
-        return Tensor(out)
     parents = []
     hi = 0
     for p in parts:
@@ -191,8 +179,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
-    if not a.requires_grad:
-        return Tensor(a.data * mask)
     return _make(a.data * mask, [(a, lambda g: g * mask)])
 
 
@@ -233,8 +219,6 @@ def total_sum(a: Tensor) -> Tensor:
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     """Sum over one axis; the result drops that axis."""
     out = a.data.sum(axis=axis)
-    if not a.requires_grad:
-        return Tensor(out)
     return _make(out, [(a, lambda g: np.broadcast_to(np.expand_dims(g, axis),
                                                      a.data.shape).copy())])
 
@@ -244,8 +228,6 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if a.data.shape == tuple(shape):
         return a
     out = np.broadcast_to(a.data, shape).copy()
-    if not a.requires_grad:
-        return Tensor(out)
     return _make(out, [(a, lambda g: _unbroadcast(g, a.data.shape))])
 
 
@@ -271,8 +253,6 @@ def row_normalize(a: Tensor, eps: float = 1e-6) -> Tensor:
     r = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
     denom = r + eps
     out = a.data / denom
-    if not a.requires_grad:
-        return Tensor(out)
 
     def bw(g: Array) -> Array:
         # y = x / (r + eps); dy/dx = I/(r+eps) - x x^T / (r (r+eps)^2)
@@ -283,7 +263,7 @@ def row_normalize(a: Tensor, eps: float = 1e-6) -> Tensor:
     return _make(out, [(a, bw)])
 
 
-def masked_softmax(scores: Tensor, mask: Array) -> Tensor:
+def masked_softmax_array(scores: Array, mask: Array) -> Array:
     """Softmax along the last axis over entries where mask is True; masked
     entries get exactly 0.
 
@@ -291,15 +271,18 @@ def masked_softmax(scores: Tensor, mask: Array) -> Tensor:
     allowed entries only, so each row is the plain renormalized softmax.
     """
     mask = np.asarray(mask, dtype=bool)
-    if scores.data.ndim == 0 or mask.shape != scores.data.shape:
+    if scores.ndim == 0 or mask.shape != scores.shape:
         raise ValueError("scores and mask must be aligned arrays")
     if not mask.any(axis=-1).all():
         raise ValueError("masked_softmax with an empty mask row")
-    top = np.where(mask, scores.data, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, scores.data - top, 0.0)), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
-    if not scores.requires_grad:
-        return Tensor(p)
+    top = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, scores - top, 0.0)), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(scores: Tensor, mask: Array) -> Tensor:
+    """`masked_softmax_array` on the tape."""
+    p = masked_softmax_array(scores.data, mask)
 
     def bw(g: Array) -> Array:
         inner = (g * p).sum(axis=-1, keepdims=True)

@@ -418,7 +418,7 @@ def test_memoised_noise_vector_is_read_only():
     q = b.generate_query(0, 0)
     draws: dict = {}
     first = b.invoke(1, EXECUTOR, q, [], draws)
-    (noise_term, t_in, t_out, noise_vec), = draws.values()
+    [noise_vec] = [v for k, v in draws.items() if k[0] == "resp"]
     with pytest.raises(ValueError):
         noise_vec[2] = 0.0
     # the outcome owns its embedding, and the memo stays as drawn
@@ -426,6 +426,18 @@ def test_memoised_noise_vector_is_read_only():
     again = b.invoke(1, EXECUTOR, q, [], draws)
     assert again.response_embedding[2] != 99.0
     assert _outcome_bytes(again) == _outcome_bytes(b.invoke(1, EXECUTOR, q, []))
+
+
+def test_pool_pass_draws_no_response_noise():
+    b = bench()
+    q = b.generate_query(0, 0)
+    draws: dict = {}
+    pool = b.invoke_pool(EXECUTOR, q, [], draws)
+    assert sorted(k[0] for k in draws) == ["call"] * b.n_models
+    out = b.invoke(1, EXECUTOR, q, [], draws)
+    assert sorted(k[0] for k in draws) == ["call"] * b.n_models + ["resp"]
+    assert (out.quality, out.tokens_in, out.tokens_out) == pool[1]
+    assert _outcome_bytes(out) == _outcome_bytes(b.invoke(1, EXECUTOR, q, []))
 
 
 # -- decompose and summary -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Encoder tests: projections, message round, variants, policy head."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from agentroute import tensor as T
 from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.encoder import (
     EncoderDims,
+    VARIANTS,
     RoutingPolicy,
     encode_graph,
     encoder,
@@ -17,6 +20,7 @@ from agentroute.encoder import (
     init_params,
     logprob_of,
 )
+from agentroute.env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from agentroute.memory import EncoderInput, HeteroGraph, new_workflow
 from agentroute.tensor import Tensor
 
@@ -52,10 +56,9 @@ def hub_rows(graphs, W_q, W_r, W_m, beta, shared=None):
                         shared=shared).data
 
 
-def one_point(params, variant, beta, hist, wf, q, mask, his=None):
+def one_point(params, variant, beta, hist, wf, q, mask):
     """Encoder outputs, (1, R*K) probs and (1,) value, of one decision point."""
-    return encoder(params, variant, beta, hist, [wf], q[None, :], mask[None, :],
-                   his)
+    return encoder(params, variant, beta, hist, [wf], q[None, :], mask[None, :])
 
 
 def raw_input(hub_feats, query_feats, response_feats, edges):
@@ -500,10 +503,90 @@ def test_policy_greedy_is_argmax_and_deterministic():
     mask = np.ones(6, dtype=bool)
     idx, value = policy.act(wf, np.ones(64), mask, mode="greedy")
     assert policy.act(wf, np.ones(64), mask, mode="greedy") == (idx, value)
-    probs, values = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask,
-                              policy._his_hubs)
+    probs, values = one_point(params, "full", 1.0, hist, wf, np.ones(64), mask)
     assert idx == int(np.argmax(probs.data[0]))
     assert value == float(values.data[0])
+
+
+def env_point(rng, n_hist, steps):
+    """A history after `n_hist` random episodes, and the workflow state and
+    query after `steps` random steps of a fresh episode (its root when 0)."""
+    bench = small_bench()
+    env_cfg = EnvConfig(n_models=2, n_roles=3, p_max=1)
+    hubs = bench.build_hubs(3)
+    hist = HeteroGraph("history", hubs, capacity=64)
+
+    def walk(query, n):
+        env = RoutingEnv(env_cfg, bench, hubs)
+        env.reset(query)
+        for _ in range(n):
+            if env.finished:
+                break
+            legal = np.flatnonzero(env.legal_mask())
+            env.step(env_cfg.action_of(int(rng.choice(legal))))
+        return env
+
+    for i in range(n_hist):
+        env = walk(bench.train_query(i), 16)
+        absorb_episode(hist, Episode(records=[], utility=0.0, truncated=False,
+                                     family=0, workflow=env.workflow))
+    env = walk(bench.eval_query(int(rng.integers(0, 8))), steps)
+    wf, q = env.snapshot()
+    return hist.hub_state(), wf, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VARIANTS), st.sampled_from([0.0, 1.0]),
+       st.sampled_from(["env", "random"]), st.integers(0, 3), st.integers(0, 6),
+       st.booleans(), st.sampled_from(["greedy", "sample"]),
+       st.integers(0, 2**32 - 1))
+def test_act_is_the_tape_forward_bit_for_bit(variant, beta, source, n_hist, steps,
+                                             grad, mode, seed):
+    """`act` gives `encoder`'s probabilities and value on one point, bit for
+    bit, and the action greedy or sampled decoding of those takes; neither
+    `prepare` nor `act` builds a Tensor."""
+    rng = np.random.default_rng(seed)
+    if source == "env":
+        dims = DIMS
+        hist, wf, q = env_point(rng, n_hist, steps)
+    else:  # arbitrary edges: hubs with no edge, responses with no query
+        dims = EncoderDims(d_q=4, d_r=4, d_hub=4, hidden=3)
+        hist = random_input(rng, 4, 6, n_hist, int(rng.integers(0, 3)),
+                            int(rng.integers(0, 12)))
+        wf = random_input(rng, 4, 6, int(rng.integers(0, 3)), steps // 2,
+                          int(rng.integers(0, 12)))
+        q = rng.normal(size=4)
+    params = init_params(dims, variant, seed=seed % 5)
+    if not grad:
+        params = {k: Tensor(p.data) for k, p in params.items()}
+    H = hist.n_hubs
+    mask = rng.uniform(size=H) < 0.5
+    mask[rng.integers(0, H)] = True
+
+    softmaxes, created = [], []
+    softmax, init = T.masked_softmax_array, Tensor.__init__
+
+    def spy_softmax(scores, m):
+        softmaxes.append(softmax(scores, m))
+        return softmaxes[-1]
+
+    def counted(obj, *a, **k):
+        created.append(obj)
+        init(obj, *a, **k)
+
+    policy = RoutingPolicy(params, variant, beta)
+    with mock.patch.object(T, "masked_softmax_array", spy_softmax), \
+            mock.patch.object(Tensor, "__init__", counted):
+        policy.prepare(hist)
+        idx, value = policy.act(wf, q, mask, mode, np.random.default_rng(seed))
+    assert created == []
+    probs, values = one_point(params, variant, beta, hist, wf, q, mask)
+    [act_probs] = softmaxes
+    assert act_probs.tobytes() == probs.data.tobytes()
+    assert value.hex() == float(values.data[0]).hex()
+    p = probs.data[0]
+    assert idx == (int(np.argmax(p)) if mode == "greedy" else
+                   int(np.random.default_rng(seed).choice(p.shape[0], p=p)))
 
 
 def test_policy_sampling_needs_rng():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -643,6 +644,17 @@ def assert_graph_invariants(g, capacity):
     assert not np.any((frozen.edge_src < frozen.n_hubs) & (frozen.edge_dst < frozen.n_hubs))
 
 
+def scan_enforce_capacity(g):
+    """`HeteroGraph.enforce_capacity` restated with a scan of `episode_of` for
+    each evicted episode, as it once ran."""
+    while g.interaction_count > g.capacity and len(g.episode_order) > 1:
+        ep = g.episode_order.pop(0)
+        g._drop_nodes({nid for nid, e in g.episode_of.items() if e == ep})
+    excess = g.interaction_count - g.capacity
+    if excess > 0:
+        g._drop_nodes(set([*g.queries, *g.responses][:excess]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(capacity=st.integers(1, 12),
        ops=st.lists(st.tuples(st.sampled_from(["consolidate", "inject", "enforce", "rebase"]),
@@ -652,7 +664,15 @@ def test_graph_invariants_hold_under_random_operations(capacity, ops):
     for op, seed in ops:
         rng = np.random.default_rng(seed)
         if op == "consolidate":
-            consolidate(random_episode(hist.hubs, rng, seed), hist)
+            episode = random_episode(hist.hubs, rng, seed)
+            # the indexed eviction dooms what a scan of every tag would
+            twin, twin_episode = copy.deepcopy((hist, episode))  # one hub set
+            with mock.patch.object(HeteroGraph, "enforce_capacity",
+                                   scan_enforce_capacity):
+                consolidate(twin_episode, twin)
+            consolidate(episode, hist)
+            assert serialize(hist) == serialize(twin)
+            assert_indexes_are_a_scan(hist)
         elif op == "inject":
             inject_role_interactions(BENCH, hist, n_queries=int(rng.integers(1, 3)),
                                      query_offset=seed)
@@ -770,15 +790,19 @@ def test_hub_state_equals_a_fresh_freeze(roles, models, dims, capacity, ops):
 
 
 def assert_indexes_are_a_scan(g):
-    """`child_ids` and `response_ids` hold what a scan of the nodes finds,
-    element for element and in insertion order, and nothing more."""
-    children, responses = {}, {}
+    """`child_ids`, `response_ids` and `episode_nodes` hold what a scan of the
+    nodes and tags finds, element for element and in insertion order, and
+    nothing more."""
+    children, responses, tagged = {}, {}, {}
     for q in g.queries.values():
         if q.parent is not None:
             children[q.parent] = children.get(q.parent, ()) + (q.id,)
     for rid, qid in g.query_of.items():
         responses[qid] = responses.get(qid, ()) + (rid,)
+    for nid, ep in g.episode_of.items():
+        tagged.setdefault(ep, []).append(nid)
     assert g.child_ids == children and g.response_ids == responses
+    assert {ep: list(nodes) for ep, nodes in g.episode_nodes.items()} == tagged
     for qid in g.queries:
         assert all(c in g.queries for c in g.child_ids.get(qid, ()))
         assert all(r in g.responses for r in g.response_ids.get(qid, ()))
