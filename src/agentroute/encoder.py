@@ -14,16 +14,19 @@ encoding of the union of the history and workflow graphs, with shared or
 per-type projections.
 
 `encoder` maps a stack of decision points to masked action distributions and
-values on the tape; the PPO update calls it with a whole window.
-`RoutingPolicy` acts on one decision point at a time, for rollouts and
-evaluation, with its own plain-array forward: what depends only on the
-weights and the history snapshot is computed once per snapshot, and the rest
-runs `encoder`'s numpy ops on a batch of one, so both give the same bits.
+values on the tape; it is the reference that gradient checks and tests pin
+the plain-array path to. `RoutingPolicy` is that path, and the one the
+program runs: what depends only on the weights and the history snapshot is
+computed once per snapshot, `forward` runs the rest of `encoder`'s numpy ops
+on N decision points (one for rollouts and evaluation, a whole window for
+the PPO update), and `backward` maps the update's loss gradients back to the
+weights with the tape's ops, so both give the tape's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,9 @@ VARIANTS = ("full", "homo", "hetero")
 MESSAGE_WEIGHTS = {"full": ("loc.W_q", "loc.W_r", "loc.W_m"),
                    "homo": ("enc.W",) * 3,
                    "hetero": ("enc.W_q", "enc.W_r", "enc.W_m")}
+# (N*H, d) mean messages of N graphs, and which of (queries, responses) they
+# stack; (None, ()) when there is none
+Messages = tuple[np.ndarray | None, tuple[bool, ...]]
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,15 @@ def _mean_messages(graphs: list[EncoderInput | HubState],
     return means.reshape(N * H, -1), kinds
 
 
+def _messages(graphs: list[EncoderInput | HubState],
+              shared: EncoderInput | HubState | None, beta: float,
+              H: int) -> Messages:
+    """`_mean_messages` of graphs that must all have H hubs; none at beta = 0."""
+    if any(g.n_hubs != H for g in [*graphs, shared] if g is not None):
+        raise ValueError("hub sets differ between the graphs being encoded")
+    return (None, ()) if beta == 0.0 else _mean_messages(graphs, shared, beta)
+
+
 def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
                  W_q: Tensor, W_r: Tensor, W_m: Tensor, beta: float,
                  shared: EncoderInput | HubState | None = None) -> Tensor:
@@ -136,12 +151,10 @@ def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
     stays off the tape.
     """
     H = hubs.shape[0]
-    if any(g.n_hubs != H for g in [*graphs, shared] if g is not None):
-        raise ValueError("hub sets differ between the graphs being encoded")
+    means, kinds = _messages(graphs, shared, beta, H)
     h_hub = T.matmul(hubs, W_m)
     N, h = len(graphs), h_hub.shape[1]
     base = T.reshape(h_hub, (1, H, h))
-    means, kinds = (None, ()) if beta == 0.0 else _mean_messages(graphs, shared, beta)
     if means is None:  # every hub keeps h
         return T.broadcast_to(base, (N, H, h))
     W = T.concat([W for W, kept in zip((W_q, W_r), kinds) if kept], axis=0)
@@ -225,22 +238,37 @@ def _message_weights(W_q: np.ndarray, W_r: np.ndarray) -> dict:
             (True, False): W_q, (False, True): W_r}
 
 
-def _rows_of_one(base: np.ndarray, graph: EncoderInput | HubState,
-                 shared: EncoderInput | HubState | None, weights: dict,
-                 beta: float) -> np.ndarray:
-    """`encode_graph`'s (1, H, hidden) rows of one graph on plain arrays,
-    from its projected hub rows `base` = hubs @ W_m and `_message_weights`."""
+def _hub_rows(base: np.ndarray, messages: Messages, weights: dict,
+              n: int) -> np.ndarray:
+    """`encode_graph`'s (n, H, hidden) rows of n graphs on plain arrays, from
+    the projected hub rows `base` = hubs @ W_m, the graphs' `_messages` and
+    `_message_weights`."""
+    means, kinds = messages
     H, h = base.shape
-    if any(g.n_hubs != H for g in (graph, shared) if g is not None):
-        raise ValueError("hub sets differ between the graphs being encoded")
     rows = base.reshape(1, H, h)
-    means, kinds = (None, ()) if beta == 0.0 else _mean_messages([graph], shared, beta)
-    return rows if means is None else rows + (means @ weights[kinds]).reshape(1, H, h)
+    if means is not None:
+        return rows + (means @ weights[kinds]).reshape(n, H, h)
+    return rows if n == 1 else np.broadcast_to(rows, (n, H, h)).copy()
+
+
+class Forward(NamedTuple):
+    """`RoutingPolicy.forward` on N decision points: masked action
+    distributions (N, R*K) and values (N,), and what `backward` reads of the
+    pass."""
+    probs: np.ndarray
+    values: np.ndarray
+    messages: Messages   # the workflows' mean messages
+    queries: np.ndarray  # (N, d_q)
+    rows: np.ndarray     # (N, H, hidden) scored hub rows
+    fused: np.ndarray    # (N, hidden) queries @ fuse.W
+    norm: np.ndarray     # (N, 1) row norms of fused
+    z: np.ndarray        # (N, hidden) fused after row_normalize and relu
+    feat: np.ndarray     # (N, 3 * hidden) value head input
+    hidden: np.ndarray   # (N, hidden) value head hidden layer, after relu
 
 
 class RoutingPolicy:
-    """Inference-mode policy: `encoder`'s forward on one decision point, off
-    the tape.
+    """`encoder`'s forward and backward on plain arrays, off the tape.
 
     It keeps each parameter's array as it is at construction, never a
     Tensor, so it records no tape whatever `requires_grad` says, and an
@@ -249,9 +277,12 @@ class RoutingPolicy:
     history snapshot what depends only on the weights and the snapshot: the
     full variant's history hub rows, their loc.W_m projection and pooled value
     rows; a merged variant's projected history hubs (its edge sums stay cached
-    on the history input). `act` runs the rest with the numpy ops `encoder`
-    runs on a batch of one, in the same order and on the same shapes, so its
-    probabilities and values are the tape's bit for bit.
+    on the history input). `messages` computes what depends only on the
+    workflow states, and `forward` runs the rest on N decision points with the
+    numpy ops `encoder` runs, in the same order and on the same shapes, so its
+    probabilities and values are the tape's bit for bit. `act` is `forward` on
+    one point; the PPO update runs it on a whole window and maps the loss
+    gradients back to the weights with `backward`.
     """
 
     def __init__(self, params: dict[str, Tensor], variant: str = "full",
@@ -264,45 +295,148 @@ class RoutingPolicy:
         self.hist_input: EncoderInput | HubState | None = None
         W_q, W_r, self._W_m = (self.params[n] for n in MESSAGE_WEIGHTS[variant])
         self._weights = _message_weights(W_q, W_r)
+        self._hubs: np.ndarray | None = None  # the rows the workflow pass starts from
         self._base: np.ndarray | None = None
-        self._pooled_value: np.ndarray | None = None
+        self._pooled_value: np.ndarray | None = None  # full variant only
+        self._his_messages: Messages | None = None
 
     def prepare(self, hist_input: EncoderInput | HubState) -> None:
         w = self.params
         if self.variant == "full":
-            his = _rows_of_one(hist_input.hub_feats @ w["his.W_m"], hist_input, None,
-                               _message_weights(w["his.W_q"], w["his.W_r"]),
-                               self.beta)
-            self._base = his[0] @ self._W_m
+            feats = hist_input.hub_feats
+            self._his_messages = _messages([hist_input], None, self.beta,
+                                           feats.shape[0])
+            his = _hub_rows(feats @ w["his.W_m"], self._his_messages,
+                            _message_weights(w["his.W_q"], w["his.W_r"]), 1)
+            self._hubs = his[0]
             self._pooled_value = his.sum(axis=1) * (1.0 / his.shape[1])
         else:
-            self._base = hist_input.hub_feats @ self._W_m
+            self._hubs = hist_input.hub_feats
+        self._base = self._hubs @ self._W_m
         self.hist_input = hist_input
+
+    def messages(self, wf_inputs: list[EncoderInput | HubState]) -> Messages:
+        """The mean messages into the workflow hubs of N decision points (over
+        the history's edges too in a merged variant); they depend on no
+        weight."""
+        if self.hist_input is None:
+            raise RuntimeError("call prepare() with a history snapshot first")
+        shared = None if self.variant == "full" else self.hist_input
+        return _messages(wf_inputs, shared, self.beta, self._base.shape[0])
+
+    def forward(self, messages: Messages, queries: np.ndarray,
+                masks: np.ndarray) -> Forward:
+        """`encoder`'s outputs on N decision points under the prepared
+        snapshot: row i scores the i-th workflow of `messages` against
+        queries[i] under masks[i]."""
+        w = self.params
+        N = queries.shape[0]
+        rows = _hub_rows(self._base, messages, self._weights, N)
+        _, H, h = rows.shape
+        # `_head`: T.row_normalize, then T.relu
+        fused = queries @ w["fuse.W"]
+        norm = np.sqrt((fused * fused).sum(axis=1, keepdims=True))
+        y = fused / (norm + 1e-6)
+        z = y * (y > 0.0)
+        scores = (rows * z.reshape(N, 1, h)).sum(axis=2)
+        probs = T.masked_softmax_array(scores, masks)
+        pooled = rows.sum(axis=1) * (1.0 / H)
+        value_pooled = self._pooled_value
+        if value_pooled is None:
+            value_pooled = pooled
+        elif N > 1:
+            value_pooled = np.broadcast_to(value_pooled, (N, h))
+        feat = np.concatenate([z, pooled, value_pooled], axis=1)
+        hidden = feat @ w["value.W1"] + w["value.b1"]
+        hidden = hidden * (hidden > 0.0)
+        values = (hidden @ w["value.W2"] + w["value.b2"]).reshape(N)
+        return Forward(probs, values, messages, queries, rows, fused, norm, z,
+                       feat, hidden)
+
+    def backward(self, fwd: Forward, g_probs: np.ndarray,
+                 g_values: np.ndarray) -> dict[str, np.ndarray | None]:
+        """Each weight's gradient of a loss whose gradients with respect to
+        `fwd.probs` and `fwd.values` are g_probs and g_values.
+
+        This is `T.backward` through `encoder`: the same numpy ops on the same
+        shapes, and where three contributions add up, the tape's grouping
+        (merged variants: the two pooled rows' before the scores'; homo: W_m's
+        before W_q's before W_r's), so the bits are the tape's. A weight the
+        tape leaves off, a message weight whose node kind no graph has or any
+        message weight at beta = 0, gets None.
+        """
+        w, merged = self.params, self._pooled_value is None
+        N, H, h = fwd.rows.shape
+        grads: dict[str, np.ndarray | None] = dict.fromkeys(w)
+
+        def add(name: str, g: np.ndarray) -> None:
+            grads[name] = g if grads[name] is None else grads[name] + g
+
+        # the head: T.masked_softmax, the scores, then the value MLP
+        p = fwd.probs
+        inner = (g_probs * p).sum(axis=-1, keepdims=True)
+        g_scores = (p * (g_probs - inner))[:, :, None]
+        g_rows = g_scores * fwd.z.reshape(N, 1, h)
+        g_z = T.unbroadcast(g_scores * fwd.rows, (N, 1, h)).reshape(N, h)
+        g_out = g_values.reshape(N, 1)
+        grads["value.b2"] = T.unbroadcast(g_out, w["value.b2"].shape)
+        grads["value.W2"] = fwd.hidden.T @ g_out
+        g_pre = (g_out @ w["value.W2"].T) * (fwd.hidden > 0.0)
+        grads["value.b1"] = T.unbroadcast(g_pre, w["value.b1"].shape)
+        grads["value.W1"] = fwd.feat.T @ g_pre
+        g_feat = g_pre @ w["value.W1"].T
+        g_z = g_z + g_feat[:, :h]
+        g_pooled = g_feat[:, h:2 * h] * (1.0 / H)
+        g_value_pooled = (T.unbroadcast(g_feat[:, 2 * h:], (N if merged else 1, h))
+                          * (1.0 / H))
+        if merged:  # the value rows are the score rows
+            g_rows = (g_pooled + g_value_pooled)[:, None, :] + g_rows
+        else:
+            g_rows = g_rows + g_pooled[:, None, :]
+        # the fused query: T.relu, then T.row_normalize
+        g_y = g_z * (fwd.z > 0.0)
+        denom = fwd.norm + 1e-6
+        dot = (g_y * fwd.fused).sum(axis=1, keepdims=True)
+        g_fused = (g_y / denom
+                   - fwd.fused * dot / (np.maximum(fwd.norm, 1e-30) * denom * denom))
+        grads["fuse.W"] = fwd.queries.T @ g_fused
+        # `encode_graph`'s workflow pass, then the full variant's history pass
+        W_q, W_r, W_m = MESSAGE_WEIGHTS[self.variant]
+        g_base = T.unbroadcast(g_rows, (1, H, h)).reshape(H, h)
+        add(W_m, self._hubs.T @ g_base)
+        self._message_grads(add, (W_q, W_r), fwd.messages, g_rows.reshape(N * H, h))
+        if not merged:
+            g_his = g_base @ self._W_m.T + g_value_pooled
+            add("his.W_m", self.hist_input.hub_feats.T @ g_his)
+            self._message_grads(add, ("his.W_q", "his.W_r"), self._his_messages,
+                                g_his)
+        return grads
+
+    def _message_grads(self, add, names: tuple[str, str], messages: Messages,
+                       g: np.ndarray) -> None:
+        """Hand (W_q, W_r) their rows of the stacked message weight's gradient."""
+        means, kinds = messages
+        if means is None:
+            return
+        g_W = means.T @ g
+        lo = 0
+        for name, kept in zip(names, kinds):
+            if kept:
+                hi = lo + self.params[name].shape[0]
+                add(name, g_W[lo:hi])
+                lo = hi
 
     def act(self, wf_input: EncoderInput | HubState, query_embedding: np.ndarray,
             mask: np.ndarray, mode: str = "sample",
             rng: np.random.Generator | None = None):
-        if self.hist_input is None:
-            raise RuntimeError("call prepare() with a history snapshot first")
-        w = self.params
-        shared = None if self.variant == "full" else self.hist_input
-        rows = _rows_of_one(self._base, wf_input, shared, self._weights, self.beta)
-        _, H, h = rows.shape
-        # `_head` on one point: T.row_normalize, then T.relu
-        a = np.asarray(query_embedding, dtype=np.float64)[None, :] @ w["fuse.W"]
-        a = a / (np.sqrt((a * a).sum(axis=1, keepdims=True)) + 1e-6)
-        z = a * (a > 0.0)
-        scores = (rows * z.reshape(1, 1, h)).sum(axis=2)
-        probs = T.masked_softmax_array(scores, np.asarray(mask, dtype=bool)[None, :])[0]
-        pooled = rows.sum(axis=1) * (1.0 / H)
-        value_pooled = pooled if self._pooled_value is None else self._pooled_value
-        feat = np.concatenate([z, pooled, value_pooled], axis=1)
-        hidden = feat @ w["value.W1"] + w["value.b1"]
-        value = (hidden * (hidden > 0.0)) @ w["value.W2"] + w["value.b2"]
+        fwd = self.forward(self.messages([wf_input]),
+                           np.asarray(query_embedding, dtype=np.float64)[None, :],
+                           np.asarray(mask, dtype=bool)[None, :])
+        probs = fwd.probs[0]
         if mode == "greedy":
             idx = int(probs.argmax())
         else:
             if rng is None:
                 raise ValueError("sampling mode needs an rng stream")
             idx = int(rng.choice(probs.shape[0], p=probs))
-        return idx, float(value[0, 0])
+        return idx, float(fwd.values[0])

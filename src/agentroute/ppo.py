@@ -1,32 +1,34 @@
 """Clipped-surrogate policy optimization over routing episodes.
 
 Collection windows are frozen: parameters and the history snapshot taken at
-the start of a window are used for every rollout in it. Rollouts act through
-`RoutingPolicy`, whose plain-array forward equals `encoder` on a batch of
-one bit for bit; the update runs `encoder` on the tape, one batched forward
-per epoch over all decision points of the window. Its old log-probabilities
-are the first epoch's own, detached, so the importance ratio is exactly one
-on the first epoch by construction (a batch-of-one recompute can differ from
-the batched one in the last bit, so the rollout's values are not reused). A
-window's episodes run one after another on the calling thread, each on its
-own RNG stream keyed by (seed, update, episode index). `TrainConfig.workers`
-is validated and otherwise ignored: it changes neither execution nor any
-artifact.
+the start of a window are used for every rollout in it. Rollouts and the
+update share `RoutingPolicy`'s plain-array forward: one decision point per
+rollout step, and one batched forward per epoch over all decision points of
+the window, whose loss gradients this module computes and
+`RoutingPolicy.backward` maps back to the weights. No step builds a tape, and
+the weights equal those of the update on the tape (`encoder` and
+`T.backward`) bit for bit. The old log-probabilities are the first epoch's
+own, so the importance ratio is exactly one on the first epoch by
+construction (a batch-of-one recompute can differ from the batched one in the
+last bit, so the rollout's values are not reused). A window's episodes run
+one after another on the calling thread, each on its own RNG stream keyed by
+(seed, update, episode index). `TrainConfig.workers` is validated and
+otherwise ignored: it changes neither execution nor any artifact.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
+from . import fields
 from .backend import ALL_ROLES, Benchmark
-from .encoder import (EncoderDims, RoutingPolicy, encoder, entropy_of,
-                      init_params, logprob_of)
+from .encoder import EncoderDims, RoutingPolicy, init_params
 from .env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from .fields import write_atomic
 from .memory import HeteroGraph, serialize
@@ -63,6 +65,10 @@ class TrainConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("beta", "init_scale", "policy_lr", "value_lr", "value_coef",
+                     "entropy_coef"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.epochs < 1:
@@ -150,47 +156,74 @@ def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
                episodes: list[Episode], advantages: np.ndarray,
                returns: np.ndarray, hist_input, cfg: TrainConfig,
                update: int) -> dict[str, float]:
-    """Run cfg.epochs whole-window epochs, each one batched forward over
-    every decision point of the window; returns the last epoch's losses."""
+    """Run cfg.epochs whole-window epochs, each one batched forward and
+    backward over every decision point of the window; returns the last
+    epoch's losses.
+
+    The clipped surrogate, value loss and entropy bonus, and their gradients
+    with respect to the probabilities and values, are the tape's op for op:
+    where three gradients add up at the probabilities the grouping is the
+    tape's, (log-probability + entropy product) + safe log. With
+    `RoutingPolicy.backward` this gives the weights `T.backward` through
+    `encoder` would, bit for bit.
+    """
     records = [rec for ep in episodes for rec in ep.records]
     n = len(records)
-    wf_inputs = [rec.wf_input for rec in records]
     queries = np.stack([rec.query_embedding for rec in records])
     masks = np.stack([rec.mask for rec in records])
-    actions = np.asarray([rec.action_index for rec in records])
-    adv = Tensor(advantages)
-    ret = Tensor(returns)
-    old_logp = None
+    picks = (np.arange(n), np.asarray([rec.action_index for rec in records],
+                                      dtype=np.int64))
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    messages = old_logp = None
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     for epoch in range(cfg.epochs):
-        probs, values = encoder(params, cfg.variant, cfg.beta, hist_input,
-                                wf_inputs, queries, masks)
-        logp = logprob_of(probs, actions)
-        if old_logp is None:  # detached: first-epoch ratios are exactly 1
-            old_logp = Tensor(logp.data)
-        ratio = T.exp(T.sub(logp, old_logp))
-        clipped = T.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
-        surr = T.minimum(T.mul(ratio, adv), T.mul(clipped, adv))
-        err = T.sub(values, ret)
-        policy_loss = T.scale(T.total_sum(surr), -1.0 / n)
-        value_loss = T.scale(T.total_sum(T.mul(err, err)), 1.0 / n)
-        entropy = T.scale(entropy_of(probs), 1.0 / n)
-        loss = T.add(T.add(policy_loss, T.scale(value_loss, cfg.value_coef)),
-                     T.scale(entropy, -cfg.entropy_coef))
-        if not np.isfinite(loss.data):
+        policy = RoutingPolicy(params, cfg.variant, cfg.beta)
+        policy.prepare(hist_input)
+        if messages is None:  # the window's, whatever the weights
+            messages = policy.messages([rec.wf_input for rec in records])
+        fwd = policy.forward(messages, queries, masks)
+        probs, values = fwd.probs, fwd.values
+        picked = probs[picks]
+        logp = np.log(picked)
+        if old_logp is None:  # first-epoch ratios are exactly 1
+            old_logp = logp
+        ratio = np.exp(logp - old_logp)
+        inside = (ratio >= lo) & (ratio <= hi)
+        unclipped = ratio * advantages
+        clipped = np.clip(ratio, lo, hi) * advantages
+        take = unclipped <= clipped
+        err = values - returns
+        pos = probs > 0.0
+        log_probs = np.where(pos, np.log(np.where(pos, probs, 1.0)), 0.0)
+        policy_loss = np.where(take, unclipped, clipped).sum() * (-1.0 / n)
+        value_loss = (err * err).sum() * (1.0 / n)
+        entropy = (probs * log_probs).sum() * -1.0 * (1.0 / n)
+        loss = (policy_loss + value_loss * cfg.value_coef
+                + entropy * -cfg.entropy_coef)
+        if not np.isfinite(loss):
             raise RuntimeError(
                 f"non-finite loss at update {update} epoch {epoch}: "
-                f"policy={policy_loss.data!r} value={value_loss.data!r} "
-                f"entropy={entropy.data!r} steps={n}")
-        policy_opt.zero_grad()
-        value_opt.zero_grad()
-        T.backward(loss)
+                f"policy={np.asarray(policy_loss)!r} "
+                f"value={np.asarray(value_loss)!r} "
+                f"entropy={np.asarray(entropy)!r} steps={n}")
+        g_surr = np.full(n, -1.0 / n)
+        g_ratio = (g_surr * take * advantages
+                   + g_surr * ~take * advantages * inside)
+        g_probs = np.zeros_like(probs)
+        g_probs[picks] = g_ratio * ratio / picked
+        g_plogp = np.full(probs.shape, -cfg.entropy_coef * (1.0 / n) * -1.0)
+        g_probs = ((g_probs + g_plogp * log_probs)
+                   + np.where(pos, g_plogp * probs / np.where(pos, probs, 1.0), 0.0))
+        g_err = np.full(n, cfg.value_coef * (1.0 / n)) * err
+        grads = policy.backward(fwd, g_probs, g_err + g_err)
+        for k, p in params.items():
+            p.grad = grads[k]
         clip_global_norm(list(params.values()), cfg.grad_clip)
         policy_opt.step()
         value_opt.step()
-        stats = {"policy_loss": float(policy_loss.data),
-                 "value_loss": float(value_loss.data),
-                 "entropy": float(entropy.data)}
+        stats = {"policy_loss": float(policy_loss),
+                 "value_loss": float(value_loss),
+                 "entropy": float(entropy)}
     return stats
 
 
@@ -308,8 +341,13 @@ def write_artifacts(out_dir: Path, result: TrainResult) -> None:
 
 
 def load_policy(checkpoint: str | Path) -> tuple[RoutingPolicy, dict]:
+    """The policy a checkpoint holds; a meta that is not an object, or whose
+    variant is not a string or beta not a finite number, raises ValueError."""
     from .tensor import load_params
     params, meta = load_params(checkpoint, requires_grad=False)
-    variant = meta.get("variant", "full")
-    beta = float(meta.get("beta", 1.0))
-    return RoutingPolicy(params, variant, beta), meta
+    where = "checkpoint meta"
+    variant = fields.field(meta, "variant", str, where)
+    beta = fields.field(meta, "beta", fields.NUMBER, where)
+    if not math.isfinite(beta):
+        raise ValueError(f"{where}: field 'beta' is not finite")
+    return RoutingPolicy(params, variant, float(beta)), meta

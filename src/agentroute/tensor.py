@@ -3,7 +3,11 @@
 Everything here is just enough for the routing policy: a Tensor that records
 its parents on a tape, a dozen ops with hand-written backward rules, a global
 gradient-norm clip, and a bias-corrected Adam. numpy supplies the array
-arithmetic; the differentiation logic lives in this file.
+arithmetic; the differentiation logic lives in this file. The program keeps
+its parameters in Tensors but runs no tape: `encoder.RoutingPolicy` computes
+the forward and the update's backward on plain arrays, and the ops here,
+through `encoder.encoder`, are the reference that gradient checks and tests
+pin it to.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ class Tensor:
 
     Parents are (tensor, backward_fn) pairs; backward_fn maps the output
     gradient to that parent's gradient contribution. Ops only record parents
-    when some input requires grad. Only training builds Tensors: inference
-    (`encoder.RoutingPolicy`) runs its forward on plain arrays.
+    when some input requires grad. The program builds Tensors only to hold
+    parameters; `encoder.RoutingPolicy` runs on their plain arrays.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents")
@@ -102,7 +106,7 @@ def backward(loss: Tensor) -> None:
 # -- elementwise and structural ops -----------------------------------------
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
+def unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to the original operand shape."""
     if grad.shape == shape:
         return grad
@@ -118,24 +122,24 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     return _make(out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
+        (a, lambda g: unbroadcast(g, a.data.shape)),
+        (b, lambda g: unbroadcast(g, b.data.shape)),
     ])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
     return _make(out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
+        (a, lambda g: unbroadcast(g, a.data.shape)),
+        (b, lambda g: unbroadcast(-g, b.data.shape)),
     ])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     return _make(out, [
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+        (a, lambda g: unbroadcast(g * b.data, a.data.shape)),
+        (b, lambda g: unbroadcast(g * a.data, b.data.shape)),
     ])
 
 
@@ -207,8 +211,8 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
     return _make(out, [
-        (a, lambda g: _unbroadcast(g * take_a, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * ~take_a, b.data.shape)),
+        (a, lambda g: unbroadcast(g * take_a, a.data.shape)),
+        (b, lambda g: unbroadcast(g * ~take_a, b.data.shape)),
     ])
 
 
@@ -228,7 +232,7 @@ def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if a.data.shape == tuple(shape):
         return a
     out = np.broadcast_to(a.data, shape).copy()
-    return _make(out, [(a, lambda g: _unbroadcast(g, a.data.shape))])
+    return _make(out, [(a, lambda g: unbroadcast(g, a.data.shape))])
 
 
 def pick_rows(a: Tensor, indices: Array) -> Tensor:
@@ -341,9 +345,15 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / b1t
-            v_hat = v / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # lr * m_hat / (sqrt(v_hat) + eps), in two buffers; p.data is
+            # rebound, not written, as a RoutingPolicy may hold the old array
+            den = v / b2t
+            np.sqrt(den, out=den)
+            den += self.eps
+            num = m / b1t
+            num *= self.lr
+            num /= den
+            p.data = p.data - num
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1,13 +1,17 @@
 """Trainer tests: GAE oracle, frozen-window ratios, determinism, artifacts."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agentroute
 from agentroute import tensor as T
@@ -16,7 +20,9 @@ from agentroute.encoder import (
     EncoderDims,
     RoutingPolicy,
     encoder,
+    entropy_of,
     init_params,
+    logprob_of,
 )
 from agentroute.env import Episode, EnvConfig, RoutingEnv, StepRecord, absorb_episode
 from agentroute.memory import HeteroGraph
@@ -31,7 +37,8 @@ from agentroute.ppo import (
     train,
     write_artifacts,
 )
-from agentroute.tensor import Adam
+from agentroute.tensor import Adam, Tensor, clip_global_norm
+from test_encoder import random_input
 
 
 def small_bench(seed=6):
@@ -100,6 +107,12 @@ def test_normalize_standardizes():
 
 
 def test_train_config_validation():
+    inf, nan = float("inf"), float("nan")
+    for key in ("beta", "init_scale", "policy_lr", "value_lr", "value_coef",
+                "entropy_coef"):
+        for bad in (nan, inf, -inf):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: bad})
     for kw in (dict(workers=0), dict(epochs=0), dict(gamma=0.0),
                dict(gamma=1.5), dict(episodes_per_update=0),
                dict(max_episodes=0), dict(hidden=0), dict(policy_lr=-1.0),
@@ -171,6 +184,160 @@ def test_beta_zero_update_leaves_message_weights_alone():
         assert np.array_equal(params[k].data, before[k]), k
     for k in ("his.W_m", "loc.W_m", "fuse.W", "value.W1"):
         assert not np.array_equal(params[k].data, before[k]), k
+
+
+def tape_ppo_update(params, policy_opt, value_opt, episodes, advantages,
+                    returns, hist_input, cfg, update):
+    """The update on the tape: `encoder`, the loss as Tensor ops and
+    `T.backward`; the reference that `ppo_update` must equal bit for bit."""
+    records = [rec for ep in episodes for rec in ep.records]
+    n = len(records)
+    wf_inputs = [rec.wf_input for rec in records]
+    queries = np.stack([rec.query_embedding for rec in records])
+    masks = np.stack([rec.mask for rec in records])
+    actions = np.asarray([rec.action_index for rec in records])
+    adv = Tensor(advantages)
+    ret = Tensor(returns)
+    old_logp = None
+    stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
+    for epoch in range(cfg.epochs):
+        probs, values = encoder(params, cfg.variant, cfg.beta, hist_input,
+                                wf_inputs, queries, masks)
+        logp = logprob_of(probs, actions)
+        if old_logp is None:  # detached: first-epoch ratios are exactly 1
+            old_logp = Tensor(logp.data)
+        ratio = T.exp(T.sub(logp, old_logp))
+        clipped = T.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps)
+        surr = T.minimum(T.mul(ratio, adv), T.mul(clipped, adv))
+        err = T.sub(values, ret)
+        policy_loss = T.scale(T.total_sum(surr), -1.0 / n)
+        value_loss = T.scale(T.total_sum(T.mul(err, err)), 1.0 / n)
+        entropy = T.scale(entropy_of(probs), 1.0 / n)
+        loss = T.add(T.add(policy_loss, T.scale(value_loss, cfg.value_coef)),
+                     T.scale(entropy, -cfg.entropy_coef))
+        if not np.isfinite(loss.data):
+            raise RuntimeError(
+                f"non-finite loss at update {update} epoch {epoch}: "
+                f"policy={policy_loss.data!r} value={value_loss.data!r} "
+                f"entropy={entropy.data!r} steps={n}")
+        policy_opt.zero_grad()
+        value_opt.zero_grad()
+        T.backward(loss)
+        clip_global_norm(list(params.values()), cfg.grad_clip)
+        policy_opt.step()
+        value_opt.step()
+        stats = {"policy_loss": float(policy_loss.data),
+                 "value_loss": float(value_loss.data),
+                 "entropy": float(entropy.data)}
+    return stats
+
+
+def random_window(rng, d, n_hubs, filled_history, responses, n_points):
+    """A history and one episode of n_points random decision points on it,
+    with random advantages and returns."""
+    hist = (random_input(rng, d, n_hubs, 3, 2, 14) if filled_history
+            else random_input(rng, d, n_hubs, 0, 0, 0))
+    records = []
+    for _ in range(n_points):
+        wf = random_input(rng, d, n_hubs, int(rng.integers(1, 4)),
+                          int(rng.integers(1, 3)) if responses else 0,
+                          int(rng.integers(0, 12)))
+        mask = rng.uniform(size=n_hubs) < 0.5
+        mask[rng.integers(0, n_hubs)] = True
+        records.append(StepRecord(
+            wf_input=wf, query_embedding=rng.normal(size=d), mask=mask,
+            action_index=int(rng.choice(np.flatnonzero(mask))), value=0.0,
+            reward=0.0, role=0, model=0, quality=None, dollars=0.0,
+            scaled_cost=0.0, tokens_in=0, tokens_out=0, node_id="q"))
+    episodes = [Episode(records=records, utility=0.0, truncated=False,
+                        family=0, workflow=None)]
+    return hist, episodes, rng.normal(size=n_points), rng.normal(size=n_points)
+
+
+def update_bits(update, dims, hist, episodes, advantages, returns, cfg):
+    """Stats, weight bytes and both Adams' moment bytes after one update
+    from fresh parameters."""
+    params = init_params(dims, cfg.variant, seed=3)
+    groups = [{k: p for k, p in params.items() if k.startswith("value.") == v}
+              for v in (False, True)]
+    opts = (Adam(groups[0], lr=cfg.policy_lr), Adam(groups[1], lr=cfg.value_lr))
+    stats = update(params, *opts, episodes, advantages, returns, hist, cfg, 0)
+    return ({k: float(v).hex() for k, v in stats.items()},
+            {k: p.data.tobytes() for k, p in params.items()},
+            [{k: (o.m[k].tobytes(), o.v[k].tobytes()) for k in o.m} for o in opts])
+
+
+def plain_update_bits(*args):
+    """`update_bits` of `ppo_update`, asserting it builds no Tensor and never
+    runs the tape's backward."""
+    n_params = len(init_params(args[0], args[-1].variant))
+    created, init = [], Tensor.__init__
+
+    def counted(obj, *a, **k):
+        created.append(obj)
+        init(obj, *a, **k)
+
+    with mock.patch.object(T, "backward", side_effect=AssertionError("tape")), \
+            mock.patch.object(Tensor, "__init__", counted):
+        bits = update_bits(ppo_update, *args)
+    assert len(created) == n_params  # init_params' own, none from the update
+    return bits
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["full", "homo", "hetero"]), st.sampled_from([0.0, 0.7, 1.0]),
+       st.booleans(), st.booleans(), st.integers(1, 12), st.integers(1, 4),
+       st.sampled_from([(4, 6, 3), (9, 10, 17)]), st.integers(0, 2**32 - 1))
+def test_update_is_the_tape_update_bit_for_bit(variant, beta, filled_history,
+                                               responses, n_points, epochs,
+                                               sizes, seed):
+    """`ppo_update` leaves the weights, both Adams' moments and the stats the
+    tape's update leaves, bit for bit, and builds no Tensor on the way."""
+    d, n_hubs, hidden = sizes
+    dims = EncoderDims(d_q=d, d_r=d, d_hub=d, hidden=hidden)
+    window = random_window(np.random.default_rng(seed), d, n_hubs,
+                           filled_history, responses, n_points)
+    cfg = small_cfg(variant=variant, beta=beta, epochs=epochs, hidden=hidden,
+                    policy_lr=0.05, value_lr=0.05)
+    want = update_bits(tape_ppo_update, dims, *window, cfg)
+    assert plain_update_bits(dims, *window, cfg) == want
+
+
+@pytest.mark.parametrize("variant", ["full", "homo", "hetero"])
+def test_update_on_collected_windows_is_the_tape_update(variant):
+    """The same on rollouts of the environment over a filled history."""
+    bench = small_bench()
+    hubs = bench.build_hubs(3)
+    history = HeteroGraph("history", hubs, capacity=64)
+    dims = EncoderDims(64, 64, 64, 8)
+    policy = RoutingPolicy(init_params(dims, variant, seed=1), variant, 1.0)
+    policy.prepare(history.hub_state())
+    for ep in collect_window(bench, EnvConfig(n_models=2, p_max=1), hubs, policy,
+                             update=0, first_episode=0, count=3, seed=0):
+        absorb_episode(history, ep)
+    policy.prepare(history.hub_state())
+    episodes = collect_window(bench, EnvConfig(n_models=2, p_max=1), hubs, policy,
+                              update=1, first_episode=3, count=4, seed=0)
+    cfg = small_cfg(variant=variant, epochs=4)
+    advantages, returns = compute_gae(episodes, cfg.gamma, cfg.gae_lambda)
+    window = (history.hub_state(), episodes, normalize(advantages), returns)
+    assert plain_update_bits(dims, *window, cfg) == \
+        update_bits(tape_ppo_update, dims, *window, cfg)
+
+
+def test_non_finite_loss_error_is_the_tape_update_error():
+    rng = np.random.default_rng(0)
+    dims = EncoderDims(4, 4, 4, 3)
+    hist, episodes, advantages, returns = random_window(rng, 4, 6, True, True, 3)
+    returns[1] = np.inf
+    cfg = small_cfg(hidden=3)
+    messages = []
+    for update in (tape_ppo_update, ppo_update):
+        with pytest.raises(RuntimeError, match="non-finite loss") as exc:
+            update_bits(update, dims, hist, episodes, advantages, returns, cfg)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "value=array(inf)" in messages[1]
 
 
 # -- training loop -------------------------------------------------------------------
@@ -249,6 +416,27 @@ def test_write_artifacts_and_load_policy(tmp_path):
     assert rows[0] == list(CURVE_COLUMNS)
     assert len(rows) == 1 + len(res.curve)
     assert float(rows[1][2]) == res.curve[0]["mean_return"]
+
+
+def test_load_policy_checks_its_meta(tmp_path):
+    bench = small_bench()
+    train(bench, EnvConfig(n_models=2, p_max=1), small_cfg(), out_dir=tmp_path)
+    blob = json.loads((tmp_path / "params.json").read_text())
+    for meta, key in (([1], "expected a JSON object"),
+                      ({**blob["meta"], "beta": None}, "beta"),
+                      ({**blob["meta"], "beta": True}, "beta"),
+                      ({**blob["meta"], "beta": "1"}, "beta"),
+                      ({**blob["meta"], "beta": float("nan")}, "beta"),
+                      ({**blob["meta"], "variant": 3}, "variant"),
+                      ({k: v for k, v in blob["meta"].items() if k != "variant"},
+                       "variant")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**blob, "meta": meta}))
+        with pytest.raises(ValueError, match=key):
+            load_policy(path)
+    path.write_text(json.dumps({**blob, "meta": {**blob["meta"], "beta": 1}}))
+    policy, _ = load_policy(path)
+    assert type(policy.beta) is float and policy.beta == 1.0
 
 
 def counting_tensors(monkeypatch) -> list:

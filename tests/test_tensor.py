@@ -250,6 +250,38 @@ def test_adam_skips_gradless_params():
     np.testing.assert_array_equal(p.data, [1.0])
 
 
+def test_adam_step_is_the_textbook_step_bit_for_bit():
+    rng = np.random.default_rng(7)
+    shapes = {"w": (6, 5), "b": (5,), "idle": (3,)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+              for k, s in shapes.items()}
+    opt = Adam(params, lr=3e-3)
+    want = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    b1, b2, lr, eps = 0.9, 0.999, 3e-3, 1e-8
+    for t in range(1, 9):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2)
+                 for k, s in shapes.items() if k != "idle"}
+        held = {k: (p.data, p.data.copy()) for k, p in params.items()}
+        for k, p in params.items():
+            p.grad = grads.get(k)
+        opt.step()
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v[k] / (1.0 - b2 ** t)
+            want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k, p in params.items():
+            assert p.data.tobytes() == want[k].tobytes(), (k, t)
+            assert opt.m[k].tobytes() == m[k].tobytes(), (k, t)
+            assert opt.v[k].tobytes() == v[k].tobytes(), (k, t)
+            # rebound, not written: whoever holds the old array keeps its values
+            assert np.array_equal(*held[k]), (k, t)
+    assert not opt.m["idle"].any() and not opt.v["idle"].any()
+
+
 def test_adam_descends_quadratic():
     p = Tensor(np.array([3.0]), requires_grad=True)
     opt = Adam({"p": p}, lr=0.1)
