@@ -2,6 +2,7 @@
 
 Each router's act() returns (action_index, value), as the learned policy's
 does, so the environment and the evaluation harness do not care which drives.
+The kNN router's store persists as JSON, each root embedding `fields.packed`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from .env import Action, RoutingEnv
 from . import fields
 from .memory import HubState, QueryNode
 
-KNN_FORMAT_VERSION = 1
+# Version 2 stores each record's embedding as `fields.packed` text; version 1
+# listed the values, and still loads.
+KNN_FORMAT_VERSION = 2
 
 
 class RandomRouter:
@@ -65,22 +68,22 @@ class KnnStore:
         return {
             "format_version": KNN_FORMAT_VERSION,
             "records": [
-                {"embedding": e.tolist(), "actions": s}
+                {"embedding": fields.packed(e), "actions": s}
                 for e, s in zip(self.embeddings, self.sequences)
             ],
         }
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "KnnStore":
-        """Store from to_jsonable() output; a malformed blob raises
-        ValueError naming the offending field."""
+        """Store from to_jsonable() output, or from a version-1 blob; a
+        malformed blob raises ValueError naming the offending field."""
         version = fields.field(obj, "format_version", int, "kNN store")
-        if version != KNN_FORMAT_VERSION:
+        if version not in (1, KNN_FORMAT_VERSION):
             raise ValueError(f"unsupported store format version: {version!r}")
         store = cls()
         for i, rec in enumerate(fields.field(obj, "records", list, "kNN store")):
             where = f"kNN record {i}"
-            store.add(fields.floats(rec, "embedding", where),
+            store.add(fields.floats(rec, "embedding", where, version),
                       fields.items(rec, "actions", int, where))
         return store
 

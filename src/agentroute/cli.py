@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+from .baselines import KnnStore
 from .config import RunConfig
 from .fields import write_atomic
 from .harness import (emit_report, evaluate, pareto_sweep, report_rows,
@@ -152,10 +153,12 @@ def cmd_inspect(args, parser) -> int:
         blob = None
     if not isinstance(blob, dict):
         parser.error(f"not a readable artifact: {target}")
+    # each loader checks format_version before the summary names it
     if "tensors" in blob:
         params, meta = load_params(target)
         total = sum(p.data.size for p in params.values())
-        print(f"checkpoint: {len(params)} tensors, {total} parameters")
+        print(f"checkpoint: format v{blob['format_version']}, "
+              f"{len(params)} tensors, {total} parameters")
         for name in sorted(params):
             print(f"  {name}: {list(params[name].data.shape)}")
         if meta:
@@ -164,13 +167,17 @@ def cmd_inspect(args, parser) -> int:
                 sort_keys=True))
     elif "queries" in blob:
         g = deserialize(data)
-        print(f"history graph: {len(g.queries)} queries, "
+        print(f"history graph: format v{blob['format_version']}, "
+              f"{len(g.queries)} queries, "
               f"{len(g.responses)} responses, "
               f"{len(g.episode_order)} episodes, "
               f"{len(g.hubs)} hubs")
         for hub in g.hubs.hubs:
             print(f"  {hub.role_name}/{hub.model_name}: "
                   f"U={hub.utility_ema:.4f} C={hub.cost_ema:.4f}")
+    elif "records" in blob:
+        store = KnnStore.from_jsonable(blob)
+        print(f"kNN store: format v{blob['format_version']}, {len(store)} records")
     else:
         print(json.dumps(blob, indent=2, sort_keys=True)[:4000])
     return 0
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_gen)
 
     p_ins = sub.add_parser("inspect", help="summarize a saved artifact")
-    p_ins.add_argument("target", help="checkpoint, history, or csv file")
+    p_ins.add_argument("target", help="checkpoint, history, kNN store or csv file")
     return parser
 
 

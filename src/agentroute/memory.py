@@ -11,8 +11,9 @@ indexes every query's children and responses, so walking the tree never
 scans the node store. Query nodes are immutable values: `set_query` is the
 one way a query changes, by replacing it. Decision states read a graph's
 per-hub sums through `hub_state`; `freeze` builds the full array view of
-`edges` for checks and tests. Both graph kinds persist as v1 JSON that still
-lists the derived edges.
+`edges` for checks and tests. Both graph kinds persist as v2 JSON: it still
+lists the derived edges, and stores each embedding as `fields.packed` text.
+Version-1 files, which listed the embeddings' values, still load.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import NUMBER, field, floats, items
+from .fields import NUMBER, field, floats, items, packed
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 STATUS_PENDING = "pending"
 STATUS_RESOLVED = "resolved"
@@ -286,7 +287,7 @@ class HeteroGraph:
             EDGE_RESPONSE_HUB: [(r.id, hub(*r.produced_by)) for r in self.responses.values()],
             EDGE_QUERY_RESPONSE: [(self.query_of[r], r) for r in self.responses
                                   if self.query_of.get(r) in self.queries],
-            # v1 stores (child, parent, None)
+            # both format versions store (child, parent, None)
             EDGE_QUERY_PARENT: [(q.id, q.parent, None) for q in self.queries.values()
                                 if q.parent in self.queries],
         }
@@ -532,10 +533,6 @@ def rebase_history(old: HeteroGraph, new_hubs: HubSet,
 # -- persistence -----------------------------------------------------------------
 
 
-def _arr(x: np.ndarray) -> list:
-    return np.asarray(x, dtype=np.float64).reshape(-1).tolist()
-
-
 def serialize(g: HeteroGraph) -> bytes:
     blob = {
         "format_version": FORMAT_VERSION,
@@ -551,7 +548,7 @@ def serialize(g: HeteroGraph) -> bytes:
                 "model_index": h.model_index,
                 "role_name": h.role_name,
                 "model_name": h.model_name,
-                "role_embedding": _arr(h.role_embedding),
+                "role_embedding": packed(h.role_embedding),
                 "utility_ema": h.utility_ema,
                 "cost_ema": h.cost_ema,
             }
@@ -560,7 +557,7 @@ def serialize(g: HeteroGraph) -> bytes:
         "queries": [
             {
                 "id": q.id,
-                "embedding": _arr(q.embedding),
+                "embedding": packed(q.embedding),
                 "depth": q.depth,
                 "parent": q.parent,
                 "family": q.family,
@@ -575,7 +572,7 @@ def serialize(g: HeteroGraph) -> bytes:
         "responses": [
             {
                 "id": r.id,
-                "embedding": _arr(r.embedding),
+                "embedding": packed(r.embedding),
                 "produced_by": list(r.produced_by),
                 "tokens_in": r.tokens_in,
                 "tokens_out": r.tokens_out,
@@ -590,16 +587,26 @@ def serialize(g: HeteroGraph) -> bytes:
 
 
 def deserialize(data: bytes) -> HeteroGraph:
-    """Graph from serialize() bytes; a malformed blob raises ValueError
-    naming the offending field."""
+    """Graph from serialize() bytes, or from a version-1 file; a malformed
+    blob raises ValueError naming the offending field."""
     try:
         blob = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"truncated or corrupt graph stream: {exc}") from exc
     version = field(blob, "format_version", int, "graph")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"unsupported graph format version: {version!r}")
     opt_str = (str, type(None))
+    sizes: dict[str, int] = {}
+
+    def embedding(obj, key: str, where: str, kind: str) -> np.ndarray:
+        """One node's embedding, as long as the first of its kind's."""
+        a = floats(obj, key, where, version)
+        if sizes.setdefault(kind, a.size) != a.size:
+            raise ValueError(f"{where}: field {key!r} has {a.size} values, "
+                             f"where the first {kind}'s has {sizes[kind]}")
+        return a
+
     hub_list = []
     for i, h in enumerate(field(blob, "hubs", list, "graph")):
         where = f"graph hub {i}"
@@ -608,7 +615,7 @@ def deserialize(data: bytes) -> HeteroGraph:
             model_index=field(h, "model_index", int, where),
             role_name=field(h, "role_name", str, where),
             model_name=field(h, "model_name", str, where),
-            role_embedding=floats(h, "role_embedding", where),
+            role_embedding=embedding(h, "role_embedding", where, "hub"),
             utility_ema=field(h, "utility_ema", NUMBER, where),
             cost_ema=field(h, "cost_ema", NUMBER, where),
         ))
@@ -622,7 +629,7 @@ def deserialize(data: bytes) -> HeteroGraph:
         where = f"graph query {i}"
         node = QueryNode(
             id=field(q, "id", str, where),
-            embedding=floats(q, "embedding", where),
+            embedding=embedding(q, "embedding", where, "query"),
             depth=field(q, "depth", int, where),
             parent=field(q, "parent", opt_str, where),
             family=field(q, "family", int, where),
@@ -643,7 +650,7 @@ def deserialize(data: bytes) -> HeteroGraph:
                              f"(role, model) pair")
         node = ResponseNode(
             id=field(r, "id", str, where),
-            embedding=floats(r, "embedding", where),
+            embedding=embedding(r, "embedding", where, "response"),
             produced_by=produced_by,
             tokens_in=field(r, "tokens_in", int, where),
             tokens_out=field(r, "tokens_out", int, where),

@@ -7,7 +7,8 @@ arithmetic; the differentiation logic lives in this file. The program keeps
 its parameters in Tensors but runs no tape: `encoder.RoutingPolicy` computes
 the forward and the update's backward on plain arrays, and the ops here,
 through `encoder.encoder`, are the reference that gradient checks and tests
-pin it to.
+pin it to. Checkpoints are JSON holding each tensor's shape and its values
+as `fields.packed` text.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .fields import field, floats, items, write_atomic
+from .fields import field, floats, items, packed, write_atomic
 
 Array = np.ndarray
 
@@ -362,31 +363,33 @@ class Adam:
 
 # -- parameter persistence ---------------------------------------------------
 
-PARAMS_FORMAT_VERSION = 1
+# Version 2 stores each tensor's data as `fields.packed` text; version 1
+# listed the values, and still loads.
+PARAMS_FORMAT_VERSION = 2
 
 
 def params_to_jsonable(params: dict[str, Tensor]) -> dict:
     return {
         "format_version": PARAMS_FORMAT_VERSION,
         "tensors": {
-            name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
+            name: {"shape": list(t.data.shape), "data": packed(t.data)}
             for name, t in params.items()
         },
     }
 
 
 def params_from_jsonable(obj: dict, requires_grad: bool = True) -> dict[str, Tensor]:
-    """Parameters from params_to_jsonable() output; a malformed blob raises
-    ValueError naming the offending field."""
+    """Parameters from params_to_jsonable() output, or from a version-1 blob;
+    a malformed blob raises ValueError naming the offending field."""
     version = field(obj, "format_version", int, "parameters")
-    if version != PARAMS_FORMAT_VERSION:
+    if version not in (1, PARAMS_FORMAT_VERSION):
         raise ValueError(f"unsupported parameter format version: {version!r}")
     out: dict[str, Tensor] = {}
     for name, rec in field(obj, "tensors", dict, "parameters").items():
         where = f"parameter {name!r}"
-        data = floats(rec, "data", where)
+        data = floats(rec, "data", where, version)
         shape = items(rec, "shape", int, where)
-        if data.ndim != 1 or math.prod(shape) != data.size or min(shape, default=0) < 0:
+        if math.prod(shape) != data.size or min(shape, default=0) < 0:
             raise ValueError(f"{where}: shape {shape} does not fit {data.size} values")
         out[name] = Tensor(data.reshape(shape), requires_grad=requires_grad)
     return out

@@ -1,8 +1,38 @@
-"""Structural graph equality for tests: nodes, edges, hub statistics, order."""
+"""Structural graph equality for tests: nodes, edges, hub statistics, order;
+and the version-1 text of a version-2 blob, which the golden files predate."""
+
+import json
 
 import numpy as np
 
+from agentroute.fields import floats
 from agentroute.memory import HeteroGraph
+
+
+# where a serialized graph keeps its float arrays; '*' is every index
+GRAPH_ARRAYS = (("hubs", "*", "role_embedding"), ("queries", "*", "embedding"),
+                ("responses", "*", "embedding"))
+
+
+def as_v1(blob: bytes, paths=GRAPH_ARRAYS) -> bytes:
+    """A version-2 blob as the version-1 writer would have written it: the
+    packed arrays at paths ('*' for every key or index) listed as JSON
+    numbers. By default the blob is a serialized graph."""
+    obj = json.loads(blob)
+    assert obj["format_version"] == 2
+    obj["format_version"] = 1
+
+    def walk(node, path):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in (keys if path[0] == "*" else [path[0]]):
+            if len(path) > 1:
+                walk(node[key], path[1:])
+            else:
+                node[key] = floats(node, key, "blob", 2).tolist()
+
+    for path in paths:
+        walk(obj, path)
+    return json.dumps(obj, sort_keys=True).encode("utf-8")
 
 
 def graphs_equal(a: HeteroGraph, b: HeteroGraph) -> bool:

@@ -9,15 +9,19 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import agentroute
 from agentroute.backend import make_benchmark
+from agentroute.baselines import KnnStore
 from agentroute import cli
 from agentroute.cli import main
 from agentroute.config import BENCHMARK_DEFAULTS, RunConfig
 from agentroute.harness import emit_report, evaluate, report_rows
+from agentroute.memory import deserialize, serialize
 from agentroute.ppo import load_policy
+from agentroute.tensor import Tensor, save_params
 
 TINY = {
     "benchmark": {"kind": "uniform", "families": 2, "queries_per_family": 10,
@@ -329,6 +333,44 @@ def test_inspect_artifacts(tiny_config, tmp_path, capsys):
     assert main(["inspect", str(run_dir / "curve.csv")]) == 0
     out = capsys.readouterr().out
     assert "mean_return" in out
+
+
+GOLDEN_HISTORY_V1 = Path(__file__).parent / "data" / "history_v1.json"
+V1_FILES = {
+    "checkpoint": json.dumps({"format_version": 1, "tensors": {
+        "w": {"data": [0.5, -1.0, 2.0], "shape": [1, 3]}}}),
+    "history": GOLDEN_HISTORY_V1.read_text(),
+    "knn": json.dumps({"format_version": 1, "records": [
+        {"actions": [1, 0], "embedding": [0.5, -1.0]}]}),
+}
+
+
+def write_v2(kind: str, path: Path) -> None:
+    if kind == "checkpoint":
+        save_params(path, {"w": Tensor(np.array([[0.5, -1.0, 2.0]]))})
+    elif kind == "history":
+        path.write_bytes(serialize(deserialize(GOLDEN_HISTORY_V1.read_bytes())))
+    else:
+        store = KnnStore()
+        store.add(np.array([0.5, -1.0]), [1, 0])
+        store.save(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("kind, summary", [
+    ("checkpoint", "checkpoint: format v{}, 1 tensors, 3 parameters"),
+    ("history", "history graph: format v{}, 3 queries, 7 responses"),
+    ("knn", "kNN store: format v{}, 1 records"),
+])
+def test_inspect_names_the_format_version(kind, summary, version, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    if version == 1:
+        path.write_text(V1_FILES[kind])
+    else:
+        write_v2(kind, path)
+    assert json.loads(path.read_text())["format_version"] == version
+    assert main(["inspect", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(summary.format(version))
 
 
 # -- config object ---------------------------------------------------------------------

@@ -20,6 +20,7 @@ from agentroute.env import (
     trace_lines,
 )
 from agentroute.memory import HeteroGraph, STATUS_PENDING, STATUS_RESOLVED, serialize
+from graph_equality import as_v1
 
 K = 2  # pool size used throughout
 
@@ -680,6 +681,7 @@ def test_sub_answers_keep_the_pre_order_of_a_node_scan():
 # oracle's golden file these reach the thinker, the verifier, the summarizer
 # and depth-2 trees, so a change to the env, the simulator or the workflow
 # graph that moves an action, a quality bit, a cost or a node shows up here.
+# Each workflow hash is of the graph's version-1 text, which the file predates.
 GOLDEN_ROLLOUTS = Path(__file__).parent / "data" / "rollouts_v1.json"
 
 
@@ -698,7 +700,7 @@ def golden_rollouts(cfg: dict, n_episodes: int) -> list[dict]:
                              rng=np.random.default_rng(i))
         out.append({"eval_query": i, "actions": [list(a) for a in ep.actions],
                     "utility": ep.utility, "dollars": ep.dollars,
-                    "workflow_sha256": hashlib.sha256(serialize(ep.workflow)).hexdigest()})
+                    "workflow_sha256": hashlib.sha256(as_v1(serialize(ep.workflow))).hexdigest()})
     return out
 
 

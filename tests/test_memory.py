@@ -39,8 +39,9 @@ from agentroute.memory import (
 from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.baselines import KnnStore
 from agentroute.harness import inject_role_interactions
+from agentroute.fields import packed
 from agentroute.tensor import Tensor, params_from_jsonable, params_to_jsonable
-from graph_equality import graphs_equal
+from graph_equality import as_v1, graphs_equal
 
 DIM = 4
 
@@ -555,12 +556,16 @@ def test_deserialize_rejects_structure_the_nodes_do_not_imply(change, name):
 GOLDEN_V1 = Path(__file__).parent / "data" / "history_v1.json"
 GOLDEN_V1_FROZEN_SHA256 = \
     "4a09f7b9bf443be86e4e837bb7c694b170f15315f945f459ba98080683362836"
+# the same graph as the version-2 writer writes it
+GOLDEN_V2_SHA256 = \
+    "5a796f0c93774585589daa348fd00320c1ddd9bd6363881ae651fb483a17f287"
 
 
 def test_golden_v1_history_round_trips_and_freezes_unchanged():
     blob = GOLDEN_V1.read_bytes()
     g = deserialize(blob)
-    assert serialize(g) == blob
+    assert as_v1(serialize(g)) == blob
+    assert hashlib.sha256(serialize(g)).hexdigest() == GOLDEN_V2_SHA256
     frozen = g.freeze()
     h = hashlib.sha256()
     for name in ("hub_feats", "query_feats", "response_feats", "edge_src", "edge_dst"):
@@ -568,6 +573,25 @@ def test_golden_v1_history_round_trips_and_freezes_unchanged():
         h.update(f"{name}{a.dtype}{a.shape}".encode())
         h.update(a.tobytes())
     assert h.hexdigest() == GOLDEN_V1_FROZEN_SHA256
+
+
+@pytest.mark.parametrize("version, value", [
+    (1, lambda values: values[:-1]), (1, lambda values: [[1.0, 2.0]]),
+    (2, lambda values: packed(values[:-1])),
+], ids=["v1-short", "v1-nested", "v2-short"])
+@pytest.mark.parametrize("kind, key, i, where", [
+    ("queries", "embedding", 2, "graph query 2"),
+    ("responses", "embedding", 4, "graph response 4"),
+    ("hubs", "role_embedding", 5, "graph hub 5"),
+])
+def test_deserialize_rejects_ragged_or_nested_embeddings(version, value, kind, key, i, where):
+    """Each embedding is a flat array as long as the others of its node kind;
+    otherwise hub_state and freeze would fail later, naming no field."""
+    v1 = GOLDEN_V1.read_bytes()
+    blob = json.loads(v1 if version == 1 else serialize(deserialize(v1)))
+    blob[kind][i][key] = value(json.loads(v1)[kind][i][key])
+    with pytest.raises(ValueError, match=f"{where}: field '{key}'"):
+        deserialize(json.dumps(blob, sort_keys=True).encode())
 
 
 # -- graph invariants under random operation sequences ---------------------------------
