@@ -383,6 +383,7 @@ class Benchmark:
                                       self.profiles[0].embedding.shape[0])
 
     def hub_embedding(self, role_index: int, model_index: int) -> np.ndarray:
+        """The role embedding build_hubs gives hub (role, model)."""
         return 0.5 * (self.role_text_embedding(role_index)
                       + self.profiles[model_index].embedding)
 
@@ -390,12 +391,14 @@ class Benchmark:
         """Fresh zero-statistics hub set over the first n_roles roles."""
         hubs = []
         for r in range(n_roles):
+            # hub_embedding(r, m), drawing the role's text embedding once
+            text = self.role_text_embedding(r)
             for m in range(self.n_models):
                 hubs.append(RoleHubNode(
                     role_index=r, model_index=m,
                     role_name=ALL_ROLES[r].name,
                     model_name=self.profiles[m].name,
-                    role_embedding=self.hub_embedding(r, m)))
+                    role_embedding=0.5 * (text + self.profiles[m].embedding)))
         return HubSet(hubs, n_roles=n_roles, n_models=self.n_models)
 
 

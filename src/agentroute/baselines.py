@@ -50,7 +50,12 @@ class KnnStore:
     sequences: list[list[int]] = field(default_factory=list)
 
     def add(self, root_embedding: np.ndarray, actions: list[int]) -> None:
-        self.embeddings.append(np.asarray(root_embedding, dtype=np.float64))
+        """Store one episode; every record's embedding has the first's shape."""
+        emb = np.asarray(root_embedding, dtype=np.float64)
+        if self.embeddings and emb.shape != self.embeddings[0].shape:
+            raise ValueError(f"kNN record {len(self)}: field 'embedding' has shape "
+                             f"{emb.shape}, record 0's has {self.embeddings[0].shape}")
+        self.embeddings.append(emb)
         self.sequences.append([int(a) for a in actions])
 
     def __len__(self) -> int:
@@ -60,6 +65,9 @@ class KnnStore:
         """Indices of the k nearest stored roots; ties keep insertion order."""
         if not self.embeddings:
             return []
+        if np.shape(root_embedding) != self.embeddings[0].shape:
+            raise ValueError(f"query embedding has shape {np.shape(root_embedding)}, "
+                             f"the stored ones {self.embeddings[0].shape}")
         dists = [float(np.linalg.norm(e - root_embedding)) for e in self.embeddings]
         order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
         return order[:k]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentroute import backend
 from agentroute.backend import (
     ALL_ROLES,
     DEFAULT_CATALOG,
@@ -481,6 +482,23 @@ def test_build_hubs_layout():
     want = 0.5 * (b.role_text_embedding(1) + b.profiles[2].embedding)
     assert np.allclose(h.role_embedding, want)
     assert b.d_hub == 64
+
+
+def test_build_hubs_draws_each_role_text_once(monkeypatch):
+    b = bench(k_models=3)
+    keys = []
+    real = backend.det_rng
+
+    def counting(*parts):
+        keys.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(backend, "det_rng", counting)
+    hubs = b.build_hubs(5)
+    assert len(keys) == 5 and all(k[0] == "text-embed" for k in keys)
+    for r in range(5):
+        for m in range(3):
+            assert hubs.get(r, m).role_embedding.tobytes() == b.hub_embedding(r, m).tobytes()
 
 
 def test_skill_correlated_embedding_tracks_executor_row():

@@ -158,6 +158,24 @@ def test_knn_store_file_is_the_json_text_of_the_store(tmp_path):
         == streamed.getvalue()
 
 
+def test_knn_store_rejects_a_record_of_another_length():
+    blob = {"format_version": 1, "records": [{"embedding": [5.0], "actions": [1]},
+                                             {"embedding": [0.0, 0.0, 0.0], "actions": [2]}]}
+    with pytest.raises(ValueError, match="kNN record 1"):
+        KnnStore.from_jsonable(blob)
+    store = store_with([([5.0], [1])])
+    with pytest.raises(ValueError, match="kNN record 1"):
+        store.add(np.zeros(3), [2])
+    assert len(store) == 1
+
+
+def test_knn_store_rejects_a_query_of_another_length():
+    store = store_with([([5.0], [1]), ([0.0], [2])])
+    with pytest.raises(ValueError, match="query embedding"):
+        store.neighbors(np.array([5.0, 5.0, 5.0]), k=1)
+    assert store.neighbors(np.array([4.0]), k=1) == [0]
+
+
 def test_knn_store_version_check(tmp_path):
     path = tmp_path / "store.json"
     path.write_text(json.dumps({"format_version": 9, "records": []}))
