@@ -480,7 +480,7 @@ def absorb_episode(history: HeteroGraph, episode: Episode, decay: float = 0.9) -
     for rec in episode.records:
         hub = history.hubs.get(rec.role, rec.model)
         observed = rec.quality if rec.quality is not None else episode.utility
-        memory.update_hub_stats(hub, float(np.clip(observed, 0.0, 1.0)),
+        memory.update_hub_stats(hub, float(min(max(observed, 0.0), 1.0)),
                                 rec.scaled_cost, decay=decay)
     return tag
 

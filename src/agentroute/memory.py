@@ -9,11 +9,14 @@ stored: each query touches every hub, a response's links follow from its
 parent, so eviction, cloning and rebasing only touch nodes. Each graph also
 indexes every query's children and responses, so walking the tree never
 scans the node store. Query nodes are immutable values: `set_query` is the
-one way a query changes, by replacing it. Decision states read a graph's
-per-hub sums through `hub_state`; `freeze` builds the full array view of
-`edges` for checks and tests. Both graph kinds persist as v2 JSON: it still
-lists the derived edges, and stores each embedding as `fields.packed` text.
-Version-1 files, which listed the embeddings' values, still load.
+one way a query changes, by replacing it, and a node's embedding, like a
+hub's role embedding, never changes once it is added. Decision states read a
+graph's per-hub sums through `hub_state`: a history keeps its operand rows
+current as nodes come and go, a workflow keeps none and scans its nodes at
+each read. `freeze` builds the full array view of `edges` for checks and
+tests. Both graph kinds persist as v2 JSON: it still lists the derived
+edges, and stores each embedding as `fields.packed` text. Version-1 files,
+which listed the embeddings' values, still load.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -85,6 +89,7 @@ class HubSet:
         self.hubs = hubs
         self.n_roles = n_roles
         self.n_models = n_models
+        self._role_rows = np.array([h.role_embedding for h in hubs], np.float64)
 
     def __len__(self) -> int:
         return len(self.hubs)
@@ -100,8 +105,7 @@ class HubSet:
     def features(self) -> np.ndarray:
         """One row per hub: its role embedding, then its utility and cost EMAs."""
         stats = [[h.utility_ema, h.cost_ema] for h in self.hubs]
-        return np.concatenate([np.stack([h.role_embedding for h in self.hubs]), stats],
-                              axis=1)
+        return np.concatenate([self._role_rows, stats], axis=1)
 
 
 @dataclass
@@ -160,6 +164,61 @@ class HubState:
                 a.flags.writeable = False
 
 
+class _Rows:
+    """One node kind's `hub_state` operands in a history, in node order: each
+    node's embedding row and, for responses, its hub column. They sit in
+    growable buffers between `lo` and `hi`, so evicting the oldest nodes only
+    moves `lo`, and a read is a contiguous view."""
+
+    def __init__(self):
+        self.emb = np.zeros((0, 0))
+        self.col = np.zeros(0, np.int64)
+        self.lo = self.hi = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.emb[self.lo:self.hi]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.col[self.lo:self.hi]
+
+    def append(self, embedding: np.ndarray, col: int = 0) -> None:
+        n = self.hi - self.lo
+        if n == 0:  # an empty store takes any width
+            self.emb, self.col = np.empty((8, *np.shape(embedding))), np.empty(8, np.int64)
+            self.lo = self.hi = 0
+        elif self.hi == len(self.emb):
+            emb, cols = np.empty((2 * n, *self.emb.shape[1:])), np.empty(2 * n, np.int64)
+            emb[:n], cols[:n] = self.rows, self.cols
+            self.emb, self.col, self.lo, self.hi = emb, cols, 0, n
+        if np.shape(embedding) != self.emb.shape[1:]:
+            raise ValueError(f"embedding has shape {np.shape(embedding)}, the history's "
+                             f"others {self.emb.shape[1:]}")
+        self.emb[self.hi] = embedding
+        self.col[self.hi] = col
+        self.hi += 1
+
+    def drop(self, ids: dict, doomed: set[str]) -> None:
+        """Drop the rows of the doomed ids among `ids`, this kind's node store."""
+        k = sum(nid in ids for nid in doomed)
+        if all(nid in doomed for nid in islice(ids, k)):  # the oldest k
+            self.lo += k
+            return
+        keep = np.fromiter((nid not in doomed for nid in ids), bool, len(ids))
+        end = self.hi - k
+        self.emb[self.lo:end], self.col[self.lo:end] = self.rows[keep], self.cols[keep]
+        self.hi = end
+
+
+def _copy_node(node, **changes):
+    """The copy `dataclasses.replace` would make, without re-running the
+    dataclass __init__."""
+    out = object.__new__(type(node))
+    out.__dict__.update(node.__dict__, **changes)
+    return out
+
+
 def _link(index: dict[str, tuple[str, ...]], key: str, nid: str) -> None:
     index[key] = index.get(key, ()) + (nid,)
 
@@ -182,9 +241,11 @@ class HeteroGraph:
     link whose other end was evicted. `child_ids` and `response_ids` index
     the last two links by query id, in insertion order, as immutable tuples
     that a clone shares; a key stays while one of its nodes is live, even
-    after the query it names was evicted. The graph keeps no cached state:
-    `hub_state` sums node features into the hubs at each read, so an unread
-    oracle branch pays nothing.
+    after the query it names was evicted. A history also keeps `hub_state`'s
+    operands, its query and response embedding rows and each response's hub
+    column, in node order; every write keeps them current. A workflow keeps
+    none: its `hub_state` sums node features into the hubs at each read, so
+    an unread oracle branch pays nothing.
     """
 
     def __init__(self, kind: str, hubs: HubSet, capacity: int | None = None):
@@ -208,12 +269,17 @@ class HeteroGraph:
         self.episode_nodes: dict[str, dict[str, None]] = {}
         self.episode_order: list[str] = []
         self._episode_counter = 0
+        self._q_rows = self._r_rows = None
+        if kind == "history":
+            self._q_rows, self._r_rows = _Rows(), _Rows()
 
     # -- construction helpers ------------------------------------------------
 
     def add_query(self, q: QueryNode, episode: str | None = None) -> None:
         if q.id in self.queries:
             raise ValueError(f"duplicate query id: {q.id}")
+        if self.kind == "history":
+            self._q_rows.append(q.embedding)
         self.queries[q.id] = q
         if q.parent is not None:
             _link(self.child_ids, q.parent, q.id)
@@ -226,10 +292,11 @@ class HeteroGraph:
             raise ValueError(f"unknown query id: {query_id}")
         if r.id in self.responses:
             raise ValueError(f"duplicate response id: {r.id}")
-        role_idx, model_idx = r.produced_by
-        self.hubs.index(role_idx, model_idx)  # validates range
+        col = self.hubs.index(*r.produced_by)  # validates range
         if answers and self.queries[query_id].answer_id is not None:
             raise ValueError(f"query {query_id} already has an answer")
+        if self.kind == "history":
+            self._r_rows.append(r.embedding, col)
         self.responses[r.id] = r
         self.query_of[r.id] = query_id
         _link(self.response_ids, query_id, r.id)
@@ -243,11 +310,16 @@ class HeteroGraph:
         `changes`; the only way a query changes once it is in a graph."""
         if not changes.keys() <= {"status", "answer_id"}:
             raise ValueError(f"a query's other fields never change: {sorted(changes)}")
-        # the copy replace() would make, without re-running the frozen __init__
-        q = object.__new__(QueryNode)
-        q.__dict__.update(self.queries[query_id].__dict__, **changes)
-        self.queries[query_id] = q
+        q = self.queries[query_id] = _copy_node(self.queries[query_id], **changes)
         return q
+
+    def _index_rows(self) -> None:
+        """Rebuild a history's operand rows from its nodes."""
+        self._q_rows, self._r_rows = _Rows(), _Rows()
+        for q in self.queries.values():
+            self._q_rows.append(q.embedding)
+        for r in self.responses.values():
+            self._r_rows.append(r.embedding, self.hubs.index(*r.produced_by))
 
     def _tag(self, nid: str, episode: str) -> None:
         self._untag(nid)
@@ -295,6 +367,9 @@ class HeteroGraph:
     # -- eviction --------------------------------------------------------------
 
     def _drop_nodes(self, doomed: set[str]) -> None:
+        if self.kind == "history":  # before the stores forget the order
+            self._q_rows.drop(self.queries, doomed)
+            self._r_rows.drop(self.responses, doomed)
         for nid in doomed:
             q = self.queries.pop(nid, None)
             if q is not None and q.parent is not None:
@@ -322,14 +397,18 @@ class HeteroGraph:
 
     def hub_state(self) -> HubState:
         """Node counts and per-hub sums, bit for bit those of `freeze()`: the
-        matmuls of `EncoderInput.hub_sums` on the same operands, computed at
-        each call, with a history graph's hub features."""
+        matmuls of `EncoderInput.hub_sums` on the same operands (a history's
+        kept rows; a workflow's, stacked from its nodes), computed at each
+        call, with a history graph's hub features."""
         H, nq, nr = len(self.hubs), len(self.queries), len(self.responses)
-        q_feats = np.array([q.embedding for q in self.queries.values()], np.float64)
-        r_feats = np.array([r.embedding for r in self.responses.values()], np.float64)
+        if self.kind == "history":
+            q_feats, r_feats, cols = self._q_rows.rows, self._r_rows.rows, self._r_rows.cols
+        else:
+            q_feats = np.array([q.embedding for q in self.queries.values()], np.float64)
+            r_feats = np.array([r.embedding for r in self.responses.values()], np.float64)
+            cols = [self.hubs.index(*r.produced_by) for r in self.responses.values()]
         counts = np.zeros((H, nr))
-        counts[[self.hubs.index(*r.produced_by) for r in self.responses.values()],
-               np.arange(nr)] = 1.0
+        counts[cols, np.arange(nr)] = 1.0
         return HubState(H, nq, nr, (nq + counts.sum(axis=1),
                                     np.ones((H, nq)) @ q_feats if nq else None,
                                     counts @ r_feats if nr else None),
@@ -453,13 +532,13 @@ def consolidate(workflow: HeteroGraph, history: HeteroGraph) -> str:
         return f"{tag}/{nid}"
 
     for q in workflow.queries.values():
-        clone = replace(q, id=rename(q.id),
-                        parent=None if q.parent is None else rename(q.parent),
-                        embedding=q.embedding.copy(),
-                        answer_id=None if q.answer_id is None else rename(q.answer_id))
+        clone = _copy_node(q, id=rename(q.id),
+                           parent=None if q.parent is None else rename(q.parent),
+                           embedding=q.embedding.copy(),
+                           answer_id=None if q.answer_id is None else rename(q.answer_id))
         history.add_query(clone, episode=tag)
     for r in workflow.responses.values():
-        clone = replace(r, id=rename(r.id), embedding=r.embedding.copy())
+        clone = _copy_node(r, id=rename(r.id), embedding=r.embedding.copy())
         # statuses and answer pointers were already cloned on the query side
         history.add_response(rename(workflow.query_of[r.id]), clone, answers=False,
                              episode=tag)
@@ -527,6 +606,7 @@ def rebase_history(old: HeteroGraph, new_hubs: HubSet,
     out.episode_nodes = {ep: dict(nodes) for ep, nodes in old.episode_nodes.items()}
     out.episode_order = list(old.episode_order)
     out._episode_counter = old._episode_counter
+    out._index_rows()
     return out
 
 
@@ -677,5 +757,7 @@ def deserialize(data: bytes) -> HeteroGraph:
             _link(g.child_ids, node.parent, node.id)
     for rid, qid in g.query_of.items():
         _link(g.response_ids, qid, rid)
+    if g.kind == "history":
+        g._index_rows()
     return g
 

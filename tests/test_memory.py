@@ -710,11 +710,42 @@ def test_graph_invariants_hold_under_random_operations(capacity, ops):
         assert_graph_invariants(hist, capacity)
 
 
+HISTORY_OPS = ("consolidate", "inject", "drop", "deserialize", "rebase", "deepcopy")
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 40),
+       ops=st.lists(st.tuples(st.sampled_from(HISTORY_OPS), st.integers(0, 2 ** 16)),
+                    min_size=1, max_size=12))
+def test_history_operands_follow_every_write(capacity, ops):
+    """After each write a history's operand views are a rebuild from its
+    nodes, and a read gives the node scan's bytes."""
+    hist = HeteroGraph("history", make_hubs(3, BENCH.n_models), capacity=capacity)
+    for op, seed in ops:
+        rng = np.random.default_rng(seed)
+        if op == "consolidate":  # evicts whole episodes, then truncates
+            consolidate(random_episode(hist.hubs, rng, seed), hist)
+        elif op == "inject":
+            inject_role_interactions(BENCH, hist, n_queries=int(rng.integers(1, 3)),
+                                     query_offset=seed)
+        elif op == "drop":  # any nodes, not only the oldest
+            ids = [*hist.queries, *hist.responses]
+            hist._drop_nodes({i for i in ids if rng.uniform() < 0.3})
+        elif op == "deserialize":
+            hist = deserialize(serialize(hist))
+        elif op == "rebase":
+            hist = rebase_history(hist, make_hubs(min(5, hist.hubs.n_roles + 1),
+                                                  hist.hubs.n_models + 1))
+        else:
+            hist = copy.deepcopy(hist)
+        assert_operands_are_a_rebuild(hist)
+        assert_state_is_a_scan(hist.hub_state(), hist)
+
 
 # -- decision states and indexes under random operations ----------------------------------
 
 STATE_OPS = ("children", "response", "summary", "clone", "consolidate", "ema", "rebase",
-             "read")
+             "read", "drop", "deserialize", "deepcopy")
 INDEX_OPS = ("children", "response", "summary", "clone", "consolidate", "rebase",
              "deserialize")
 
@@ -776,6 +807,54 @@ class RandomGraphs:
             self.wfs = [deserialize(serialize(g)) for g in self.wfs]
             self.hist = deserialize(serialize(self.hist))
             self.wfs.append(self.fresh_workflow(rng))
+        elif op == "drop":  # any history nodes, not only the oldest
+            ids = [*self.hist.queries, *self.hist.responses]
+            self.hist._drop_nodes({i for i in ids if rng.uniform() < 0.3})
+        elif op == "deepcopy":  # the copies share one hub set, as the originals did
+            self.hist, self.wfs = copy.deepcopy((self.hist, self.wfs))
+
+
+def scan_hub_state(g):
+    """`HeteroGraph.hub_state` as it ran when every read rebuilt its operands
+    from the nodes: the arrays it returned, then the hub features."""
+    H, nq, nr = len(g.hubs), len(g.queries), len(g.responses)
+    q_feats = np.array([q.embedding for q in g.queries.values()], np.float64)
+    r_feats = np.array([r.embedding for r in g.responses.values()], np.float64)
+    counts = np.zeros((H, nr))
+    counts[[g.hubs.index(*r.produced_by) for r in g.responses.values()],
+           np.arange(nr)] = 1.0
+    stats = [[h.utility_ema, h.cost_ema] for h in g.hubs.hubs]
+    feats = np.concatenate([np.stack([h.role_embedding for h in g.hubs.hubs]), stats],
+                           axis=1)
+    return (nq + counts.sum(axis=1), np.ones((H, nq)) @ q_feats if nq else None,
+            counts @ r_feats if nr else None, feats if g.kind == "history" else None)
+
+
+def assert_state_is_a_scan(state, g):
+    """A HubState's arrays are those of `scan_hub_state`, byte for byte."""
+    for got, want in zip((*state.hub_sums, state.hub_feats), scan_hub_state(g)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                              want.tobytes())
+
+
+def assert_operands_are_a_rebuild(g):
+    """A history's operand views are float64, C-contiguous and hold what a
+    rebuild from its nodes gives, byte for byte; a workflow keeps none."""
+    if g.kind == "workflow":
+        assert g._q_rows is None and g._r_rows is None
+        return
+    for rows, nodes in ((g._q_rows, g.queries), (g._r_rows, g.responses)):
+        view = rows.rows
+        assert view.dtype == np.float64 and view.flags.c_contiguous
+        assert len(view) == len(nodes)
+        if nodes:
+            want = np.array([n.embedding for n in nodes.values()], np.float64)
+            assert view.shape == want.shape and view.tobytes() == want.tobytes()
+    assert g._r_rows.cols.dtype == np.int64
+    assert g._r_rows.cols.tolist() == [g.hubs.index(*r.produced_by)
+                                       for r in g.responses.values()]
 
 
 def assert_state_is_a_freeze(state, frozen):
@@ -802,10 +881,13 @@ def test_hub_state_equals_a_fresh_freeze(roles, models, dims, capacity, ops):
     for op, seed in ops:
         if op != "read":
             graphs.apply(op, seed)
+            for g in graphs.graphs:
+                assert_operands_are_a_rebuild(g)
             continue
         for g in graphs.graphs:
             reads.append((g.hub_state(), g.freeze()))
             assert_state_is_a_freeze(*reads[-1])
+            assert_state_is_a_scan(reads[-1][0], g)
             assert (reads[-1][0].hub_feats is None) == (g.kind == "workflow")
     for g in graphs.graphs:
         assert_state_is_a_freeze(g.hub_state(), g.freeze())
@@ -877,6 +959,33 @@ def test_hub_state_reads_share_no_array():
         for a, b in zip(first, second):
             assert np.array_equal(a, b) and not np.shares_memory(a, b)
             assert not a.flags.writeable and not b.flags.writeable
+
+
+class NoScan(dict):
+    """A node store that fails any walk over its nodes."""
+
+    def _walk(self, *a):
+        raise AssertionError("scanned the node store")
+
+    __iter__ = keys = values = items = _walk
+
+
+def test_a_second_history_read_scans_no_node():
+    g = build_history_for_io()
+    first = g.hub_state()
+    with mock.patch.object(HubSet, "index", side_effect=AssertionError("index")), \
+            mock.patch.object(g, "queries", NoScan(g.queries)), \
+            mock.patch.object(g, "responses", NoScan(g.responses)):
+        second = g.hub_state()
+    for a, b in zip(state_arrays(first), state_arrays(second)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_workflow_keeps_no_operands():
+    wf = small_workflow()
+    for g in (wf, clone_workflow(wf), deserialize(serialize(wf)), copy.deepcopy(wf)):
+        assert g._q_rows is None and g._r_rows is None
+        assert not any(isinstance(v, np.ndarray) for v in vars(g).values())
 
 
 def test_query_nodes_are_immutable():

@@ -325,6 +325,33 @@ def test_update_on_collected_windows_is_the_tape_update(variant):
         update_bits(tape_ppo_update, dims, *window, cfg)
 
 
+@pytest.mark.parametrize("variant", ["full", "homo", "hetero"])
+def test_first_epoch_reuses_the_collection_policy(variant):
+    """Handed the policy that collected the window, as `train` does,
+    `ppo_update` prepares one policy fewer and leaves every weight, both
+    Adams' moments and the stats bit for bit as without it."""
+    dims = EncoderDims(d_q=9, d_r=9, d_hub=9, hidden=17)
+    window = random_window(np.random.default_rng(5), 9, 10, True, True, 7)
+    cfg = small_cfg(variant=variant, epochs=3, hidden=17)
+    prepared, prepare = [], RoutingPolicy.prepare
+
+    def counted(policy, hist_input):
+        prepared.append(policy)
+        prepare(policy, hist_input)
+
+    def with_policy(params, *args):
+        policy = RoutingPolicy(params, cfg.variant, cfg.beta)
+        policy.prepare(window[0])
+        return ppo_update(params, *args, policy)
+
+    with mock.patch.object(RoutingPolicy, "prepare", counted):
+        want = update_bits(ppo_update, dims, *window, cfg)
+        assert len(prepared) == cfg.epochs  # one per epoch
+        prepared.clear()
+        assert update_bits(with_policy, dims, *window, cfg) == want
+        assert len(prepared) == cfg.epochs  # the collection's, then one per later epoch
+
+
 def test_non_finite_loss_error_is_the_tape_update_error():
     rng = np.random.default_rng(0)
     dims = EncoderDims(4, 4, 4, 3)
