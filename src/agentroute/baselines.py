@@ -46,18 +46,9 @@ class RandomRouter:
 class KnnStore:
     """Past action sequences keyed by the root query embedding."""
 
-    embeddings: list[np.ndarray] = field(default_factory=list)
-    sequences: list[list[int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        """Records given to the constructor pass `add`'s checks too."""
-        if len(self.embeddings) != len(self.sequences):
-            raise ValueError(f"kNN store: field 'sequences' has {len(self.sequences)} "
-                             f"records, field 'embeddings' {len(self.embeddings)}")
-        records = list(zip(self.embeddings, self.sequences))
-        self.embeddings, self.sequences = [], []
-        for emb, actions in records:
-            self.add(emb, actions)
+    # records go in only through `add`, which checks each one's shape
+    embeddings: list[np.ndarray] = field(default_factory=list, init=False)
+    sequences: list[list[int]] = field(default_factory=list, init=False)
 
     def add(self, root_embedding: np.ndarray, actions: list[int]) -> None:
         """Store one episode; every record's embedding has the first's shape."""

@@ -199,16 +199,14 @@ class _Rows:
         self.col[self.hi] = col
         self.hi += 1
 
-    def drop(self, ids: dict, doomed: set[str]) -> None:
-        """Drop the rows of the doomed ids among `ids`, this kind's node store."""
+    def drop_oldest(self, ids: dict, doomed: set[str]) -> bool:
+        """Drop the rows of the doomed ids among `ids`, this kind's node store,
+        if they are its oldest; False, dropping nothing, if they are not."""
         k = sum(nid in ids for nid in doomed)
-        if all(nid in doomed for nid in islice(ids, k)):  # the oldest k
-            self.lo += k
-            return
-        keep = np.fromiter((nid not in doomed for nid in ids), bool, len(ids))
-        end = self.hi - k
-        self.emb[self.lo:end], self.col[self.lo:end] = self.rows[keep], self.cols[keep]
-        self.hi = end
+        if not all(nid in doomed for nid in islice(ids, k)):
+            return False
+        self.lo += k
+        return True
 
 
 def _copy_node(node, **changes):
@@ -367,9 +365,10 @@ class HeteroGraph:
     # -- eviction --------------------------------------------------------------
 
     def _drop_nodes(self, doomed: set[str]) -> None:
-        if self.kind == "history":  # before the stores forget the order
-            self._q_rows.drop(self.queries, doomed)
-            self._r_rows.drop(self.responses, doomed)
+        # eviction drops the oldest nodes of each kind; any other drop rebuilds
+        oldest = self.kind == "history" and (
+            self._q_rows.drop_oldest(self.queries, doomed)
+            and self._r_rows.drop_oldest(self.responses, doomed))
         for nid in doomed:
             q = self.queries.pop(nid, None)
             if q is not None and q.parent is not None:
@@ -379,6 +378,8 @@ class HeteroGraph:
             if query_id is not None:
                 _unlink(self.response_ids, query_id, nid)
             self._untag(nid)
+        if self.kind == "history" and not oldest:
+            self._index_rows()
 
     def enforce_capacity(self) -> None:
         """Evict oldest episodes until the interaction budget is met."""

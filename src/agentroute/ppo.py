@@ -154,13 +154,14 @@ def collect_window(benchmark: Benchmark, env_cfg: EnvConfig, hubs,
 
 def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
                episodes: list[Episode], advantages: np.ndarray,
-               returns: np.ndarray, hist_input, cfg: TrainConfig,
-               update: int, policy: RoutingPolicy | None = None) -> dict[str, float]:
+               returns: np.ndarray, policy: RoutingPolicy, cfg: TrainConfig,
+               update: int) -> dict[str, float]:
     """Run cfg.epochs whole-window epochs, each one batched forward and
     backward over every decision point of the window; returns the last
-    epoch's losses. `policy`, when given, is one built from `params` as they
-    are and prepared on `hist_input`, such as the one that collected the
-    window; the first epoch runs it instead of building its own.
+    epoch's losses. `policy` is built from `params` as they are and prepared
+    on the window's history, as the one that collected the window is; the
+    first epoch runs it, and each later one builds a policy on the updated
+    weights and prepares it on `policy.hist_input`.
 
     The clipped surrogate, value loss and entropy bonus, and their gradients
     with respect to the probabilities and values, are the tape's op for op:
@@ -179,7 +180,8 @@ def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
     messages = old_logp = None
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     for epoch in range(cfg.epochs):
-        if epoch or policy is None:
+        if epoch:  # the updated weights, on the same history
+            hist_input = policy.hist_input
             policy = RoutingPolicy(params, cfg.variant, cfg.beta)
             policy.prepare(hist_input)
         if messages is None:  # the window's, whatever the weights
@@ -295,7 +297,7 @@ def train(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
         advantages, returns = compute_gae(episodes, cfg.gamma, cfg.gae_lambda)
         advantages = normalize(advantages)
         stats = ppo_update(params, policy_opt, value_opt, episodes,
-                           advantages, returns, hist_input, cfg, update, policy)
+                           advantages, returns, policy, cfg, update)
 
         # history absorbs the window only after the update that used it
         if cfg.use_history:

@@ -167,15 +167,17 @@ def test_knn_store_rejects_a_record_of_another_length():
     with pytest.raises(ValueError, match="kNN record 1"):
         store.add(np.zeros(3), [2])
     assert len(store) == 1
-    with pytest.raises(ValueError, match="kNN record 1"):
-        KnnStore(embeddings=[np.array([5.0]), np.zeros(3)], sequences=[[1], [2]])
 
 
-def test_knn_store_rejects_an_embedding_without_a_sequence():
-    with pytest.raises(ValueError, match="field 'sequences'"):
-        KnnStore(embeddings=[np.zeros(2)], sequences=[])
-    store = KnnStore(embeddings=[[0.0, 1.0]], sequences=[(2, 3)])
-    assert store.sequences == [[2, 3]] and store.embeddings[0].dtype == np.float64
+def test_knn_store_constructor_takes_no_records():
+    """Records go in only through `add`: a `[5.0]` record beside `np.zeros(3)`,
+    or an embedding with no sequence, cannot be given to the constructor."""
+    for records in ({"embeddings": [np.array([5.0]), np.zeros(3)], "sequences": [[1], [2]]},
+                    {"embeddings": [np.zeros(2)], "sequences": []}):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            KnnStore(**records)
+    with pytest.raises(TypeError):
+        KnnStore([np.zeros(2)], [[0]])
 
 
 def test_knn_store_rejects_a_query_of_another_length():

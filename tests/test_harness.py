@@ -247,8 +247,9 @@ def test_write_csv_is_atomic_overwrite(tmp_path):
 def test_a_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "artifact"
     unserializable = np.array([object()])
-    knn = KnnStore(embeddings=[np.zeros(1)], sequences=[[0]])
-    knn.embeddings[0] = unserializable  # past the constructor's checks
+    knn = KnnStore()
+    knn.add(np.zeros(1), [0])
+    knn.embeddings[0] = unserializable  # past add's checks
     failing = {
         "params": lambda: T.save_params(path, {"w": T.Tensor(np.zeros(2))},
                                         meta={"x": object()}),
