@@ -14,7 +14,7 @@ from .harness import (emit_report, evaluate, pareto_sweep, report_rows,
                       run_ablation)
 from .memory import deserialize
 from .ppo import load_policy, train, write_csv
-from .tensor import load_params
+from .tensor import params_from_jsonable
 
 
 def _load_config(path: str | None, parser: argparse.ArgumentParser) -> RunConfig:
@@ -155,12 +155,12 @@ def cmd_inspect(args, parser) -> int:
         parser.error(f"not a readable artifact: {target}")
     # each loader checks format_version before the summary names it
     if "tensors" in blob:
-        params, meta = load_params(target)
-        total = sum(p.data.size for p in params.values())
+        params, meta = params_from_jsonable(blob), blob.get("meta", {})
+        total = sum(p.size for p in params.values())
         print(f"checkpoint: format v{blob['format_version']}, "
               f"{len(params)} tensors, {total} parameters")
         for name in sorted(params):
-            print(f"  {name}: {list(params[name].data.shape)}")
+            print(f"  {name}: {list(params[name].shape)}")
         if meta:
             print("meta: " + json.dumps(
                 {k: meta[k] for k in sorted(meta) if k not in ("env", "train")},

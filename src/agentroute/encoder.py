@@ -13,14 +13,14 @@ rows estimates the state value. Ablation variants swap this wiring for one
 encoding of the union of the history and workflow graphs, with shared or
 per-type projections.
 
-`encoder` maps a stack of decision points to masked action distributions and
-values on the tape; it is the reference that gradient checks and tests pin
-the plain-array path to. `RoutingPolicy` is that path, and the one the
-program runs: what depends only on the weights and the history snapshot is
-computed once per snapshot, `forward` runs the rest of `encoder`'s numpy ops
-on N decision points (one for rollouts and evaluation, a whole window for
-the PPO update), and `backward` maps the update's loss gradients back to the
-weights with the tape's ops, so both give the tape's bits.
+`RoutingPolicy` is the encoder and the head, on plain float64 arrays: what
+depends only on the weights and the history snapshot is computed once per
+snapshot, `forward` runs the rest on N decision points (one for rollouts and
+evaluation, a whole window for the PPO update), and `backward` maps the
+update's loss gradients back to the weights by hand. The test suite keeps a
+reverse-mode tape version of the same encoder (`tests/tape.py`) and pins both
+passes to it bit for bit; gradient checks compare `backward` with finite
+differences.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from . import tensor as T
 from .memory import EncoderInput, HubState
 from .streams import det_rng
-from .tensor import Tensor
 
 VARIANTS = ("full", "homo", "hetero")
 # per variant, the (W_q, W_r, W_m) that encode the graph the head scores
@@ -54,18 +53,18 @@ class EncoderDims:
 
 
 def init_params(dims: EncoderDims, variant: str = "full", seed: int = 0,
-                init_scale: float = 1.0) -> dict[str, Tensor]:
-    """Fresh parameter dict for one variant; shapes depend on the variant."""
+                init_scale: float = 1.0) -> dict[str, np.ndarray]:
+    """Fresh weights of one variant, name -> float64 array; the names and
+    shapes depend on the variant."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown encoder variant: {variant!r}")
     h = dims.hidden
 
-    def w(name: str, shape: tuple[int, ...]) -> Tensor:
+    def w(name: str, shape: tuple[int, ...]) -> np.ndarray:
         fan_in = shape[0]
-        data = det_rng(seed, "init", name).normal(size=shape) * init_scale / np.sqrt(fan_in)
-        return Tensor(data, requires_grad=True)
+        return det_rng(seed, "init", name).normal(size=shape) * init_scale / np.sqrt(fan_in)
 
-    params: dict[str, Tensor] = {}
+    params: dict[str, np.ndarray] = {}
     if variant == "full":
         params["his.W_q"] = w("his.W_q", (dims.d_q, h))
         params["his.W_r"] = w("his.W_r", (dims.d_r, h))
@@ -83,9 +82,9 @@ def init_params(dims: EncoderDims, variant: str = "full", seed: int = 0,
         params["enc.W"] = w("enc.W", (dims.d_q, h))
     params["fuse.W"] = w("fuse.W", (dims.d_q, h))
     params["value.W1"] = w("value.W1", (3 * h, h))
-    params["value.b1"] = Tensor(np.zeros(h), requires_grad=True)
+    params["value.b1"] = np.zeros(h)
     params["value.W2"] = w("value.W2", (h, 1))
-    params["value.b2"] = Tensor(np.zeros(1), requires_grad=True)
+    params["value.b2"] = np.zeros(1)
     return params
 
 
@@ -133,104 +132,6 @@ def _messages(graphs: list[EncoderInput | HubState],
     return (None, ()) if beta == 0.0 else _mean_messages(graphs, shared, beta)
 
 
-def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
-                 W_q: Tensor, W_r: Tensor, W_m: Tensor, beta: float,
-                 shared: EncoderInput | HubState | None = None) -> Tensor:
-    """(N, H, hidden) hub rows of N graphs after one residual mean-message round.
-
-    Every graph starts from the same (H, d) hub rows `hubs`: raw hub features,
-    or rows already produced by another encoding pass. Mean aggregation is
-    linear, so it runs on the raw features before the projection: graph i's
-    rows are h + beta * [S_q,i | S_r,i] @ [W_q; W_r], where h = hubs @ W_m
-    and S_q,i, S_r,i hold the summed query and response features of each
-    hub's incoming edges, divided by the hub's in-degree; one matmul covers
-    all N graphs. Hubs hear no other hub, and hubs without edges keep h.
-    `shared` is encoded as part of every graph (its sums add to each
-    graph's): the merged variants pass the history there. A weight whose node
-    kind is absent from every graph, and every weight but W_m at beta = 0,
-    stays off the tape.
-    """
-    H = hubs.shape[0]
-    means, kinds = _messages(graphs, shared, beta, H)
-    h_hub = T.matmul(hubs, W_m)
-    N, h = len(graphs), h_hub.shape[1]
-    base = T.reshape(h_hub, (1, H, h))
-    if means is None:  # every hub keeps h
-        return T.broadcast_to(base, (N, H, h))
-    W = T.concat([W for W, kept in zip((W_q, W_r), kinds) if kept], axis=0)
-    msg = T.matmul(Tensor(means), W)
-    return T.add(base, T.reshape(msg, (N, H, h)))
-
-
-def history_hub_rows(params: dict[str, Tensor], variant: str, beta: float,
-                     hist_input: EncoderInput | HubState) -> Tensor | None:
-    """(H, hidden) history-encoded hub rows (full variant); merged variants
-    return None."""
-    if variant == "full":
-        rows = encode_graph(Tensor(hist_input.hub_feats), [hist_input],
-                            params["his.W_q"], params["his.W_r"],
-                            params["his.W_m"], beta)
-        return T.reshape(rows, rows.shape[1:])
-    if variant in ("homo", "hetero"):
-        return None
-    raise ValueError(f"unknown encoder variant: {variant!r}")
-
-
-def encoder(params: dict[str, Tensor], variant: str, beta: float,
-            hist_input: EncoderInput | HubState | None,
-            wf_inputs: list[EncoderInput | HubState],
-            queries: np.ndarray, masks: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Masked action distributions (N, R*K) and values (N,) of N decision
-    points that share one history snapshot.
-
-    Row i scores wf_inputs[i] against queries[i] under masks[i]; every weight
-    is applied with one matmul whatever N is. The full variant encodes the
-    history once and feeds its rows to every workflow pass as hub inputs;
-    merged variants encode each workflow together with the history.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown encoder variant: {variant!r}")
-    if hist_input is None:
-        raise ValueError("the encoder needs the history input")
-    Wq, Wr, Wm = (params[name] for name in MESSAGE_WEIGHTS[variant])
-    if variant == "full":
-        his_hubs = history_hub_rows(params, variant, beta, hist_input)
-        score_rows = encode_graph(his_hubs, wf_inputs, Wq, Wr, Wm, beta)
-        value_rows = T.reshape(his_hubs, (1,) + his_hubs.shape)
-    else:
-        score_rows = encode_graph(Tensor(hist_input.hub_feats), wf_inputs,
-                                  Wq, Wr, Wm, beta, shared=hist_input)
-        value_rows = score_rows
-    return _head(params, score_rows, value_rows, queries, masks)
-
-
-def _head(params: dict[str, Tensor], score_rows: Tensor, value_rows: Tensor,
-          queries: np.ndarray, masks: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Score each point's hub rows against its fused query; a two-layer head
-    on [query, pooled score rows, pooled value rows] gives the value."""
-    N, H, h = score_rows.shape
-    z = T.relu(T.row_normalize(T.matmul(Tensor(queries), params["fuse.W"])))
-    scores = T.sum_axis(T.mul(score_rows, T.reshape(z, (N, 1, h))), axis=2)
-    probs = T.masked_softmax(scores, masks)
-
-    pooled = [T.broadcast_to(T.scale(T.sum_axis(rows, axis=1), 1.0 / H), (N, h))
-              for rows in (score_rows, value_rows)]
-    feat = T.concat([z] + pooled, axis=1)
-    hidden = T.relu(T.add(T.matmul(feat, params["value.W1"]), params["value.b1"]))
-    value = T.add(T.matmul(hidden, params["value.W2"]), params["value.b2"])
-    return probs, T.reshape(value, (N,))
-
-
-def entropy_of(probs: Tensor) -> Tensor:
-    """Entropy summed over every row of probs."""
-    return T.scale(T.total_sum(T.mul(probs, T.safe_log(probs))), -1.0)
-
-
-def logprob_of(probs: Tensor, actions: np.ndarray) -> Tensor:
-    """(N,) log-probability of actions[i] under row i of probs."""
-    return T.log(T.pick_rows(probs, actions))
-
-
 def _message_weights(W_q: np.ndarray, W_r: np.ndarray) -> dict:
     """The weights a (queries, responses) presence pair multiplies the mean
     messages by: [W_q; W_r] for both, else the one present."""
@@ -240,9 +141,11 @@ def _message_weights(W_q: np.ndarray, W_r: np.ndarray) -> dict:
 
 def _hub_rows(base: np.ndarray, messages: Messages, weights: dict,
               n: int) -> np.ndarray:
-    """`encode_graph`'s (n, H, hidden) rows of n graphs on plain arrays, from
-    the projected hub rows `base` = hubs @ W_m, the graphs' `_messages` and
-    `_message_weights`."""
+    """(n, H, hidden) hub rows of n graphs after one residual mean-message
+    round, from the projected hub rows `base` = hubs @ W_m, the graphs'
+    `_messages` and `_message_weights`: base plus the messages times
+    [W_q; W_r]. Every graph starts from the same hub rows, and hubs without
+    edges keep them."""
     means, kinds = messages
     H, h = base.shape
     rows = base.reshape(1, H, h)
@@ -268,28 +171,28 @@ class Forward(NamedTuple):
 
 
 class RoutingPolicy:
-    """`encoder`'s forward and backward on plain arrays, off the tape.
+    """The policy's forward and backward on plain arrays.
 
-    It keeps each parameter's array as it is at construction, never a
-    Tensor, so it records no tape whatever `requires_grad` says, and an
-    optimizer step, which rebinds `Tensor.data`, leaves its weights as they
-    were; it also stacks the message weights then. `prepare` computes once per
-    history snapshot what depends only on the weights and the snapshot: the
-    full variant's history hub rows, their loc.W_m projection and pooled value
-    rows; a merged variant's projected history hubs (its edge sums stay cached
-    on the history input). `messages` computes what depends only on the
-    workflow states, and `forward` runs the rest on N decision points with the
-    numpy ops `encoder` runs, in the same order and on the same shapes, so its
-    probabilities and values are the tape's bit for bit. `act` is `forward` on
-    one point; the PPO update runs it on a whole window and maps the loss
-    gradients back to the weights with `backward`.
+    It copies the weight dict but not the arrays, and stacks the message
+    weights at construction; an optimizer step rebinds the entries of the
+    dict it is handed, so a policy built before the step keeps its weights.
+    `prepare` computes once per history snapshot what depends only on the
+    weights and the snapshot: the full variant's history hub rows, their
+    loc.W_m projection and pooled value rows; a merged variant's projected
+    history hubs (its edge sums stay cached on the history input). `messages`
+    computes what depends only on the workflow states, and `forward` runs the
+    rest on N decision points with the numpy ops of the tape encoder the tests
+    keep, in the same order and on the same shapes, so its probabilities and
+    values are the tape's bit for bit. `act` is `forward` on one point; the
+    PPO update runs it on a whole window and maps the loss gradients back to
+    the weights with `backward`.
     """
 
-    def __init__(self, params: dict[str, Tensor], variant: str = "full",
+    def __init__(self, params: dict[str, np.ndarray], variant: str = "full",
                  beta: float = 1.0):
         if variant not in VARIANTS:
             raise ValueError(f"unknown encoder variant: {variant!r}")
-        self.params = {k: p.data for k, p in params.items()}
+        self.params = dict(params)
         self.variant = variant
         self.beta = beta
         self.hist_input: EncoderInput | HubState | None = None
@@ -326,14 +229,14 @@ class RoutingPolicy:
 
     def forward(self, messages: Messages, queries: np.ndarray,
                 masks: np.ndarray) -> Forward:
-        """`encoder`'s outputs on N decision points under the prepared
-        snapshot: row i scores the i-th workflow of `messages` against
-        queries[i] under masks[i]."""
+        """Masked action distributions (N, R*K) and values (N,) of N decision
+        points under the prepared snapshot: row i scores the i-th workflow of
+        `messages` against queries[i] under masks[i]."""
         w = self.params
         N = queries.shape[0]
         rows = _hub_rows(self._base, messages, self._weights, N)
         _, H, h = rows.shape
-        # `_head`: T.row_normalize, then T.relu
+        # the fused query: row-normalized, then relu
         fused = queries @ w["fuse.W"]
         norm = np.sqrt((fused * fused).sum(axis=1, keepdims=True))
         y = fused / (norm + 1e-6)
@@ -358,12 +261,13 @@ class RoutingPolicy:
         """Each weight's gradient of a loss whose gradients with respect to
         `fwd.probs` and `fwd.values` are g_probs and g_values.
 
-        This is `T.backward` through `encoder`: the same numpy ops on the same
-        shapes, and where three contributions add up, the tape's grouping
-        (merged variants: the two pooled rows' before the scores'; homo: W_m's
-        before W_q's before W_r's), so the bits are the tape's. A weight the
-        tape leaves off, a message weight whose node kind no graph has or any
-        message weight at beta = 0, gets None.
+        These are the reverse-mode tape's backward rules applied to `forward`:
+        the same numpy ops on the same shapes, and where three contributions
+        add up, the tape's grouping (merged variants: the two pooled rows'
+        before the scores'; homo: W_m's before W_q's before W_r's), so the
+        bits are the tape's. A weight the tape leaves off, a message weight
+        whose node kind no graph has or any message weight at beta = 0, gets
+        None.
         """
         w, merged = self.params, self._pooled_value is None
         N, H, h = fwd.rows.shape
@@ -372,7 +276,7 @@ class RoutingPolicy:
         def add(name: str, g: np.ndarray) -> None:
             grads[name] = g if grads[name] is None else grads[name] + g
 
-        # the head: T.masked_softmax, the scores, then the value MLP
+        # the head: the masked softmax, the scores, then the value MLP
         p = fwd.probs
         inner = (g_probs * p).sum(axis=-1, keepdims=True)
         g_scores = (p * (g_probs - inner))[:, :, None]
@@ -393,14 +297,14 @@ class RoutingPolicy:
             g_rows = (g_pooled + g_value_pooled)[:, None, :] + g_rows
         else:
             g_rows = g_rows + g_pooled[:, None, :]
-        # the fused query: T.relu, then T.row_normalize
+        # the fused query: relu, then row-normalize
         g_y = g_z * (fwd.z > 0.0)
         denom = fwd.norm + 1e-6
         dot = (g_y * fwd.fused).sum(axis=1, keepdims=True)
         g_fused = (g_y / denom
                    - fwd.fused * dot / (np.maximum(fwd.norm, 1e-30) * denom * denom))
         grads["fuse.W"] = fwd.queries.T @ g_fused
-        # `encode_graph`'s workflow pass, then the full variant's history pass
+        # the workflow message round, then the full variant's history round
         W_q, W_r, W_m = MESSAGE_WEIGHTS[self.variant]
         g_base = T.unbroadcast(g_rows, (1, H, h)).reshape(H, h)
         add(W_m, self._hubs.T @ g_base)

@@ -484,21 +484,3 @@ def absorb_episode(history: HeteroGraph, episode: Episode, decay: float = 0.9) -
                                 rec.scaled_cost, decay=decay)
     return tag
 
-
-def trace_lines(episode: Episode) -> list[str]:
-    """Line-delimited structured trace, one record per step."""
-    import json
-    out = []
-    for step, rec in enumerate(episode.records):
-        out.append(json.dumps({
-            "step": step,
-            "role": rec.role,
-            "model": rec.model,
-            "reward": rec.reward,
-            "dollars": rec.dollars,
-            "scaled_cost": rec.scaled_cost,
-            "tokens_in": rec.tokens_in,
-            "tokens_out": rec.tokens_out,
-            "node_id": rec.node_id,
-        }, sort_keys=True))
-    return out

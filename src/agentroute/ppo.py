@@ -5,9 +5,10 @@ the start of a window are used for every rollout in it. Rollouts and the
 update share `RoutingPolicy`'s plain-array forward: one decision point per
 rollout step, and one batched forward per epoch over all decision points of
 the window, whose loss gradients this module computes and
-`RoutingPolicy.backward` maps back to the weights. No step builds a tape, and
-the weights equal those of the update on the tape (`encoder` and
-`T.backward`) bit for bit. The old log-probabilities are the first epoch's
+`RoutingPolicy.backward` maps back to the weights, as one dict of arrays
+that the gradient clip and the two Adam groups take. The weights equal, bit
+for bit, those of the same update on the reverse-mode tape that the tests
+keep (`tests/tape.py`). The old log-probabilities are the first epoch's
 own, so the importance ratio is exactly one on the first epoch by
 construction (a batch-of-one recompute can differ from the batched one in the
 last bit, so the rollout's values are not reused). A window's episodes run
@@ -33,7 +34,7 @@ from .env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from .fields import write_atomic
 from .memory import HeteroGraph, serialize
 from .streams import det_rng
-from .tensor import Adam, Tensor, clip_global_norm, save_params
+from .tensor import Adam, clip_global_norm, save_params
 
 CURVE_COLUMNS = ("update", "episodes_seen", "mean_return", "mean_utility",
                  "mean_cost", "entropy", "policy_loss", "value_loss")
@@ -91,8 +92,8 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    params: dict[str, Tensor]
-    best_params: dict[str, Tensor]
+    params: dict[str, np.ndarray]
+    best_params: dict[str, np.ndarray]
     curve: list[dict] = field(default_factory=list)
     episodes_seen: int = 0
     stopped_early: bool = False
@@ -128,11 +129,11 @@ def normalize(values: np.ndarray) -> np.ndarray:
     return (values - values.mean()) / (values.std() + 1e-8)
 
 
-def _policy_group(params: dict[str, Tensor]) -> dict[str, Tensor]:
+def _policy_group(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: p for k, p in sorted(params.items()) if not k.startswith("value.")}
 
 
-def _value_group(params: dict[str, Tensor]) -> dict[str, Tensor]:
+def _value_group(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: p for k, p in sorted(params.items()) if k.startswith("value.")}
 
 
@@ -152,31 +153,75 @@ def collect_window(benchmark: Benchmark, env_cfg: EnvConfig, hubs,
     return episodes
 
 
-def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
+def ppo_loss(probs: np.ndarray, values: np.ndarray, picks: tuple,
+             old_logp: np.ndarray, advantages: np.ndarray, returns: np.ndarray,
+             cfg: TrainConfig, at: str = "the window"
+             ) -> tuple[dict[str, float], np.ndarray, np.ndarray]:
+    """The clipped surrogate, value loss and entropy of n decision points,
+    each a mean over the points, and the gradients of policy_loss +
+    value_coef * value_loss - entropy_coef * entropy with respect to probs
+    (N, R*K) and values (N,).
+
+    `picks` indexes each point's action in probs, and old_logp holds the
+    collecting policy's log-probabilities of those actions. The loss and its
+    gradients are the tape's op for op: where three gradients add up at the
+    probabilities the grouping is the tape's, (log-probability + entropy
+    product) + safe log. A non-finite loss raises RuntimeError naming `at`.
+    """
+    n = values.shape[0]
+    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    picked = probs[picks]
+    ratio = np.exp(np.log(picked) - old_logp)
+    inside = (ratio >= lo) & (ratio <= hi)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, lo, hi) * advantages
+    take = unclipped <= clipped
+    err = values - returns
+    pos = probs > 0.0
+    log_probs = np.where(pos, np.log(np.where(pos, probs, 1.0)), 0.0)
+    policy_loss = np.where(take, unclipped, clipped).sum() * (-1.0 / n)
+    value_loss = (err * err).sum() * (1.0 / n)
+    entropy = (probs * log_probs).sum() * -1.0 * (1.0 / n)
+    loss = (policy_loss + value_loss * cfg.value_coef
+            + entropy * -cfg.entropy_coef)
+    if not np.isfinite(loss):
+        raise RuntimeError(
+            f"non-finite loss at {at}: "
+            f"policy={np.asarray(policy_loss)!r} "
+            f"value={np.asarray(value_loss)!r} "
+            f"entropy={np.asarray(entropy)!r} steps={n}")
+    g_surr = np.full(n, -1.0 / n)
+    g_ratio = (g_surr * take * advantages
+               + g_surr * ~take * advantages * inside)
+    g_probs = np.zeros_like(probs)
+    g_probs[picks] = g_ratio * ratio / picked
+    g_plogp = np.full(probs.shape, -cfg.entropy_coef * (1.0 / n) * -1.0)
+    g_probs = ((g_probs + g_plogp * log_probs)
+               + np.where(pos, g_plogp * probs / np.where(pos, probs, 1.0), 0.0))
+    g_err = np.full(n, cfg.value_coef * (1.0 / n)) * err
+    stats = {"policy_loss": float(policy_loss), "value_loss": float(value_loss),
+             "entropy": float(entropy)}
+    return stats, g_probs, g_err + g_err
+
+
+def ppo_update(params: dict[str, np.ndarray], policy_opt: Adam, value_opt: Adam,
                episodes: list[Episode], advantages: np.ndarray,
                returns: np.ndarray, policy: RoutingPolicy, cfg: TrainConfig,
                update: int) -> dict[str, float]:
     """Run cfg.epochs whole-window epochs, each one batched forward and
-    backward over every decision point of the window; returns the last
-    epoch's losses. `policy` is built from `params` as they are and prepared
-    on the window's history, as the one that collected the window is; the
-    first epoch runs it, and each later one builds a policy on the updated
-    weights and prepares it on `policy.hist_input`.
-
-    The clipped surrogate, value loss and entropy bonus, and their gradients
-    with respect to the probabilities and values, are the tape's op for op:
-    where three gradients add up at the probabilities the grouping is the
-    tape's, (log-probability + entropy product) + safe log. With
-    `RoutingPolicy.backward` this gives the weights `T.backward` through
-    `encoder` would, bit for bit.
+    backward over every decision point of the window, and rebind the updated
+    weights in `params`; returns the last epoch's `ppo_loss` stats. `policy`
+    is built from `params` as they are and prepared on the window's history,
+    as the one that collected the window is; the first epoch runs it, and
+    each later one builds a policy on the updated weights and prepares it on
+    `policy.hist_input`. With `RoutingPolicy.backward`, `ppo_loss` gives the
+    weights the tape would, bit for bit.
     """
     records = [rec for ep in episodes for rec in ep.records]
-    n = len(records)
     queries = np.stack([rec.query_embedding for rec in records])
     masks = np.stack([rec.mask for rec in records])
-    picks = (np.arange(n), np.asarray([rec.action_index for rec in records],
-                                      dtype=np.int64))
-    lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
+    picks = (np.arange(len(records)),
+             np.asarray([rec.action_index for rec in records], dtype=np.int64))
     messages = old_logp = None
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     for epoch in range(cfg.epochs):
@@ -187,53 +232,20 @@ def ppo_update(params: dict[str, Tensor], policy_opt: Adam, value_opt: Adam,
         if messages is None:  # the window's, whatever the weights
             messages = policy.messages([rec.wf_input for rec in records])
         fwd = policy.forward(messages, queries, masks)
-        probs, values = fwd.probs, fwd.values
-        picked = probs[picks]
-        logp = np.log(picked)
         if old_logp is None:  # first-epoch ratios are exactly 1
-            old_logp = logp
-        ratio = np.exp(logp - old_logp)
-        inside = (ratio >= lo) & (ratio <= hi)
-        unclipped = ratio * advantages
-        clipped = np.clip(ratio, lo, hi) * advantages
-        take = unclipped <= clipped
-        err = values - returns
-        pos = probs > 0.0
-        log_probs = np.where(pos, np.log(np.where(pos, probs, 1.0)), 0.0)
-        policy_loss = np.where(take, unclipped, clipped).sum() * (-1.0 / n)
-        value_loss = (err * err).sum() * (1.0 / n)
-        entropy = (probs * log_probs).sum() * -1.0 * (1.0 / n)
-        loss = (policy_loss + value_loss * cfg.value_coef
-                + entropy * -cfg.entropy_coef)
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite loss at update {update} epoch {epoch}: "
-                f"policy={np.asarray(policy_loss)!r} "
-                f"value={np.asarray(value_loss)!r} "
-                f"entropy={np.asarray(entropy)!r} steps={n}")
-        g_surr = np.full(n, -1.0 / n)
-        g_ratio = (g_surr * take * advantages
-                   + g_surr * ~take * advantages * inside)
-        g_probs = np.zeros_like(probs)
-        g_probs[picks] = g_ratio * ratio / picked
-        g_plogp = np.full(probs.shape, -cfg.entropy_coef * (1.0 / n) * -1.0)
-        g_probs = ((g_probs + g_plogp * log_probs)
-                   + np.where(pos, g_plogp * probs / np.where(pos, probs, 1.0), 0.0))
-        g_err = np.full(n, cfg.value_coef * (1.0 / n)) * err
-        grads = policy.backward(fwd, g_probs, g_err + g_err)
-        for k, p in params.items():
-            p.grad = grads[k]
-        clip_global_norm(list(params.values()), cfg.grad_clip)
-        policy_opt.step()
-        value_opt.step()
-        stats = {"policy_loss": float(policy_loss),
-                 "value_loss": float(value_loss),
-                 "entropy": float(entropy)}
+            old_logp = np.log(fwd.probs[picks])
+        stats, g_probs, g_values = ppo_loss(
+            fwd.probs, fwd.values, picks, old_logp, advantages, returns, cfg,
+            f"update {update} epoch {epoch}")
+        grads = policy.backward(fwd, g_probs, g_values)
+        clip_global_norm(grads, cfg.grad_clip)
+        policy_opt.step(params, grads)
+        value_opt.step(params, grads)
     return stats
 
 
-def _snapshot(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: p.copy() for k, p in params.items()}
 
 
 def build_meta(benchmark: Benchmark, env_cfg: EnvConfig, cfg: TrainConfig,
@@ -349,7 +361,7 @@ def load_policy(checkpoint: str | Path) -> tuple[RoutingPolicy, dict]:
     """The policy a checkpoint holds; a meta that is not an object, or whose
     variant is not a string or beta not a finite number, raises ValueError."""
     from .tensor import load_params
-    params, meta = load_params(checkpoint, requires_grad=False)
+    params, meta = load_params(checkpoint)
     where = "checkpoint meta"
     variant = fields.field(meta, "variant", str, where)
     beta = fields.field(meta, "beta", fields.NUMBER, where)

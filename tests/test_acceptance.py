@@ -11,22 +11,22 @@ import time
 import numpy as np
 import pytest
 
-from agentroute import tensor as T
+import tape as T
 from agentroute.backend import (BenchmarkSpec, CatalogEntry, EXECUTOR,
                                 make_benchmark)
 from agentroute.baselines import KnnStore, RandomRouter, oracle_route
-from agentroute.encoder import (EncoderDims, RoutingPolicy, encoder, init_params,
-                                logprob_of)
+from agentroute.encoder import VARIANTS, EncoderDims, RoutingPolicy, init_params
 from agentroute.env import EnvConfig, RoutingEnv
 from agentroute.harness import (emit_report, evaluate, new_role_eval,
                                 pareto_sweep, report_rows, unseen_llm_eval)
 from agentroute.memory import (EncoderInput, HeteroGraph, HubSet, QueryNode,
                                ResponseNode, RoleHubNode, STATUS_PENDING,
                                STATUS_RESOLVED, deserialize, serialize)
-from agentroute.ppo import TrainConfig, load_policy, train
+from agentroute.ppo import TrainConfig, load_policy, ppo_loss, train
 from agentroute.streams import det_rng
-from agentroute.tensor import Tensor, backward, load_params, save_params
+from agentroute.tensor import load_params, masked_softmax_array, save_params
 from graph_equality import graphs_equal
+from tape import Tensor, backward, encoder, leaves, logprob_of
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -92,27 +92,36 @@ def memdep_ablation():
 # -- criterion 1: gradient correctness ----------------------------------------------
 
 
-def _fd_worst(make_loss, leaves, h=FD_H):
-    """Max relative error between reverse-mode and central finite differences."""
-    for leaf in leaves:
-        leaf.zero_grad()
-    backward(make_loss())
+def _fd_arrays(loss, arrays, grads, h=FD_H):
+    """Max relative error between grads[k] (None reads as zeros) and central
+    finite differences of the scalar loss() in each entry of arrays[k], which
+    loss() reads."""
     worst = 0.0
-    for leaf in leaves:
-        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+    for k, a in arrays.items():
+        grad = grads[k] if grads[k] is not None else np.zeros_like(a)
         gflat = np.asarray(grad, dtype=np.float64).reshape(-1).copy()
-        flat = leaf.data.reshape(-1)
+        flat = a.reshape(-1)
         for j in range(flat.size):
             keep = flat[j]
             flat[j] = keep + h
-            up = make_loss().data.item()
+            up = loss()
             flat[j] = keep - h
-            dn = make_loss().data.item()
+            dn = loss()
             flat[j] = keep
             fd = (up - dn) / (2 * h)
             rel = abs(gflat[j] - fd) / max(abs(gflat[j]), abs(fd), 1.0)
             worst = max(worst, rel)
     return worst
+
+
+def _fd_worst(make_loss, leaves, h=FD_H):
+    """Max relative error between the tape's reverse mode and central finite
+    differences."""
+    for leaf in leaves:
+        leaf.zero_grad()
+    backward(make_loss())
+    return _fd_arrays(lambda: make_loss().data.item(), dict(enumerate(
+        leaf.data for leaf in leaves)), [leaf.grad for leaf in leaves], h)
 
 
 def _signed(rng, shape, lo=0.1, hi=1.0):
@@ -231,12 +240,12 @@ def _graph_input(rng, d_q, d_r, d_hub, n_hubs, n_queries, n_responses, n_edges):
 
 
 def _policy_fd(seed):
-    """Gradcheck the full nested encoder on a batch of two decision points,
-    through their action logprobs and values."""
+    """Gradcheck the tape's full nested encoder on a batch of two decision
+    points, through their action logprobs and values."""
     rng = det_rng(seed, "policy-fd")
     dims = EncoderDims(d_q=6, d_r=5, d_hub=7, hidden=4)
     n_hubs = 3 * 3  # roles x models
-    params = init_params(dims, "full", seed=seed)
+    params = leaves(init_params(dims, "full", seed=seed))
     hist = _graph_input(rng, 6, 5, 7, n_hubs, 2, 2, 8)
     wfs = [_graph_input(rng, 6, 5, 7, n_hubs, 2, 1, 7),
            _graph_input(rng, 6, 5, 7, n_hubs, 1, 0, 4)]
@@ -250,21 +259,98 @@ def _policy_fd(seed):
     def fwd():
         return encoder(params, "full", beta, hist, wfs, queries, masks)
 
-    leaves = list(params.values())
+    weights = list(params.values())
     return max(_fd_worst(lambda: T.total_sum(logprob_of(fwd()[0], actions)),
-                         leaves),
-               _fd_worst(lambda: T.total_sum(fwd()[1]), leaves))
+                         weights),
+               _fd_worst(lambda: T.total_sum(fwd()[1]), weights))
+
+
+def _backward_fd(seed, variant, beta):
+    """Gradcheck `RoutingPolicy.backward`, which trains, on a batch of two
+    decision points. The loss is a random linear function of the forward's
+    probabilities and values, so its gradients with respect to them are the
+    function's coefficients; a policy is built and prepared afresh for every
+    loss evaluation, as its stacked weights are copies."""
+    rng = det_rng(seed, "backward-fd", variant, beta)
+    d_q, d_r, d_hub = (6, 6, 6) if variant == "homo" else (6, 5, 7)
+    params = init_params(EncoderDims(d_q, d_r, d_hub, hidden=4), variant,
+                         seed=seed)
+    n_hubs = 3 * 3
+    hist = _graph_input(rng, d_q, d_r, d_hub, n_hubs, 2, 2, 8)
+    wfs = [_graph_input(rng, d_q, d_r, d_hub, n_hubs, 2, 1, 7),
+           _graph_input(rng, d_q, d_r, d_hub, n_hubs, 1, 0, 4)]
+    queries = rng.normal(size=(2, d_q))
+    masks = np.zeros((2, n_hubs), dtype=bool)
+    for row in masks:
+        row[rng.choice(n_hubs, size=4, replace=False)] = True
+    c_probs, c_values = rng.normal(size=(2, n_hubs)), rng.normal(size=2)
+
+    def forward():
+        policy = RoutingPolicy(params, variant, beta)
+        policy.prepare(hist)
+        return policy, policy.forward(policy.messages(wfs), queries, masks)
+
+    def loss():
+        fwd = forward()[1]
+        return float((c_probs * fwd.probs).sum() + (c_values * fwd.values).sum())
+
+    policy, fwd = forward()
+    return _fd_arrays(loss, params, policy.backward(fwd, c_probs, c_values))
+
+
+def _ppo_loss_fd(seed):
+    """Gradcheck the PPO loss's gradients with respect to the probabilities
+    and values of six decision points, at ratios inside and outside the clip
+    window, each at least 0.05 from a bound. Masked entries are exact zeros
+    that the softmax's gradient never reads, so only allowed entries move."""
+    rng = det_rng(seed, "ppo-loss-fd")
+    n, k = 6, 9
+    cfg = TrainConfig(entropy_coef=0.3)
+    masks = rng.uniform(size=(n, k)) < 0.6
+    masks[np.arange(n), rng.integers(0, k, size=n)] = True
+    probs = masked_softmax_array(rng.normal(size=(n, k)), masks)
+    picks = (np.arange(n), np.asarray([rng.choice(np.flatnonzero(row))
+                                       for row in masks]))
+    ratio = (np.array([0.5, 0.85, 1.25])[rng.integers(0, 3, size=n)]
+             + rng.uniform(0.0, 0.25, size=n))
+    old_logp = np.log(probs[picks]) - np.log(ratio)
+    advantages, returns = rng.normal(size=n), rng.normal(size=n)
+    allowed = probs > 0.0
+    free = {"probs": probs[allowed], "values": rng.normal(size=n)}
+
+    def run():
+        p = np.zeros_like(probs)
+        p[allowed] = free["probs"]
+        return ppo_loss(p, free["values"], picks, old_logp, advantages, returns,
+                        cfg)
+
+    def loss():
+        stats = run()[0]
+        return (stats["policy_loss"] + stats["value_loss"] * cfg.value_coef
+                + stats["entropy"] * -cfg.entropy_coef)
+
+    _, g_probs, g_values = run()
+    return _fd_arrays(loss, free, {"probs": g_probs[allowed], "values": g_values})
 
 
 def test_c01_gradients_match_finite_differences():
+    """The tape's ops and encoder, the reference the shipped passes are pinned
+    to bit for bit, and the gradients that train: `RoutingPolicy.backward` in
+    every variant at beta 0 and 0.7, and the PPO loss's."""
     t0 = time.monotonic()
     worst_ops = max(_op_battery(seed) for seed in range(20))
     worst_policy = max(_policy_fd(seed) for seed in range(20))
+    worst_backward = max(_backward_fd(seed, variant, beta) for seed in range(20)
+                         for variant in VARIANTS for beta in (0.0, 0.7))
+    worst_loss = max(_ppo_loss_fd(seed) for seed in range(20))
     elapsed = time.monotonic() - t0
     assert worst_ops <= FD_TOL, f"op battery max rel err {worst_ops:.3e}"
     assert worst_policy <= FD_TOL, f"policy max rel err {worst_policy:.3e}"
+    assert worst_backward <= FD_TOL, f"backward max rel err {worst_backward:.3e}"
+    assert worst_loss <= FD_TOL, f"PPO loss max rel err {worst_loss:.3e}"
     assert elapsed < 30.0, f"gradcheck took {elapsed:.1f}s"
     print(f"criterion 1 PASS: ops {worst_ops:.2e}, policy {worst_policy:.2e}, "
+          f"backward {worst_backward:.2e}, PPO loss {worst_loss:.2e}, "
           f"h={FD_H}, 20 seeds, {elapsed:.1f}s")
 
 
@@ -558,7 +644,7 @@ def test_c08_unseen_model_zero_shot(separable_pool):
         tc = TrainConfig(max_episodes=500, seed=seed, variant="full",
                          use_history=False)
         res = train(bench, env_cfg, tc)
-        frozen = {k: v.data.copy() for k, v in res.best_params.items()}
+        frozen = {k: v.copy() for k, v in res.best_params.items()}
         dominant = unseen_llm_eval(res.best_params, "full", tc.beta, bench,
                                    env_cfg, None, level=1.0,
                                    name="probe-dominant", strong_family=0,
@@ -568,7 +654,7 @@ def test_c08_unseen_model_zero_shot(separable_pool):
                                     name="probe-dominated",
                                     eval_episodes=30, seed=seed)
         # no parameter update anywhere in the protocol
-        assert all(np.array_equal(frozen[k], res.best_params[k].data)
+        assert all(np.array_equal(frozen[k], res.best_params[k])
                    for k in frozen)
         lifts.append(dominant["utility_lift"])
         changes.append(dominated["changed_fraction"])
@@ -731,9 +817,8 @@ def _stores_equal(a, b):
 
 def _params_equal(a, b):
     return (set(a) == set(b)
-            and all(np.array_equal(a[k].data, b[k].data)
-                    and a[k].data.dtype == b[k].data.dtype
-                    and a[k].requires_grad == b[k].requires_grad for k in a))
+            and all(np.array_equal(a[k], b[k]) and a[k].dtype == b[k].dtype
+                    for k in a))
 
 
 def test_c11_persistence_round_trips(tmp_path):

@@ -21,7 +21,7 @@ from agentroute.config import BENCHMARK_DEFAULTS, RunConfig
 from agentroute.harness import emit_report, evaluate, report_rows
 from agentroute.memory import deserialize, serialize
 from agentroute.ppo import load_policy
-from agentroute.tensor import Tensor, save_params
+from agentroute.tensor import save_params
 
 TINY = {
     "benchmark": {"kind": "uniform", "families": 2, "queries_per_family": 10,
@@ -347,7 +347,7 @@ V1_FILES = {
 
 def write_v2(kind: str, path: Path) -> None:
     if kind == "checkpoint":
-        save_params(path, {"w": Tensor(np.array([[0.5, -1.0, 2.0]]))})
+        save_params(path, {"w": np.array([[0.5, -1.0, 2.0]])})
     elif kind == "history":
         path.write_bytes(serialize(deserialize(GOLDEN_HISTORY_V1.read_bytes())))
     else:

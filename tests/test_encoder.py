@@ -7,22 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentroute import tensor as T
+import tape as T
+from agentroute import tensor
 from agentroute.backend import BenchmarkSpec, make_benchmark
-from agentroute.encoder import (
-    EncoderDims,
-    VARIANTS,
-    RoutingPolicy,
-    encode_graph,
-    encoder,
-    entropy_of,
-    history_hub_rows,
-    init_params,
-    logprob_of,
-)
+from agentroute.encoder import VARIANTS, EncoderDims, RoutingPolicy, init_params
 from agentroute.env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from agentroute.memory import EncoderInput, HeteroGraph, new_workflow
-from agentroute.tensor import Tensor
+from tape import (Tensor, encode_graph, encoder, entropy_of, history_hub_rows,
+                  leaves, logprob_of)
 
 DIMS = EncoderDims(d_q=64, d_r=64, d_hub=64, hidden=8)
 
@@ -57,8 +49,10 @@ def hub_rows(graphs, W_q, W_r, W_m, beta, shared=None):
 
 
 def one_point(params, variant, beta, hist, wf, q, mask):
-    """Encoder outputs, (1, R*K) probs and (1,) value, of one decision point."""
-    return encoder(params, variant, beta, hist, [wf], q[None, :], mask[None, :])
+    """Tape encoder outputs, (1, R*K) probs and (1,) value, of one decision
+    point under the weights `params`."""
+    return encoder(leaves(params), variant, beta, hist, [wf], q[None, :],
+                   mask[None, :])
 
 
 def raw_input(hub_feats, query_feats, response_feats, edges):
@@ -96,7 +90,7 @@ def test_init_params_shapes_by_variant():
                          "value.b2"}
     assert full["value.W1"].shape == (24, 8)
     for p in full.values():
-        assert p.requires_grad
+        assert type(p) is np.ndarray and p.dtype == np.float64
 
 
 def test_init_params_validation():
@@ -110,8 +104,8 @@ def test_init_params_deterministic():
     a = init_params(DIMS, "full", seed=3)
     b = init_params(DIMS, "full", seed=3)
     c = init_params(DIMS, "full", seed=4)
-    assert all(np.array_equal(a[k].data, b[k].data) for k in a)
-    assert not np.array_equal(a["fuse.W"].data, c["fuse.W"].data)
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+    assert not np.array_equal(a["fuse.W"], c["fuse.W"])
 
 
 # -- message round -----------------------------------------------------------------
@@ -252,7 +246,7 @@ def test_encode_graph_matches_dense_reference(case, beta):
 def test_zero_params_give_uniform_over_allowed():
     params = init_params(DIMS, "full")
     for p in params.values():
-        p.data[...] = 0.0
+        p[...] = 0.0
     _, wf, hist = workflow_and_history()
     mask = np.zeros(6, dtype=bool)
     mask[[1, 3, 4]] = True
@@ -294,16 +288,11 @@ def test_entropy_and_logprob_helpers():
 def correspondence_params(seed=11):
     """Full-variant parameters that mirror a hetero parameter set."""
     het = init_params(DIMS, "hetero", seed=seed)
-    full = {
-        "his.W_q": Tensor(het["enc.W_q"].data.copy(), requires_grad=True),
-        "his.W_r": Tensor(het["enc.W_r"].data.copy(), requires_grad=True),
-        "his.W_m": Tensor(het["enc.W_m"].data.copy(), requires_grad=True),
-        "loc.W_q": Tensor(het["enc.W_q"].data.copy(), requires_grad=True),
-        "loc.W_r": Tensor(het["enc.W_r"].data.copy(), requires_grad=True),
-        "loc.W_m": Tensor(np.eye(DIMS.hidden), requires_grad=True),
-    }
+    full = {"his.W_q": het["enc.W_q"].copy(), "his.W_r": het["enc.W_r"].copy(),
+            "his.W_m": het["enc.W_m"].copy(), "loc.W_q": het["enc.W_q"].copy(),
+            "loc.W_r": het["enc.W_r"].copy(), "loc.W_m": np.eye(DIMS.hidden)}
     for k in ("fuse.W", "value.W1", "value.b1", "value.W2", "value.b2"):
-        full[k] = Tensor(het[k].data.copy(), requires_grad=True)
+        full[k] = het[k].copy()
     return full, het
 
 
@@ -328,12 +317,12 @@ def test_full_matches_hetero_on_empty_history():
 
 
 def test_encoder_validation():
-    params = init_params(DIMS, "full")
+    params = leaves(init_params(DIMS, "full"))
     _, wf, hist = workflow_and_history()
     q, mask = np.ones((1, 64)), np.ones((1, 6), dtype=bool)
     with pytest.raises(ValueError):
         encoder(params, "full", 1.0, None, [wf], q, mask)
-    het = init_params(DIMS, "hetero")
+    het = leaves(init_params(DIMS, "hetero"))
     with pytest.raises(ValueError):
         encoder(het, "hetero", 1.0, None, [wf], q, mask)
     with pytest.raises(ValueError):
@@ -343,11 +332,11 @@ def test_encoder_validation():
 
 
 def test_history_hub_rows_by_variant():
-    params = init_params(DIMS, "full")
+    params = leaves(init_params(DIMS, "full"))
     _, _, hist = workflow_and_history()
     rows = history_hub_rows(params, "full", 1.0, hist)
     assert rows.shape == (6, 8)
-    assert history_hub_rows(init_params(DIMS, "hetero"), "hetero", 1.0,
+    assert history_hub_rows(leaves(init_params(DIMS, "hetero")), "hetero", 1.0,
                             hist) is None
 
 
@@ -387,7 +376,7 @@ def test_merged_variant_gradients_match_finite_differences(variant):
     dims = EncoderDims(d_q=5, d_r=5, d_hub=5, hidden=4)
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        params = init_params(dims, variant, seed=seed)
+        params = leaves(init_params(dims, variant, seed=seed))
         hist = random_input(rng, 5, 6, 2, 2, 8)
         wf = random_input(rng, 5, 6, 2, 1, 7)
         wf2 = random_input(rng, 5, 6, 3, 0, 5)
@@ -425,7 +414,8 @@ def test_batched_rows_match_batch_of_one(variant, beta, n_points, responses,
     queries = rng.normal(size=(n_points, d))
     masks = rng.uniform(size=(n_points, n_hubs)) < 0.5
     masks[np.arange(n_points), rng.integers(0, n_hubs, size=n_points)] = True
-    probs, values = encoder(params, variant, beta, hist, wfs, queries, masks)
+    probs, values = encoder(leaves(params), variant, beta, hist, wfs, queries,
+                            masks)
     assert probs.shape == (n_points, n_hubs) and values.shape == (n_points,)
     for i, wf in enumerate(wfs):
         p1, v1 = one_point(params, variant, beta, hist, wf, queries[i], masks[i])
@@ -463,7 +453,7 @@ def backward_visiting_every_parent(loss):
 def test_skipping_constants_leaves_gradients_bit_identical(variant):
     rng = np.random.default_rng(3)
     dims = EncoderDims(d_q=5, d_r=5, d_hub=5, hidden=4)
-    params = init_params(dims, variant, seed=3)
+    params = leaves(init_params(dims, variant, seed=3))
     hist = random_input(rng, 5, 6, 3, 2, 9)
     wfs = [random_input(rng, 5, 6, 2, 1, 7), random_input(rng, 5, 6, 1, 0, 3)]
     queries = rng.normal(size=(2, 5))
@@ -538,13 +528,11 @@ def env_point(rng, n_hist, steps):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(VARIANTS), st.sampled_from([0.0, 1.0]),
        st.sampled_from(["env", "random"]), st.integers(0, 3), st.integers(0, 6),
-       st.booleans(), st.sampled_from(["greedy", "sample"]),
-       st.integers(0, 2**32 - 1))
+       st.sampled_from(["greedy", "sample"]), st.integers(0, 2**32 - 1))
 def test_act_is_the_tape_forward_bit_for_bit(variant, beta, source, n_hist, steps,
-                                             grad, mode, seed):
-    """`act` gives `encoder`'s probabilities and value on one point, bit for
-    bit, and the action greedy or sampled decoding of those takes; neither
-    `prepare` nor `act` builds a Tensor."""
+                                             mode, seed):
+    """`act` gives the tape `encoder`'s probabilities and value on one point,
+    bit for bit, and the action greedy or sampled decoding of those takes."""
     rng = np.random.default_rng(seed)
     if source == "env":
         dims = DIMS
@@ -557,29 +545,21 @@ def test_act_is_the_tape_forward_bit_for_bit(variant, beta, source, n_hist, step
                           int(rng.integers(0, 12)))
         q = rng.normal(size=4)
     params = init_params(dims, variant, seed=seed % 5)
-    if not grad:
-        params = {k: Tensor(p.data) for k, p in params.items()}
     H = hist.n_hubs
     mask = rng.uniform(size=H) < 0.5
     mask[rng.integers(0, H)] = True
 
-    softmaxes, created = [], []
-    softmax, init = T.masked_softmax_array, Tensor.__init__
+    softmaxes = []
+    softmax = tensor.masked_softmax_array
 
     def spy_softmax(scores, m):
         softmaxes.append(softmax(scores, m))
         return softmaxes[-1]
 
-    def counted(obj, *a, **k):
-        created.append(obj)
-        init(obj, *a, **k)
-
     policy = RoutingPolicy(params, variant, beta)
-    with mock.patch.object(T, "masked_softmax_array", spy_softmax), \
-            mock.patch.object(Tensor, "__init__", counted):
+    with mock.patch.object(tensor, "masked_softmax_array", spy_softmax):
         policy.prepare(hist)
         idx, value = policy.act(wf, q, mask, mode, np.random.default_rng(seed))
-    assert created == []
     probs, values = one_point(params, variant, beta, hist, wf, q, mask)
     [act_probs] = softmaxes
     assert act_probs.tobytes() == probs.data.tobytes()

@@ -17,7 +17,6 @@ from agentroute.env import (
     EnvConfig,
     RoutingEnv,
     absorb_episode,
-    trace_lines,
 )
 from agentroute.memory import HeteroGraph, STATUS_PENDING, STATUS_RESOLVED, serialize
 from graph_equality import as_v1
@@ -543,17 +542,6 @@ def test_absorb_episode_updates_hubs():
     touched = {(r.role, r.model) for r in ep.records}
     for (r, m) in touched:
         assert env.hubs.get(r, m).cost_ema > 0.0
-
-
-def test_trace_lines_roundtrip():
-    env, bench = make_env(p_max=1)
-    ep = env.run_episode(bench.generate_query(0, 0), FirstLegal())
-    lines = trace_lines(ep)
-    assert len(lines) == ep.length
-    for step, (line, rec) in enumerate(zip(lines, ep.records)):
-        blob = json.loads(line)
-        assert blob["role"] == rec.role and blob["step"] == step
-        assert blob["node_id"] == rec.node_id
 
 
 # -- per-state facts and decision states ---------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from agentroute.baselines import KnnStore
 from agentroute.fields import floats, packed
 from agentroute.memory import deserialize, serialize
-from agentroute.tensor import Tensor, params_from_jsonable, params_to_jsonable
+from agentroute.tensor import params_from_jsonable, params_to_jsonable
 from graph_equality import as_v1
 
 GOLDEN_V1 = Path(__file__).parent / "data" / "history_v1.json"
@@ -89,14 +89,13 @@ def test_version_1_lists_read_ints_and_floats():
 
 
 def checkpoint_blob(arrays_by_name: dict) -> bytes:
-    return dumps(dict(params_to_jsonable({k: Tensor(v) for k, v in arrays_by_name.items()}),
-                      meta={"note": 1}))
+    return dumps(dict(params_to_jsonable(arrays_by_name), meta={"note": 1}))
 
 
 def load_checkpoint(blob: bytes) -> bytes:
     """Load, then write back: the v2 bytes an accepted blob must reproduce."""
     obj = json.loads(blob)
-    return checkpoint_blob({k: t.data for k, t in params_from_jsonable(obj).items()})
+    return checkpoint_blob(params_from_jsonable(obj))
 
 
 def load_history(blob: bytes) -> bytes:
@@ -173,7 +172,7 @@ def test_any_array_round_trips_bit_for_bit_in_every_format(fmt, data):
         shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3)))
         a = data.draw(arrays(shape))
         blob = with_value(blob, path[:-1], {"data": packed(a), "shape": list(shape)})
-        got = params_from_jsonable(json.loads(blob))["w"].data
+        got = params_from_jsonable(json.loads(blob))["w"]
     elif fmt == "knn":  # every record's embedding is as long as the first's
         a = data.draw(arrays((data.draw(st.integers(0, 5)),)))
         blob = with_value(blob, path, packed(a))
@@ -293,9 +292,9 @@ def test_a_v1_checkpoint_loads_to_the_arrays_of_its_v2_twin():
     v2 = params_from_jsonable(json.loads(checkpoint_blob(V1_CHECKPOINT_ARRAYS)))
     assert sorted(v1) == sorted(v2) == sorted(V1_CHECKPOINT_ARRAYS)
     for name, want in V1_CHECKPOINT_ARRAYS.items():
-        assert same_bits(v1[name].data, want)
-        assert same_bits(v2[name].data, want)
-        assert v1[name].data.flags.writeable
+        assert same_bits(v1[name], want)
+        assert same_bits(v2[name], want)
+        assert v1[name].flags.writeable
     assert load_checkpoint(V1_CHECKPOINT.encode()) == checkpoint_blob(V1_CHECKPOINT_ARRAYS)
 
 

@@ -2,7 +2,6 @@
 
 import csv
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from agentroute import harness
 from agentroute import tensor as T
 from agentroute.config import RunConfig
 from agentroute.encoder import EncoderDims, RoutingPolicy, init_params
-from agentroute.env import EnvConfig, RoutingEnv, absorb_episode, trace_lines
+from agentroute.env import EnvConfig, RoutingEnv, absorb_episode
 from agentroute.harness import (
     REPORT_COLUMNS,
     SWEEP_COLUMNS,
@@ -59,7 +58,7 @@ CFG = EnvConfig(n_models=2, p_max=1)
 # -- evaluate ------------------------------------------------------------------------
 
 
-def test_trace_lines_sum_to_the_episode_cost():
+def test_record_dollars_sum_to_the_episode_cost():
     bench = make_bench()
     env = RoutingEnv(EnvConfig(n_models=2, p_max=1, alpha=0.1), bench, bench.build_hubs(3))
     for seed in range(20):  # an episode of several paid steps
@@ -68,8 +67,7 @@ def test_trace_lines_sum_to_the_episode_cost():
         if ep.length >= 3:
             break
     assert ep.length >= 3
-    traced = sum(json.loads(line)["dollars"] for line in trace_lines(ep))
-    assert traced == sum(rec.dollars for rec in ep.records) == ep.dollars
+    assert sum(rec.dollars for rec in ep.records) == ep.dollars
 
 
 def test_an_empty_evaluation_is_rejected(monkeypatch):
@@ -251,7 +249,7 @@ def test_a_failed_artifact_write_leaves_the_old_file(tmp_path, monkeypatch):
     knn.add(np.zeros(1), [0])
     knn.embeddings[0] = unserializable  # past add's checks
     failing = {
-        "params": lambda: T.save_params(path, {"w": T.Tensor(np.zeros(2))},
+        "params": lambda: T.save_params(path, {"w": np.zeros(2)},
                                         meta={"x": object()}),
         "knn": lambda: knn.save(path),
         "csv": lambda: write_csv(path, ("a", "b"), [{"a": 1}]),

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from agentroute.memory import (
@@ -40,7 +40,7 @@ from agentroute.backend import BenchmarkSpec, make_benchmark
 from agentroute.baselines import KnnStore
 from agentroute.harness import inject_role_interactions
 from agentroute.fields import packed
-from agentroute.tensor import Tensor, params_from_jsonable, params_to_jsonable
+from agentroute.tensor import params_from_jsonable, params_to_jsonable
 from graph_equality import as_v1, graphs_equal
 
 DIM = 4
@@ -458,8 +458,8 @@ def valid_blobs():
     store = KnnStore()
     store.add(np.array([0.5, -1.0]), [1, 0, 2])
     store.add(np.array([0.0, 2.0]), [3])
-    params = {"a.W": Tensor(np.arange(6.0).reshape(2, 3)),
-              "b": Tensor(np.array([0.25])), "c": Tensor(np.asarray(1.5))}
+    params = {"a.W": np.arange(6.0).reshape(2, 3), "b": np.array([0.25]),
+              "c": np.asarray(1.5)}
     return {
         "graph": (serialize(build_history_for_io()), deserialize),
         "params": (json.dumps(params_to_jsonable(params)).encode(),
@@ -828,7 +828,12 @@ def assert_state_is_a_freeze(state, frozen):
 WIDTHS = st.sampled_from([1, 2, 3, 4, 7, 65])
 
 
-@settings(max_examples=80, deadline=None)
+# no shrink phase: shrinking these op lists, each op of which may serialize,
+# deep-copy or rebase every graph, took minutes to report a failure
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(roles=st.integers(1, 3), models=st.integers(1, 4),
        dims=st.one_of(st.tuples(WIDTHS, WIDTHS, WIDTHS),  # or equal, so `inject` runs
                       st.tuples(WIDTHS, WIDTHS).map(lambda w: (w[0], w[0], w[1]))),
@@ -876,7 +881,7 @@ def assert_indexes_are_a_scan(g):
         assert all(r in g.responses for r in g.response_ids.get(qid, ()))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, phases=NO_SHRINK)
 @given(capacity=st.integers(1, 64),
        ops=st.lists(st.tuples(st.sampled_from(INDEX_OPS), st.integers(0, 2 ** 16)),
                     min_size=20, max_size=80))

@@ -14,16 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agentroute
-from agentroute import tensor as T
+import tape as T
 from agentroute.backend import BenchmarkSpec, make_benchmark
-from agentroute.encoder import (
-    EncoderDims,
-    RoutingPolicy,
-    encoder,
-    entropy_of,
-    init_params,
-    logprob_of,
-)
+from agentroute.encoder import EncoderDims, RoutingPolicy, init_params
 from agentroute.env import Episode, EnvConfig, RoutingEnv, StepRecord, absorb_episode
 from agentroute.memory import HeteroGraph
 from agentroute.ppo import (
@@ -37,7 +30,8 @@ from agentroute.ppo import (
     train,
     write_artifacts,
 )
-from agentroute.tensor import Adam, Tensor, clip_global_norm
+from agentroute.tensor import Adam, clip_global_norm
+from tape import Tensor, encoder, entropy_of, leaves, logprob_of
 from test_encoder import random_input
 
 
@@ -177,19 +171,20 @@ def test_first_epoch_ratios_are_exactly_one_in_the_batched_update():
 
 def test_beta_zero_update_leaves_message_weights_alone():
     params, hist_input, episodes = collected_window(beta=0.0)
-    before = {k: p.data.copy() for k, p in params.items()}
+    before = dict(params)
     run_update(params, hist_input, episodes, beta=0.0)
-    for k in ("his.W_q", "his.W_r", "loc.W_q", "loc.W_r"):
-        assert params[k].grad is None, k
-        assert np.array_equal(params[k].data, before[k]), k
+    for k in ("his.W_q", "his.W_r", "loc.W_q", "loc.W_r"):  # never rebound
+        assert params[k] is before[k], k
     for k in ("his.W_m", "loc.W_m", "fuse.W", "value.W1"):
-        assert not np.array_equal(params[k].data, before[k]), k
+        assert not np.array_equal(params[k], before[k]), k
 
 
 def tape_ppo_update(params, policy_opt, value_opt, episodes, advantages,
                     returns, hist_input, cfg, update):
-    """The update on the tape: `encoder`, the loss as Tensor ops and
-    `T.backward`; the reference that `ppo_update` must equal bit for bit."""
+    """The update on the tape: `encoder` on fresh leaves of the weights, the
+    loss as tape ops and `T.backward`, then the shipped clip and Adam steps
+    on the leaves' gradients; the reference that `ppo_update` must equal bit
+    for bit."""
     records = [rec for ep in episodes for rec in ep.records]
     n = len(records)
     wf_inputs = [rec.wf_input for rec in records]
@@ -201,7 +196,8 @@ def tape_ppo_update(params, policy_opt, value_opt, episodes, advantages,
     old_logp = None
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
     for epoch in range(cfg.epochs):
-        probs, values = encoder(params, cfg.variant, cfg.beta, hist_input,
+        weights = leaves(params)
+        probs, values = encoder(weights, cfg.variant, cfg.beta, hist_input,
                                 wf_inputs, queries, masks)
         logp = logprob_of(probs, actions)
         if old_logp is None:  # detached: first-epoch ratios are exactly 1
@@ -220,12 +216,11 @@ def tape_ppo_update(params, policy_opt, value_opt, episodes, advantages,
                 f"non-finite loss at update {update} epoch {epoch}: "
                 f"policy={policy_loss.data!r} value={value_loss.data!r} "
                 f"entropy={entropy.data!r} steps={n}")
-        policy_opt.zero_grad()
-        value_opt.zero_grad()
         T.backward(loss)
-        clip_global_norm(list(params.values()), cfg.grad_clip)
-        policy_opt.step()
-        value_opt.step()
+        grads = {k: w.grad for k, w in weights.items()}
+        clip_global_norm(grads, cfg.grad_clip)
+        policy_opt.step(params, grads)
+        value_opt.step(params, grads)
         stats = {"policy_loss": float(policy_loss.data),
                  "value_loss": float(value_loss.data),
                  "entropy": float(entropy.data)}
@@ -274,25 +269,8 @@ def update_bits(update, dims, hist, episodes, advantages, returns, cfg):
     opts = (Adam(groups[0], lr=cfg.policy_lr), Adam(groups[1], lr=cfg.value_lr))
     stats = update(params, *opts, episodes, advantages, returns, hist, cfg, 0)
     return ({k: float(v).hex() for k, v in stats.items()},
-            {k: p.data.tobytes() for k, p in params.items()},
+            {k: p.tobytes() for k, p in params.items()},
             [{k: (o.m[k].tobytes(), o.v[k].tobytes()) for k in o.m} for o in opts])
-
-
-def plain_update_bits(*args):
-    """`update_bits` of `ppo_update`, asserting it builds no Tensor and never
-    runs the tape's backward."""
-    n_params = len(init_params(args[0], args[-1].variant))
-    created, init = [], Tensor.__init__
-
-    def counted(obj, *a, **k):
-        created.append(obj)
-        init(obj, *a, **k)
-
-    with mock.patch.object(T, "backward", side_effect=AssertionError("tape")), \
-            mock.patch.object(Tensor, "__init__", counted):
-        bits = update_bits(plain_ppo_update, *args)
-    assert len(created) == n_params  # init_params' own, none from the update
-    return bits
 
 
 @settings(max_examples=120, deadline=None)
@@ -303,7 +281,7 @@ def test_update_is_the_tape_update_bit_for_bit(variant, beta, filled_history,
                                                responses, n_points, epochs,
                                                sizes, seed):
     """`ppo_update` leaves the weights, both Adams' moments and the stats the
-    tape's update leaves, bit for bit, and builds no Tensor on the way."""
+    tape's update leaves, bit for bit."""
     d, n_hubs, hidden = sizes
     dims = EncoderDims(d_q=d, d_r=d, d_hub=d, hidden=hidden)
     window = random_window(np.random.default_rng(seed), d, n_hubs,
@@ -311,7 +289,7 @@ def test_update_is_the_tape_update_bit_for_bit(variant, beta, filled_history,
     cfg = small_cfg(variant=variant, beta=beta, epochs=epochs, hidden=hidden,
                     policy_lr=0.05, value_lr=0.05)
     want = update_bits(tape_ppo_update, dims, *window, cfg)
-    assert plain_update_bits(dims, *window, cfg) == want
+    assert update_bits(plain_ppo_update, dims, *window, cfg) == want
 
 
 @pytest.mark.parametrize("variant", ["full", "homo", "hetero"])
@@ -332,7 +310,7 @@ def test_update_on_collected_windows_is_the_tape_update(variant):
     cfg = small_cfg(variant=variant, epochs=4)
     advantages, returns = compute_gae(episodes, cfg.gamma, cfg.gae_lambda)
     window = (history.hub_state(), episodes, normalize(advantages), returns)
-    assert plain_update_bits(dims, *window, cfg) == \
+    assert update_bits(plain_ppo_update, dims, *window, cfg) == \
         update_bits(tape_ppo_update, dims, *window, cfg)
 
 
@@ -390,7 +368,7 @@ def test_train_is_deterministic():
     a = train(bench, EnvConfig(n_models=2, p_max=1), small_cfg())
     b = train(bench, EnvConfig(n_models=2, p_max=1), small_cfg())
     for k in a.params:
-        assert np.array_equal(a.params[k].data, b.params[k].data)
+        assert np.array_equal(a.params[k], b.params[k])
     assert a.curve == b.curve
 
 
@@ -399,7 +377,7 @@ def test_train_worker_count_changes_nothing():
     a = train(bench, EnvConfig(n_models=2, p_max=1), small_cfg(workers=1))
     b = train(bench, EnvConfig(n_models=2, p_max=1), small_cfg(workers=4))
     for k in a.params:
-        assert np.array_equal(a.params[k].data, b.params[k].data)
+        assert np.array_equal(a.params[k], b.params[k])
     assert a.curve == b.curve
 
 
@@ -439,7 +417,7 @@ def test_write_artifacts_and_load_policy(tmp_path):
     assert policy.variant == "full"
     assert meta["n_models"] == 2
     for k, p in policy.params.items():
-        assert np.array_equal(p, res.params[k].data)
+        assert np.array_equal(p, res.params[k])
     with open(tmp_path / "curve.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(CURVE_COLUMNS)
@@ -468,20 +446,7 @@ def test_load_policy_checks_its_meta(tmp_path):
     assert type(policy.beta) is float and policy.beta == 1.0
 
 
-def counting_tensors(monkeypatch) -> list:
-    """Patch Tensor.__init__ to record every Tensor built; returns the log."""
-    created = []
-    init = T.Tensor.__init__
-
-    def counted(obj, *a, **k):
-        created.append(obj)
-        init(obj, *a, **k)
-
-    monkeypatch.setattr(T.Tensor, "__init__", counted)
-    return created
-
-
-def test_loaded_policy_acts_without_a_tape(tmp_path, monkeypatch):
+def test_loaded_policy_acts_without_a_tape(tmp_path):
     bench = small_bench()
     env_cfg = EnvConfig(n_models=2, p_max=1)
     res = train(bench, env_cfg, small_cfg(), out_dir=tmp_path)
@@ -492,24 +457,25 @@ def test_loaded_policy_acts_without_a_tape(tmp_path, monkeypatch):
     env.reset(bench.eval_query(0))
     wf, q = env.snapshot()
     mask = env.legal_mask()
-    created = counting_tensors(monkeypatch)
     policy.prepare(hist)
     idx, value = policy.act(wf, q, mask, mode="greedy")
-    assert created == []
-    probs, values = encoder(res.best_params, "full", policy.beta, hist, [wf],
-                            q[None, :], mask[None, :])
+    probs, values = encoder(leaves(res.best_params), "full", policy.beta, hist,
+                            [wf], q[None, :], mask[None, :])
     assert idx == int(np.argmax(probs.data[0]))
     assert value.hex() == float(values.data[0]).hex()
 
 
-def test_act_on_gradient_free_views_builds_no_tape_and_matches(monkeypatch):
+def test_act_on_read_only_weights_matches():
+    """A policy holds the caller's arrays, in a dict of its own, and never
+    writes them: on read-only views of the weights it acts as on the weights."""
     bench = small_bench()
     env_cfg = EnvConfig(n_models=2, n_roles=3, p_max=1)
     hubs = bench.build_hubs(3)
     hist = HeteroGraph("history", hubs, capacity=64)
     params = init_params(EncoderDims(64, 64, 64, 8), "full", seed=1)
-    views = {k: T.Tensor(p.data) for k, p in params.items()}
-    created = counting_tensors(monkeypatch)
+    views = {k: p.view() for k, p in params.items()}
+    for v in views.values():
+        v.flags.writeable = False
     for seed in range(4):
         env = RoutingEnv(env_cfg, bench, hubs)
         env.reset(bench.train_query(seed))
@@ -519,11 +485,11 @@ def test_act_on_gradient_free_views_builds_no_tape_and_matches(monkeypatch):
             outs = []
             for ps in (params, views):
                 policy = RoutingPolicy(ps, "full", 1.0)
-                assert all(policy.params[k] is p.data for k, p in ps.items())
+                assert policy.params is not ps
+                assert all(policy.params[k] is p for k, p in ps.items())
                 policy.prepare(hist.hub_state())
                 outs.append(policy.act(wf, q, mask, "sample",
                                        np.random.default_rng(seed)))
-            assert created == []  # neither records a tape, nor builds a Tensor
             assert outs[0] == outs[1]
             env.step(env_cfg.action_of(outs[0][0]))
         absorb_episode(hist, Episode(records=[], utility=0.0, truncated=False,
@@ -544,7 +510,7 @@ def test_train_rolls_out_on_gradient_free_views(monkeypatch):
         for p, at_collect in window.values():
             assert type(p) is np.ndarray and np.array_equal(p, at_collect)
     assert not np.array_equal(seen[0]["fuse.W"][0], seen[1]["fuse.W"][0])
-    assert all(p.requires_grad for p in res.params.values())
+    assert all(type(p) is np.ndarray for p in res.params.values())
 
 
 def test_artifacts_identical_across_reruns(tmp_path):

@@ -1,15 +1,22 @@
-"""Autodiff engine: op semantics, gradients, optimizer, persistence."""
+"""The reference tape's ops and gradients, the shipped gradient clip and
+optimizer, parameter persistence, and the rule that no program module uses
+the tape."""
 
+import ast
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentroute import tensor as T
-from agentroute.tensor import Adam, Tensor, clip_global_norm
+import tape as T
+from agentroute.tensor import (Adam, clip_global_norm, load_params,
+                               masked_softmax_array, params_from_jsonable,
+                               params_to_jsonable, save_params)
+from tape import Tensor
 
 
 def grad_of(build, *arrays):
@@ -60,28 +67,30 @@ def test_matmul_is_2d_only():
 
 
 def test_masked_softmax_frozen_values():
-    scores = Tensor(np.array([1.0, 2.0, 3.0]))
+    scores = np.array([1.0, 2.0, 3.0])
     mask = np.array([True, True, False])
-    out = T.masked_softmax(scores, mask)
-    np.testing.assert_allclose(out.data, [0.26894142, 0.73105858, 0.0],
-                               atol=1e-8)
-    assert out.data.sum() == pytest.approx(1.0, abs=1e-12)
+    out = masked_softmax_array(scores, mask)
+    np.testing.assert_allclose(out, [0.26894142, 0.73105858, 0.0], atol=1e-8)
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
+    assert T.masked_softmax(Tensor(scores), mask).data.tobytes() == out.tobytes()
 
 
 def test_masked_softmax_requires_an_allowed_entry():
     with pytest.raises(ValueError):
-        T.masked_softmax(Tensor(np.zeros(3)), np.zeros(3, dtype=bool))
+        masked_softmax_array(np.zeros(3), np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError):
+        masked_softmax_array(np.zeros(3), np.ones(4, dtype=bool))
 
 
 def test_masked_softmax_normalises_each_row():
-    scores = Tensor(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+    scores = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     mask = np.array([[True, True, False], [False, False, True]])
-    out = T.masked_softmax(scores, mask).data
+    out = masked_softmax_array(scores, mask)
     np.testing.assert_allclose(out[0], [0.26894142, 0.73105858, 0.0], atol=1e-8)
     np.testing.assert_array_equal(out[1], [0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        T.masked_softmax(scores, np.array([[True, False, False],
-                                           [False, False, False]]))
+        masked_softmax_array(scores, np.array([[True, False, False],
+                                               [False, False, False]]))
 
 
 def test_sum_axis_of_empty_is_zeros():
@@ -106,18 +115,22 @@ def test_safe_log_zero_is_silent():
 
 
 def test_clip_global_norm_frozen_scale():
-    t = Tensor(np.zeros(2), requires_grad=True)
-    t.grad = np.array([2.0, 0.0])  # norm 2.0 against a 0.5 ceiling
-    scale = clip_global_norm([t], 0.5)
+    # norm 2.0 against a 0.5 ceiling; a weight without a gradient stays None
+    grads = {"a": np.array([1.2, 0.0]), "idle": None, "b": np.array([1.6])}
+    held = grads["a"]
+    scale = clip_global_norm(grads, 0.5)
     assert scale == pytest.approx(0.25)
-    np.testing.assert_allclose(t.grad, [0.5, 0.0])
+    np.testing.assert_allclose(grads["a"], [0.3, 0.0])
+    np.testing.assert_allclose(grads["b"], [0.4])
+    assert grads["idle"] is None
+    np.testing.assert_array_equal(held, [1.2, 0.0])  # rebound, not written
 
 
 def test_clip_global_norm_within_bound_is_identity():
-    t = Tensor(np.zeros(2), requires_grad=True)
-    t.grad = np.array([0.1, 0.0])
-    assert clip_global_norm([t], 0.5) == 1.0
-    np.testing.assert_array_equal(t.grad, [0.1, 0.0])
+    g = np.array([0.1, 0.0])
+    grads = {"t": g, "idle": None}
+    assert clip_global_norm(grads, 0.5) == 1.0
+    assert grads == {"t": g, "idle": None} and grads["t"] is g
 
 
 def test_no_grad_inputs_build_no_tape():
@@ -217,7 +230,7 @@ def test_masked_softmax_is_a_distribution(seed):
     mask = rng.uniform(size=n) < 0.6
     if not mask.any():
         mask[int(rng.integers(0, n))] = True
-    p = T.masked_softmax(Tensor(scores), mask).data
+    p = masked_softmax_array(scores, mask)
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
     assert (p[~mask] == 0.0).all() and (p[mask] > 0.0).all()
 
@@ -237,84 +250,83 @@ def test_unbroadcast_inverts_broadcast(seed):
 
 def test_adam_first_step_magnitude():
     # with bias correction the first step has magnitude lr regardless of g
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    p.grad = np.array([123.0])
-    Adam({"p": p}, lr=0.01).step()
-    np.testing.assert_allclose(p.data, [1.0 - 0.01], atol=1e-9)
+    params = {"p": np.array([1.0])}
+    Adam(params, lr=0.01).step(params, {"p": np.array([123.0])})
+    np.testing.assert_allclose(params["p"], [1.0 - 0.01], atol=1e-9)
 
 
 def test_adam_skips_gradless_params():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam({"p": p}, lr=0.5)
-    opt.step()
-    np.testing.assert_array_equal(p.data, [1.0])
+    params = {"p": np.array([1.0])}
+    held = params["p"]
+    opt = Adam(params, lr=0.5)
+    opt.step(params, {"p": None})
+    assert params["p"] is held and not opt.m["p"].any()
+    np.testing.assert_array_equal(params["p"], [1.0])
 
 
 def test_adam_step_is_the_textbook_step_bit_for_bit():
     rng = np.random.default_rng(7)
     shapes = {"w": (6, 5), "b": (5,), "idle": (3,)}
-    params = {k: Tensor(rng.normal(size=s), requires_grad=True)
-              for k, s in shapes.items()}
-    opt = Adam(params, lr=3e-3)
-    want = {k: p.data.copy() for k, p in params.items()}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params["other"] = rng.normal(size=4)  # in the dict, not in the group
+    other = params["other"]
+    opt = Adam({k: params[k] for k in shapes}, lr=3e-3)
+    want = {k: p.copy() for k, p in params.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
     b1, b2, lr, eps = 0.9, 0.999, 3e-3, 1e-8
     for t in range(1, 9):
         grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 2)
                  for k, s in shapes.items() if k != "idle"}
-        held = {k: (p.data, p.data.copy()) for k, p in params.items()}
-        for k, p in params.items():
-            p.grad = grads.get(k)
-        opt.step()
+        held = {k: (p, p.copy()) for k, p in params.items()}
+        opt.step(params, {**grads, "idle": None, "other": np.ones(4)})
         for k, g in grads.items():
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
             m_hat = m[k] / (1.0 - b1 ** t)
             v_hat = v[k] / (1.0 - b2 ** t)
             want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-        for k, p in params.items():
-            assert p.data.tobytes() == want[k].tobytes(), (k, t)
+        for k in shapes:
+            assert params[k].tobytes() == want[k].tobytes(), (k, t)
             assert opt.m[k].tobytes() == m[k].tobytes(), (k, t)
             assert opt.v[k].tobytes() == v[k].tobytes(), (k, t)
+        for k, p in params.items():
             # rebound, not written: whoever holds the old array keeps its values
             assert np.array_equal(*held[k]), (k, t)
     assert not opt.m["idle"].any() and not opt.v["idle"].any()
+    assert set(opt.m) == set(shapes) and params["other"] is other
 
 
 def test_adam_descends_quadratic():
-    p = Tensor(np.array([3.0]), requires_grad=True)
-    opt = Adam({"p": p}, lr=0.1)
+    params = {"p": np.array([3.0])}
+    opt = Adam(params, lr=0.1)
     for _ in range(200):
-        opt.zero_grad()
-        loss = T.total_sum(T.mul(p, p))
-        T.backward(loss)
-        opt.step()
-    assert abs(p.data.item()) < 0.1
+        opt.step(params, {"p": 2.0 * params["p"]})  # the gradient of p^2
+    assert abs(params["p"].item()) < 0.1
 
 
 # -- persistence --------------------------------------------------------------------
 
 
 def test_params_round_trip(tmp_path):
-    params = {"a.W": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True),
-              "b": Tensor(np.array([0.1, -0.2]), requires_grad=True)}
+    params = {"a.W": np.arange(6.0).reshape(2, 3), "b": np.array([0.1, -0.2])}
     path = tmp_path / "p.json"
-    T.save_params(path, params, meta={"note": 1})
-    loaded, meta = T.load_params(path)
+    save_params(path, params, meta={"note": 1})
+    loaded, meta = load_params(path)
     assert meta == {"note": 1}
     assert set(loaded) == {"a.W", "b"}
     for k in params:
-        np.testing.assert_array_equal(loaded[k].data, params[k].data)
+        assert type(loaded[k]) is np.ndarray and loaded[k].dtype == np.float64
+        np.testing.assert_array_equal(loaded[k], params[k])
 
 
 def test_params_file_is_the_json_text_of_the_blob(tmp_path):
-    params = {"w": Tensor(np.array([[0.1, -0.0], [1e-300, 1.0 / 3.0]])),
-              "b": Tensor(np.array([2.5e17, -7.0]))}
+    params = {"w": np.array([[0.1, -0.0], [1e-300, 1.0 / 3.0]]),
+              "b": np.array([2.5e17, -7.0])}
     meta = {"variant": "full", "note": "caf\u00e9", "n": 3}
     path = tmp_path / "p.json"
-    T.save_params(path, params, meta=meta)
-    blob = dict(T.params_to_jsonable(params), meta=meta)
+    save_params(path, params, meta=meta)
+    blob = dict(params_to_jsonable(params), meta=meta)
     streamed = io.StringIO()
     json.dump(blob, streamed, sort_keys=True)
     assert path.read_text() == json.dumps(blob, sort_keys=True) == streamed.getvalue()
@@ -324,9 +336,67 @@ def test_params_version_check(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"format_version": 99, "tensors": {}}))
     with pytest.raises(ValueError):
-        T.load_params(path)
+        load_params(path)
 
 
 def test_params_reject_malformed():
     with pytest.raises(ValueError):
-        T.params_from_jsonable({"nope": 1})
+        params_from_jsonable({"nope": 1})
+
+# -- no program module uses the tape -------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "agentroute"
+TAPE_NAMES = {"Tensor", "requires_grad", "zero_grad"}
+
+
+def tape_uses(source: str) -> list[str]:
+    """Where source names the tape: `Tensor`, `requires_grad` or `zero_grad`
+    as a name, attribute, import, definition, argument, keyword or string
+    annotation, or any `.grad` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "grad":
+            found.append(f"line {node.lineno}: .grad")
+        names = {
+            ast.Name: lambda n: [n.id],
+            ast.Attribute: lambda n: [n.attr],
+            ast.alias: lambda n: [n.name.split(".")[-1], n.asname],
+            ast.FunctionDef: lambda n: [n.name],
+            ast.ClassDef: lambda n: [n.name],
+            ast.arg: lambda n: [n.arg],
+            ast.keyword: lambda n: [n.arg],
+            ast.Constant: lambda n: [n.value] if isinstance(n.value, str) else [],
+        }.get(type(node), lambda n: [])(node)
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name in TAPE_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from .tensor import Tensor", "from tape import leaves as Tensor",
+    "import tape.Tensor", "x = Tensor(a)", "x = T.Tensor(a)",
+    "def f(p: 'Tensor'): pass", "class Tensor: pass", "p.grad = g",
+    "g = params[k].grad", "opt.zero_grad()", "def zero_grad(self): pass",
+    "w = f(a, requires_grad=True)", "def f(requires_grad=False): pass",
+    "if p.requires_grad: pass",
+])
+def test_the_tape_guard_sees_every_use_of_the_tape(source):
+    assert tape_uses(source)
+
+
+def test_the_tape_guard_passes_the_gradient_dict():
+    assert tape_uses(
+        "grads = policy.backward(fwd, g_probs, g_values)  # not a Tensor's .grad\n"
+        "clip_global_norm(grads, cfg.grad_clip)\n"
+        "policy_opt.step(params, grads)\n"
+        "def f(grad, g_grad=None):\n"
+        "    '''no requires_grad, no zero_grad, no Tensor'''\n"
+        "    return x.grads, x.gradient, {'grad': grad}\n") == []
+
+
+def test_no_program_module_uses_the_tape():
+    modules = sorted(SRC.glob("*.py"))
+    assert SRC / "tensor.py" in modules and len(modules) > 5
+    assert tape_uses(Path(T.__file__).read_text())
+    offenders = {p.name: tape_uses(p.read_text()) for p in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}
