@@ -357,16 +357,11 @@ def tape_uses(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "grad":
             found.append(f"line {node.lineno}: .grad")
-        names = {
-            ast.Name: lambda n: [n.id],
-            ast.Attribute: lambda n: [n.attr],
-            ast.alias: lambda n: [n.name.split(".")[-1], n.asname],
-            ast.FunctionDef: lambda n: [n.name],
-            ast.ClassDef: lambda n: [n.name],
-            ast.arg: lambda n: [n.arg],
-            ast.keyword: lambda n: [n.arg],
-            ast.Constant: lambda n: [n.value] if isinstance(n.value, str) else [],
-        }.get(type(node), lambda n: [])(node)
+        names = [getattr(node, f, None) for f in ("id", "attr", "name", "asname", "arg")]
+        if isinstance(node, ast.alias):  # `import tape.Tensor`
+            names.append(node.name.rsplit(".", 1)[-1])
+        if isinstance(node, ast.Constant):  # a string annotation
+            names.append(node.value)
         found += [f"line {node.lineno}: {name}" for name in names
                   if name in TAPE_NAMES]
     return found
