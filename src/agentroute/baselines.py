@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import PLANNER, SUMMARIZER, THINKER, VERIFIER
-from .env import Action, RoutingEnv
+from .backend import EXECUTOR, PLANNER, VERIFIER
+from .env import RoutingEnv
 from . import fields
 from .memory import HubState, QueryNode
 
@@ -176,18 +176,25 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     Runs on a noise-free copy of the benchmark so every branch value is the
     model's systematic quality. Two phases. `expand` builds the search tree
     from env work: the models of a role that ends the episode are scored in
-    one `RoutingEnv.pool_rewards` pass per (state, role), with no clone, no
-    step and no response embedding. The models of a role whose response
-    quality nothing downstream reads get their rewards from one such pass
-    and share one child, stepped once with model 0: the call's model then
-    changes only that call's reward. That holds for a planner, and for a
-    summarizer or a thinker when the pool has no verifier. The mask, the
-    episode end, the context bonus and the final utility read only roles,
-    counts and executor answers; the one reader of any other response's
-    quality is the verifier, whose floor is the best quality in its context
-    and which an executor then floors at. Every other action is stepped on
-    a clone, or in place for a state's last branch.
-    `search` then walks the tree depth-first in ascending action-index order
+    one pool pass per (state, role), with no clone, no step and no response
+    embedding (`RoutingEnv.pool`, or with a verifier `pool_rewards`, which
+    builds no record). The models of a role whose response quality
+    nothing downstream reads but the terminal utilities get their rewards
+    from one such pass and share one child, stepped once with model 0. That
+    holds for a planner, and for every role when the pool has no verifier:
+    the mask, the episode end and the context bonus read only roles, counts
+    and draws; the one reader of a response's quality but the utilities is
+    the verifier, whose floor is the best quality in its context and which
+    an executor then floors at. Without a verifier the one quality that
+    still differs below a shared child is its executor answer's, read only
+    by a summarized episode's final utility (the sub-answer mean) and by a
+    truncated non-executor action's (the last answer). So `search` binds
+    that answer's quality to model m's on the child's m-th walk, and a leaf
+    whose utility reads a bound answer recomputes its rewards from the
+    bound qualities (`Pool.rebound`), once per distinct binding. With a
+    verifier every action but a planner's is stepped on a clone, or in
+    place for a state's last branch.
+    `search` walks the tree depth-first in ascending action-index order
     (role-major) with strict improvement, so ties resolve to the
     lexicographically smallest sequence. Raises when the enumeration,
     terminal actions included and a shared subtree counted once per action
@@ -196,15 +203,18 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
     k = cfg.n_models
-    # a verifier reads the quality of its context, summaries and thoughts too
-    shared_roles = ({PLANNER} if cfg.n_roles > VERIFIER
-                    else {PLANNER, SUMMARIZER, THINKER})
+    # a verifier reads the quality of its context: answers, summaries, thoughts
+    binds = cfg.n_roles <= VERIFIER
+    shared_roles = set(range(cfg.n_roles)) if binds else {PLANNER}
+    actions = [cfg.action_of(a) for a in range(cfg.n_actions)]
     expanded = 0
 
     def expand(env: RoutingEnv, paths: int) -> list:
         """[(first action index, per-model rewards, per-model children or
-        None if the role ends the episode)] over the state's legal roles in
-        ascending order; `paths` counts the actions that reach this state."""
+        None if the role ends the episode, the `Pool` whose answer a shared
+        executor child binds or whose utility reads bound answers, else
+        None)] over the state's legal roles in ascending order; `paths`
+        counts the actions that reach this state."""
         nonlocal expanded
         # the mask allows a role for all of its models or for none
         mask = env.legal_mask()
@@ -218,36 +228,53 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
                     "shrink the action space or the step cap")
             # nothing reads `env` after its last branch, which steps it in place
             last = role == roles[-1]
-            if any(env.ends(role)):
-                node.append((role * k, env.pool_rewards(role), None))
-            elif role in shared_roles:
-                rewards = env.pool_rewards(role)
+            ends = any(env.ends(role))
+            if ends or role in shared_roles:
+                # only without a verifier can a leaf read a bound answer
+                pool = env.pool(role) if binds else None
+                rewards = pool.rewards if binds else env.pool_rewards(role)
+                if ends:
+                    node.append((role * k, rewards, None,
+                                 pool if binds and pool.reads else None))
+                    continue
                 child = env if last else env.clone()
-                child.step(Action(role, 0))
-                node.append((role * k, rewards, [expand(child, k * paths)] * k))
+                child.step(actions[role * k])
+                # a shared executor child's answer is bound in `search`
+                node.append((role * k, rewards, [expand(child, k * paths)] * k,
+                             pool if role == EXECUTOR else None))
             else:
                 rewards, children = [], []
                 for m in range(k):
                     child = env if last and m == k - 1 else env.clone()
-                    reward, _, _ = child.step(Action(role, m))
+                    reward, _, _ = child.step(actions[role * k + m])
                     rewards.append(reward)
                     children.append(expand(child, paths))
-                node.append((role * k, rewards, children))
+                node.append((role * k, rewards, children, None))
         return node
 
     best_value = -np.inf
     best_actions: list[int] | None = None
     path: list[int] = []
+    bound_quality: dict[str, float] = {}  # answer id -> its quality on `path`
+    rebound: dict = {}  # (leaf pool id, its reads' bound qualities) -> rewards
 
     def search(node: list, total: float) -> None:
         nonlocal best_value, best_actions
-        for first, rewards, children in node:
-            for m, reward in enumerate(rewards):
-                if children is None:
+        for first, rewards, children, pool in node:
+            if children is None:
+                if pool is not None:
+                    answers = tuple([bound_quality[a] for a in pool.reads])
+                    rewards = rebound.get((id(pool), answers))
+                    if rewards is None:
+                        rewards = rebound[id(pool), answers] = pool.rebound(answers)
+                for m, reward in enumerate(rewards):
                     if total + reward > best_value:
                         best_value = total + reward
                         best_actions = path + [first + m]
-                    continue
+                continue
+            for m, reward in enumerate(rewards):
+                if pool is not None:
+                    bound_quality[pool.response_id] = pool.qualities[m]
                 path.append(first + m)
                 search(children[m], total + reward)
                 path.pop()

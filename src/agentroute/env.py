@@ -10,6 +10,7 @@ r_t = -alpha * C_t with the task utility added on the terminal step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +128,41 @@ class Episode:
         return len(self.records)
 
 
+def end_utility(role: int, done: bool, summarized: bool, mode: str,
+                quality: float, answers, sub_mean: float | None = None) -> float:
+    """The task utility of a `role` call of `quality` that ends the episode
+    from one state, given the qualities `answers` of the answers it reads
+    (`RoutingEnv._reads`). A done episode scores its final answer, averaged
+    with the sub-answers' mean (`sub_mean`, as in `final_utility`) if
+    summarized; a truncated one scores an executor's own answer, else the
+    last answer, or 0.0 before any."""
+    if done:
+        return final_utility(quality, answers, summarized, mode, sub_mean)
+    partial = quality if role == EXECUTOR else (answers[0] if answers else 0.0)
+    return final_utility(partial, [], False, mode)
+
+
+class Pool(NamedTuple):
+    """Every model's `role` call from one state, scored in one pass
+    (`RoutingEnv.pool`)."""
+    role: int
+    done: bool
+    summarized: bool
+    mode: str
+    rewards: list[float]     # per model, what `step` returns, bit for bit
+    qualities: list[float]   # per model, its call's quality
+    costs: list[float]       # per model, its reward less its utility
+    reads: tuple[str, ...]   # ids of the answers the utility reads, in order
+    response_id: str         # the id of the response a step attaches
+
+    def rebound(self, answers) -> list[float]:
+        """`rewards` of calls that end the episode, as if the answers that
+        `reads` names had the qualities `answers`."""
+        return [cost + end_utility(self.role, self.done, self.summarized, self.mode,
+                                   quality, answers)
+                for cost, quality in zip(self.costs, self.qualities)]
+
+
 class RoutingEnv:
     """Single-episode environment around one root query."""
 
@@ -156,7 +192,7 @@ class RoutingEnv:
         self.truncated = False
         self.summary_used = False
         self.utility = 0.0
-        self._last_answer_quality: float | None = None
+        self._last_answer: tuple[ResponseNode, ...] = ()  # or (the last answer,)
         # the episode's simulator draws, shared by its clones (Benchmark.invoke)
         self._draws: dict = {}
         self._facts: dict = {}  # the current state's derived facts (`_fact`)
@@ -219,21 +255,21 @@ class RoutingEnv:
         sq.embedding.flags.writeable = False
         return sq
 
-    def _compute_subs(self) -> tuple[float, ...]:
-        return tuple(self._descendant_answer_qualities(self.root_id))
+    def _compute_subs(self) -> tuple[ResponseNode, ...]:
+        return tuple(self._descendant_answers(self.root_id))
 
-    def _descendant_answer_qualities(self, query_id: str) -> list[float]:
-        """Answer qualities of the non-summary subtree below `query_id`, in
+    def _descendant_answers(self, query_id: str) -> list[ResponseNode]:
+        """Answers of the non-summary subtree below `query_id`, in
         pre-order, which fixes the order of the sum in `final_utility`."""
         wf, index = self.workflow, self.workflow.child_ids
-        out: list[float] = []
+        out: list[ResponseNode] = []
         stack = list(index.get(query_id, ())[::-1])
         while stack:
             child = wf.queries[stack.pop()]
             if child.is_summary:
                 continue
             if child.status == STATUS_RESOLVED and child.answer_id is not None:
-                out.append(wf.responses[child.answer_id].quality)
+                out.append(wf.responses[child.answer_id])
             if child.id in index:
                 stack += index[child.id][::-1]
         return out
@@ -326,34 +362,40 @@ class RoutingEnv:
             return ()
         return self._fact("answers" if role == SUMMARIZER else "context")
 
+    def _reads(self, role: int, done: bool) -> tuple[ResponseNode, ...]:
+        """The answers whose quality the utility of a `role` action that ends
+        the episode from this state reads: the sub-answers of a summarized
+        episode's final answer, and for a truncating action but an
+        executor's the last answer."""
+        if done:
+            return self._fact("subs") if self.current.is_summary else ()
+        return () if role == EXECUTOR else self._last_answer
+
     def _rewards(self, role: int, done: bool, truncated: bool,
                  results, models) -> list[tuple[float, float, float, float | None]]:
         """(dollars, scaled cost, reward, utility) of each `role` call
         from this state, one per model and its call's (quality, tokens_in,
         tokens_out); the utility is None unless the action ends the episode.
         Reads the state's facts and writes nothing."""
-        bench, cfg = self.benchmark, self.cfg
-        if done:
-            # only an executor resolves a synthesis query, which ends a
-            # summarized episode: the one utility that counts the sub-answers
-            subs = self._fact("subs") if self.current.is_summary else ()
-            sub_mean = float(mean(subs)) if subs else None
+        profiles, cfg = self.benchmark.profiles, self.cfg
+        scale, neg_alpha = cfg.cost_scale, -cfg.alpha
+        ending = done or truncated
+        if ending:
+            reads = self._reads(role, done)
+            answers = [r.quality for r in reads] if reads else ()
+            sub_mean = float(mean(answers)) if done and answers else None
+            summarized, mode = self.summary_used, cfg.utility_mode
         out = []
         for (quality, tokens_in, tokens_out), model in zip(results, models):
-            dollars = cost_of(tokens_in, tokens_out, bench.profiles[model])
-            scaled = dollars * cfg.cost_scale
-            reward = -cfg.alpha * scaled
-            utility = None
-            if done:
-                utility = final_utility(quality, subs, self.summary_used,
-                                        cfg.utility_mode, sub_mean)
-            elif truncated:
-                partial = (quality if role == EXECUTOR
-                           else self._last_answer_quality)
-                utility = final_utility(partial if partial is not None else 0.0, [],
-                                        False, cfg.utility_mode)
-            out.append((dollars, scaled,
-                        reward if utility is None else reward + utility, utility))
+            dollars = cost_of(tokens_in, tokens_out, profiles[model])
+            scaled = dollars * scale
+            reward = neg_alpha * scaled
+            if ending:
+                utility = end_utility(role, done, summarized, mode, quality, answers,
+                                      sub_mean)
+                out.append((dollars, scaled, reward + utility, utility))
+            else:
+                out.append((dollars, scaled, reward, None))
         return out
 
     def pool_rewards(self, role: int) -> list[float]:
@@ -362,13 +404,35 @@ class RoutingEnv:
         `Benchmark.invoke_pool` pass and changes no state but the shared draw
         memo, so the oracle scores a state's terminal actions without a clone
         or a step, and the models of a role whose response quality nothing
-        downstream reads (a planner; without a verifier, a summarizer or a
-        thinker) with one step for all of them."""
+        downstream reads (a planner) with one step for all of them."""
         done, truncated = self.ends(role)
         results = self.benchmark.invoke_pool(role, self.current,
                                              self._context(role), self._draws)
         return [r[2] for r in self._rewards(role, done, truncated, results,
                                             range(self.cfg.n_models))]
+
+    def pool(self, role: int) -> Pool:
+        """`pool_rewards` with what rescoring the pool under other answer
+        qualities needs: per model its call's quality and its reward less
+        the utility, the answers the utility reads, and the id a step's
+        response takes. Without a verifier the oracle shares one child among
+        all of a role's models, and binds that id's quality to each model's
+        on the child's walks."""
+        done, truncated = self.ends(role)
+        results = self.benchmark.invoke_pool(role, self.current,
+                                             self._context(role), self._draws)
+        scored = self._rewards(role, done, truncated, results,
+                               range(self.cfg.n_models))
+        reads = self._reads(role, done) if done or truncated else ()
+        neg_alpha = -self.cfg.alpha
+        return Pool(role, done, self.summary_used, self.cfg.utility_mode,
+                    [r[2] for r in scored], [r[0] for r in results],
+                    [neg_alpha * r[1] for r in scored], tuple(r.id for r in reads),
+                    self._response_id())
+
+    def _response_id(self) -> str:
+        # a workflow never evicts, so its size numbers the next response
+        return f"r{len(self.workflow.responses)}"
 
     def step(self, action: Action) -> tuple[float, bool, dict]:
         """Apply one (role, model) action; returns (reward, done, info)."""
@@ -396,10 +460,9 @@ class RoutingEnv:
             self.current_id = children[0].id
             self.planner_count += 1
         else:
-            # a workflow never evicts, so its size numbers the next response;
             # the summarizer is legal only at the root, so every response
             # attaches to the current query
-            resp = ResponseNode(id=f"r{len(wf.responses)}",
+            resp = ResponseNode(id=self._response_id(),
                                 embedding=outcome.response_embedding,
                                 produced_by=(role, action.model),
                                 tokens_in=outcome.tokens_in,
@@ -407,7 +470,7 @@ class RoutingEnv:
                                 quality=outcome.quality)
             memory.attach_response(wf, cur.id, resp, answers=role == EXECUTOR)
         if role == EXECUTOR:
-            self._last_answer_quality = outcome.quality
+            self._last_answer = (resp,)
             if cur.is_summary:
                 wf.set_query(self.root_id, status=STATUS_RESOLVED)
             elif not done:

@@ -3,13 +3,16 @@
 import io
 import json
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from agentroute.backend import (PLANNER, SUMMARIZER, THINKER, VERIFIER, BenchmarkSpec,
-                               make_benchmark)
+from agentroute.backend import (EXECUTOR, KINDS, PLANNER, SUMMARIZER, THINKER, VERIFIER,
+                               BenchmarkSpec, make_benchmark)
 from agentroute.baselines import (
     KnnRouter,
     KnnStore,
@@ -320,14 +323,14 @@ def cloning_oracle(cfg, benchmark, hubs, root):
     and every shared model included; returns the plan, the value, the number
     of expanded states and how many of them are a shared action with a model
     other than 0 that does not end the episode, or lie below one. A shared
-    action is a planner's, or without a verifier a summarizer's or a
-    thinker's."""
+    action is a planner's, or without a verifier any role's: a sub-query
+    executor's, a summarizer's or a thinker's too."""
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
     best = (-np.inf, None)
     expanded = shared = 0
     shared_roles = ({PLANNER} if cfg.n_roles > VERIFIER
-                    else {PLANNER, SUMMARIZER, THINKER})
+                    else {PLANNER, EXECUTOR, SUMMARIZER, THINKER})
 
     def explore(env, actions, total, below):
         nonlocal best, expanded, shared
@@ -348,52 +351,75 @@ def cloning_oracle(cfg, benchmark, hubs, root):
     return best[1], float(best[0]), expanded, shared
 
 
-@pytest.mark.parametrize("spec_kw, env_kw, roots, counts", [
-    # the oracle benchmark's configuration: 1,455 of the 1,624 states per
-    # query are a planner or summarizer model other than 0 or lie below one
+@pytest.mark.parametrize("spec_kw, env_kw, roots, counts, reads", [
+    # the oracle benchmark's configuration: 1,608 of the 1,624 states per
+    # query are a planner, sub-query executor or summarizer model other than
+    # 0 or lie below one; each summarized final answer reads two bound
+    # sub-answers
     (dict(width_profile=(2,)), dict(n_models=4, n_roles=3, p_max=1, width=2,
-                                    max_steps=16, alpha=0.1), range(4), (1624, 1455)),
+                                    max_steps=16, alpha=0.1), range(4), (1624, 1608),
+     {"done"}),
     # four roles: a thinker shares its child too
     (dict(width_profile=(2,)), dict(n_models=2, n_roles=4, p_max=1, width=2,
-                                    max_steps=8, alpha=0.1), range(2), (3374, 3061)),
+                                    max_steps=8, alpha=0.1), range(2), (3374, 3285),
+     {"done"}),
     # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees;
     # the verifier reads its context's quality, so only planners share
     (dict(width_profile=(3,)), dict(n_models=2, n_roles=5, p_max=2, width=3,
-                                    max_steps=6, alpha=0.1), range(2), (13414, 8616)),
+                                    max_steps=6, alpha=0.1), range(2), (13414, 8616),
+     set()),
     # phase-1 templates: a planner as a state's only role, stepped in place
     (dict(width_profile=(3,)), dict(n_models=3, n_roles=3, phase="phase1",
                                     phase_depth=2, phase_width=2, alpha=0.1),
-     range(1), (9840, 9394)),
-], ids=["oracle-search", "four-role", "five-role", "phase1"])
-def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
-                                                           env_kw, roots, counts):
+     range(1), (9840, 9830), {"done"}),
+    # a step cap whose truncated leaves score a bound last answer
+    (dict(width_profile=(3,)), dict(n_models=2, n_roles=4, p_max=2, width=3,
+                                    max_steps=5, alpha=0.05), range(2), (1898, 1766),
+     {"truncated"}),
+    # binary utility at no cost: ties everywhere, broken by action index
+    (dict(width_profile=(2,)), dict(n_models=3, n_roles=3, p_max=2, width=2,
+                                    max_steps=4, alpha=0.0, utility_mode="binary"),
+     range(2), (429, 408), {"truncated"}),
+], ids=["oracle-search", "four-role", "five-role", "phase1", "truncating", "binary"])
+def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw, env_kw,
+                                                           roots, counts, reads):
     bench = make_benchmark(
         BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
                       seed=7, **spec_kw),
         k_models=env_kw["n_models"])
     cfg = EnvConfig(**env_kw)
     hubs = bench.build_hubs(cfg.n_roles)
-    steps, leaves, scored = [0], [0], Counter()
+    steps, leaves, scored, bound_reads = [0], [0], Counter(), set()
     memos = []  # keeps each scored state's fact memo, and so its id, alive
-    step, pool_rewards = RoutingEnv.step, RoutingEnv.pool_rewards
+    step, pool_rewards, pool = RoutingEnv.step, RoutingEnv.pool_rewards, RoutingEnv.pool
 
     def counted_step(env, action):
         steps[0] += 1
         return step(env, action)
 
-    def counted_pool_rewards(env, role):
-        rewards = pool_rewards(env, role)
-        leaves[0] += len(rewards) if any(env.ends(role)) else 0
+    def count_pass(env, role):
+        leaves[0] += cfg.n_models if any(env.ends(role)) else 0
         # a state's facts memo is its own: clones share it, a step replaces it
         memos.append(env._facts)
         scored[id(env._facts), role] += 1
-        return rewards
+
+    def counted_pool_rewards(env, role):
+        count_pass(env, role)
+        return pool_rewards(env, role)
+
+    def counted_pool(env, role):
+        count_pass(env, role)
+        record = pool(env, role)
+        if record.reads:
+            bound_reads.add("done" if record.done else "truncated")
+        return record
 
     for i in roots:
         root = bench.eval_query(i)
         plan, value, expanded, shared = cloning_oracle(cfg, bench, hubs, root)
         monkeypatch.setattr(RoutingEnv, "step", counted_step)
         monkeypatch.setattr(RoutingEnv, "pool_rewards", counted_pool_rewards)
+        monkeypatch.setattr(RoutingEnv, "pool", counted_pool)
         steps[0] = leaves[0] = 0
         scored.clear()
         got_plan, got_value = oracle_route(cfg, bench, hubs, root)
@@ -408,3 +434,42 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw,
         if counts:
             assert (expanded, shared) == counts
         assert shared > 0
+    # the pool passes whose utility reads an answer bound by a shared
+    # executor, by how the leaf ends; with a verifier no answer is bound
+    assert bound_reads == reads
+
+
+@lru_cache(maxsize=None)
+def small_bench(kind, n_models):
+    return make_benchmark(
+        BenchmarkSpec(kind=kind, families=(0, 1, 2), queries_per_family=300, seed=7,
+                      width_profile=(3,)),
+        k_models=n_models)
+
+
+# past this many expanded states a draw is skipped: the cloning oracle steps
+# every one of them
+PROPERTY_BOUND = 1500
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), n_models=st.integers(1, 3),
+       n_roles=st.integers(3, 5), p_max=st.integers(0, 2), width=st.integers(1, 3),
+       max_steps=st.integers(2, 8), alpha=st.sampled_from([0.0, 0.05, 0.1, 1.0]),
+       utility_mode=st.sampled_from(["continuous", "binary"]),
+       phase=st.sampled_from(["phase1", "phase2"]), query=st.integers(0, 5))
+def test_oracle_matches_the_cloning_oracle_on_small_configs(
+        kind, n_models, n_roles, p_max, width, max_steps, alpha, utility_mode, phase, query):
+    bench = small_bench(kind, n_models)
+    cfg = EnvConfig(n_models=n_models, n_roles=n_roles, p_max=p_max, width=width,
+                    max_steps=max_steps, alpha=alpha, utility_mode=utility_mode,
+                    phase=phase)
+    hubs = bench.build_hubs(n_roles)
+    root = bench.eval_query(query)
+    try:
+        plan, value = oracle_route(cfg, bench, hubs, root, bound=PROPERTY_BOUND)
+    except RuntimeError as err:
+        assume("exceeded" not in str(err))
+        raise
+    want_plan, want_value, _, _ = cloning_oracle(cfg, bench, hubs, root)
+    assert (plan, value.hex()) == (want_plan, want_value.hex())

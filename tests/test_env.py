@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agentroute.backend import (ALL_ROLES, EXECUTOR, THINKER, VERIFIER, BenchmarkSpec,
-                                final_utility, make_benchmark)
+from agentroute.backend import (ALL_ROLES, EXECUTOR, PLANNER, THINKER, VERIFIER,
+                                BenchmarkSpec, final_utility, make_benchmark)
 from agentroute.baselines import RandomRouter
 from agentroute.env import (
     PHASE1,
@@ -325,7 +325,7 @@ def separable_env(width, n_models, **cfg_kw):
 def episode_state(env):
     return (serialize(env.workflow), env.step_count, env.current_id,
             list(env.pending), env.planner_count, env.summary_used, env.finished,
-            env.truncated, env.utility, env._last_answer_quality)
+            env.truncated, env.utility, [r.id for r in env._last_answer])
 
 
 def assert_same_subtrees(envs):
@@ -377,10 +377,19 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
             roles = [r for r in range(cfg.n_roles) if mask[r * k]]
             before = episode_state(e)
             pools = {r: e.pool_rewards(r) for r in roles}
+            records = {r: e.pool(r) for r in roles}
             stops = {r: e.ends(r) for r in roles}
             assert episode_state(e) == before
             for role in roles:
                 assert len(pools[role]) == k
+                record = records[role]
+                assert [r.hex() for r in record.rewards] == [r.hex() for r in pools[role]]
+                if any(stops[role]):
+                    # rescored under the answers' own qualities, a pool that
+                    # ends the episode is unchanged
+                    answers = tuple(e.workflow.responses[i].quality for i in record.reads)
+                    assert [r.hex() for r in record.rebound(answers)] == \
+                        [r.hex() for r in pools[role]]
                 children = []
                 for m in range(k):
                     child = e.clone()
@@ -390,6 +399,11 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
                     assert pools[role][m].hex() == reward.hex()
                     assert stops[role] == (done and not child.truncated,
                                            child.truncated)
+                    if role != PLANNER:
+                        # and the quality and id of the response the step attaches
+                        response = child.workflow.responses[record.response_id]
+                        assert response.produced_by == (role, m)
+                        assert record.qualities[m] == response.quality == info["quality"]
                     if not done:
                         children.append(child)
                         continue
@@ -402,7 +416,8 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
                     assert child.truncated == (not answered)
                     if child.truncated:
                         partial = (info["quality"] if name == "executor"
-                                   else e._last_answer_quality)
+                                   else e._last_answer[0].quality if e._last_answer
+                                   else None)
                         assert child.utility == final_utility(
                             0.0 if partial is None else partial, [], False,
                             cfg.utility_mode)
@@ -566,8 +581,6 @@ def assert_same_read_only_fact(name, got, want):
         assert (got.id, got.parent, got.depth, got.family, got.is_summary) == \
             (want.id, want.parent, want.depth, want.family, want.is_summary)
         assert np.array_equal(got.embedding, want.embedding)
-    elif name == "subs":
-        assert isinstance(got, tuple) and got == want
     else:  # responses, which clones share
         assert isinstance(got, tuple) and [r.id for r in got] == [r.id for r in want]
 
@@ -636,7 +649,7 @@ def test_step_records_keep_the_state_a_freeze_would_have_shown():
     assert max(lengths) >= 5
 
 
-def scanned_descendant_qualities(wf, query_id):
+def scanned_descendant_answers(wf, query_id):
     """The sub-answer walk restated over a scan of the nodes: pre-order,
     children in insertion order, summary queries and their subtrees left out."""
     out = []
@@ -644,8 +657,8 @@ def scanned_descendant_qualities(wf, query_id):
         if child.is_summary:
             continue
         if child.status == STATUS_RESOLVED and child.answer_id is not None:
-            out.append(wf.responses[child.answer_id].quality)
-        out.extend(scanned_descendant_qualities(wf, child.id))
+            out.append(child.answer_id)
+        out.extend(scanned_descendant_answers(wf, child.id))
     return out
 
 
@@ -657,9 +670,9 @@ def test_sub_answers_keep_the_pre_order_of_a_node_scan():
         env.run_episode(bench.train_query(seed), RandomRouter(), mode="sample",
                         rng=np.random.default_rng(seed))
         for qid in env.workflow.queries:
-            got = env._descendant_answer_qualities(qid)
-            assert got == scanned_descendant_qualities(env.workflow, qid)
-            deep += len(set(got)) >= 3
+            got = env._descendant_answers(qid)
+            assert [r.id for r in got] == scanned_descendant_answers(env.workflow, qid)
+            deep += len({r.quality for r in got}) >= 3
     assert deep >= 3
 
 
