@@ -523,6 +523,14 @@ def make_benchmark(spec: BenchmarkSpec, k_models: int = 4,
         raise ValueError("queries_per_family must be positive")
     if not spec.families:
         raise ValueError("at least one family is required")
+    # compared with ==, so labels from a JSON config need not be hashable
+    if any(f in spec.families[:i] for i, f in enumerate(spec.families)):
+        raise ValueError(f"families must not repeat a label, got {list(spec.families)}")
+    if any(w < 1 for w in spec.width_profile):
+        raise ValueError("width_profile entries must be at least 1, "
+                         f"got {list(spec.width_profile)}")
+    if not margin >= 0:  # written so that NaN fails too
+        raise ValueError(f"margin must be non-negative, got {margin}")
     if len(difficulty) != 2 or not (0.0 < difficulty[0] <= difficulty[1] <= 1.0):
         raise ValueError("difficulty must be a range (lo, hi) with 0 < lo <= hi <= 1")
     catalog = catalog if catalog is not None else DEFAULT_CATALOG

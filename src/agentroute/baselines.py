@@ -188,17 +188,46 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     an executor then floors at. Without a verifier the one quality that
     still differs below a shared child is its executor answer's, read only
     by a summarized episode's final utility (the sub-answer mean) and by a
-    truncated non-executor action's (the last answer). So `search` binds
+    truncated non-executor action's (the last answer). So the walk binds
     that answer's quality to model m's on the child's m-th walk, and a leaf
     whose utility reads a bound answer recomputes its rewards from the
-    bound qualities (`Pool.rebound`), once per distinct binding. With a
-    verifier every action but a planner's is stepped on a clone, or in
-    place for a state's last branch.
-    `search` walks the tree depth-first in ascending action-index order
-    (role-major) with strict improvement, so ties resolve to the
-    lexicographically smallest sequence. Raises when the enumeration,
-    terminal actions included and a shared subtree counted once per action
-    that reaches it, exceeds `bound` expanded states.
+    bound qualities (`Pool.rebound`). With a verifier every action but a
+    planner's is stepped on a clone, or in place for a state's last branch.
+
+    `expand` also gives each tree entry `top`, an upper bound on the reward
+    sum of any path below it, as the largest right-to-left float sum: a
+    terminal entry's largest reward; for a leaf that reads bound answers,
+    its largest `Pool.rebound` reward with each read answer at the highest
+    quality its shared executor's pool can bind (`rebound` is
+    non-decreasing in each answer quality, so no binding scores more); for
+    a shared child, the largest reward plus the child's top; for per-model
+    children, the largest reward[m] plus child m's top. `oracle_search`
+    walks the tree depth-first in ascending action-index order (role-major)
+    with strict improvement, so ties resolve to the lexicographically
+    smallest sequence, and skips an entry when `total + top + slack <
+    best`, where `total` is the left-to-right reward sum of the path to it
+    and `best` the best value found so far.
+
+    The slack covers float rounding. Let u = 2**-53, n rewards lie below an
+    entry with absolute sum A, and M = |total| + A. A path's value F, the
+    left-to-right sum of `total` and the n rewards, is within g(n)*M of
+    their real sum, g(n) = n*u / (1 - n*u) (recursive summation; Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2). Rounding
+    is monotone, so `top` is at least the right-to-left float sum of those
+    n rewards, which is within g(n - 1)*A of their real sum. Evaluating
+    the test rounds twice more, by at most u*M each to first order. So F <=
+    fl(fl(total + top) + slack) once slack >= (n + 2) * 2**-52 * M. With at
+    most L rewards on a path, and every reward a path can collect (a
+    rebound leaf's at any binding, which lies between its rebound at the
+    lowest and at the highest bindable qualities) at most R in size, M <=
+    (1 + g(L)) * L * R, so the one slack (L + 3) * L * R * 2**-52 covers
+    every entry. A skipped path thus scores at most `best`, which strict
+    improvement would not replace: the plan, its value bit for bit and the
+    tie-break are those of the exhaustive walk, and since `expand` is
+    unchanged by the bound, so are `expanded` and the `bound` error.
+    Raises when the enumeration, terminal actions included and a shared
+    subtree counted once per action that reaches it, exceeds `bound`
+    expanded states.
     """
     base = RoutingEnv(cfg, benchmark.with_noise(False), hubs)
     base.reset(root)
@@ -208,18 +237,21 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     shared_roles = set(range(cfg.n_roles)) if binds else {PLANNER}
     actions = [cfg.action_of(a) for a in range(cfg.n_actions)]
     expanded = 0
+    longest, largest = 0, 0.0  # most rewards on a path, largest reward size
 
-    def expand(env: RoutingEnv, paths: int) -> list:
-        """[(first action index, per-model rewards, per-model children or
-        None if the role ends the episode, the `Pool` whose answer a shared
-        executor child binds or whose utility reads bound answers, else
-        None)] over the state's legal roles in ascending order; `paths`
-        counts the actions that reach this state."""
-        nonlocal expanded
+    def expand(env: RoutingEnv, paths: int, ceilings: dict) -> tuple:
+        """The state's node (top, entries); an entry is (first action
+        index, per-model rewards, per-model child nodes or None if the role
+        ends the episode, the `Pool` whose answer a shared executor child
+        binds or whose utility reads bound answers, else None, top), one per
+        legal role in ascending order. `paths` counts the actions that reach
+        this state, and `ceilings` maps each answer bound on the way here to
+        the lowest and the highest quality its pool binds."""
+        nonlocal expanded, longest, largest
         # the mask allows a role for all of its models or for none
         mask = env.legal_mask()
         roles = [r for r in range(cfg.n_roles) if mask[r * k]]
-        node = []
+        entries = []
         for role in roles:
             expanded += k * paths
             if expanded > bound:
@@ -234,33 +266,76 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
                 pool = env.pool(role) if binds else None
                 rewards = pool.rewards if binds else env.pool_rewards(role)
                 if ends:
-                    node.append((role * k, rewards, None,
-                                 pool if binds and pool.reads else None))
-                    continue
-                child = env if last else env.clone()
-                child.step(actions[role * k])
-                # a shared executor child's answer is bound in `search`
-                node.append((role * k, rewards, [expand(child, k * paths)] * k,
-                             pool if role == EXECUTOR else None))
+                    longest = max(longest, env.step_count + 1)
+                    if binds and pool.reads:
+                        # the walk rescores this leaf per binding; its entry
+                        # holds the rewards at the highest bindable qualities
+                        lows, highs = zip(*[ceilings[a] for a in pool.reads])
+                        rewards = pool.rebound(highs)
+                        largest = max(largest, max(map(abs, pool.rebound(lows))))
+                    else:
+                        pool = None
+                    entries.append((role * k, rewards, None, pool, max(rewards)))
+                else:
+                    child = env if last else env.clone()
+                    child.step(actions[role * k])
+                    if role == EXECUTOR:
+                        # the walk binds this answer's quality to each model's
+                        q = pool.qualities
+                        node = expand(child, k * paths,
+                                      {**ceilings, pool.response_id: (min(q), max(q))})
+                    else:
+                        pool, node = None, expand(child, k * paths, ceilings)
+                    entries.append((role * k, rewards, [node] * k, pool,
+                                    max(rewards) + node[0]))
             else:
                 rewards, children = [], []
                 for m in range(k):
                     child = env if last and m == k - 1 else env.clone()
                     reward, _, _ = child.step(actions[role * k + m])
                     rewards.append(reward)
-                    children.append(expand(child, paths))
-                node.append((role * k, rewards, children, None))
-        return node
+                    children.append(expand(child, paths, ceilings))
+                entries.append((role * k, rewards, children, None,
+                                max([r + c[0] for r, c in zip(rewards, children)])))
+            largest = max(largest, max(map(abs, rewards)))
+        return max([e[4] for e in entries]), entries
 
+    tree = expand(base, 1, {})
+    best_actions, best_value = oracle_search(tree, longest, largest)
+    if best_actions is None:
+        raise RuntimeError("oracle found no terminating action sequence")
+    return best_actions, float(best_value)
+
+
+def oracle_search(tree: tuple, longest: int,
+                  largest: float) -> tuple[list[int] | None, float]:
+    """The best action sequence of an `oracle_route` search tree and its
+    value, or (None, -inf) if the tree has no terminal entry.
+
+    A path's value is the left-to-right sum of its rewards. `tree` is the
+    root node, as `expand` builds it; `longest` is the most rewards on a
+    path and `largest` the largest size of a reward a path can collect.
+    Visits paths depth-first in ascending action order, keeps only a strict
+    improvement, and skips an entry, or a child before entering it, when
+    its `top` plus the rounding slack cannot beat the best value found
+    (`oracle_route` derives the slack). A shared executor entry, one with
+    children and a pool, binds its answer (`pool.response_id`) to
+    `pool.qualities[m]` on its m-th child's walk, and a terminal entry with
+    a pool rescores its rewards with `Pool.rebound` at the bound qualities
+    of the answers it reads.
+    """
+    slack = (longest + 3) * longest * largest * 2.0 ** -52
     best_value = -np.inf
     best_actions: list[int] | None = None
     path: list[int] = []
     bound_quality: dict[str, float] = {}  # answer id -> its quality on `path`
     rebound: dict = {}  # (leaf pool id, its reads' bound qualities) -> rewards
 
-    def search(node: list, total: float) -> None:
+    def search(entries: list, total: float) -> None:
         nonlocal best_value, best_actions
-        for first, rewards, children, pool in node:
+        for first, rewards, children, pool, top in entries:
+            if total + top + slack < best_value:
+                continue
             if children is None:
                 if pool is not None:
                     answers = tuple([bound_quality[a] for a in pool.reads])
@@ -273,13 +348,15 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
                         best_actions = path + [first + m]
                 continue
             for m, reward in enumerate(rewards):
+                child_top, child = children[m]
+                sub = total + reward
+                if sub + child_top + slack < best_value:
+                    continue
                 if pool is not None:
                     bound_quality[pool.response_id] = pool.qualities[m]
                 path.append(first + m)
-                search(children[m], total + reward)
+                search(child, sub)
                 path.pop()
 
-    search(expand(base, 1), 0.0)
-    if best_actions is None:
-        raise RuntimeError("oracle found no terminating action sequence")
-    return best_actions, float(best_value)
+    search(tree[1], 0.0)
+    return best_actions, best_value

@@ -26,6 +26,7 @@ from agentroute.backend import (
     mean,
     skill_correlated_embedding,
 )
+from agentroute.config import RunConfig
 from agentroute.memory import ResponseNode
 
 
@@ -232,6 +233,25 @@ def test_make_benchmark_validation():
                 with pytest.raises(ValueError, match="d_hub"):
                     make_benchmark(spec(kind=kind), d_hub=d_hub)
             assert make_benchmark(spec(kind=kind), d_hub=3).d_hub == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("width_profile", [0]), ("width_profile", [2, -1]),
+    ("families", [0, 0]), ("families", ["a", "b", "a"]),
+    ("margin", -5.0), ("margin", -1e-9), ("margin", float("nan")),
+])
+def test_benchmark_config_values_outside_their_domain_name_the_key(key, value):
+    # each was accepted: the env reads a width hint below 1 as 1, a repeated
+    # label adds a family, and a negative margin puts a separable family's
+    # other models above its dominant one
+    cfg = RunConfig.from_dict({"benchmark": {key: value}})
+    with pytest.raises(ValueError, match=f"^{key} "):
+        cfg.make_benchmark()
+
+
+def test_benchmark_config_domain_edges_are_accepted():
+    RunConfig.from_dict({"benchmark": {"width_profile": [1], "families": [0, 1],
+                                       "margin": 0.0}}).make_benchmark()
 
 
 # -- queries -----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from agentroute.baselines import (
     RandomRouter,
     ScriptedPolicy,
     oracle_route,
+    oracle_search,
 )
 from agentroute.env import Action, EnvConfig, RoutingEnv
 from agentroute.memory import EncoderInput
@@ -473,3 +474,123 @@ def test_oracle_matches_the_cloning_oracle_on_small_configs(
         raise
     want_plan, want_value, _, _ = cloning_oracle(cfg, bench, hubs, root)
     assert (plan, value.hex()) == (want_plan, want_value.hex())
+
+
+# -- the oracle's walk against every path ----------------------------------------------
+
+# A tree spec is a list of entries (rewards, None) for a role that ends the
+# episode or (rewards, [one child spec per model]); entry i's model m is
+# action 10 * i + m.
+
+
+def hand_tree(spec) -> tuple:
+    """`spec` as an `oracle_search` node, each entry's top its largest
+    right-to-left reward sum, as `oracle_route` builds it."""
+    entries = []
+    for i, (rewards, children) in enumerate(spec):
+        if children is None:
+            entries.append((10 * i, rewards, None, None, max(rewards)))
+            continue
+        nodes = [hand_tree(child) for child in children]
+        entries.append((10 * i, rewards, nodes, None,
+                        max(r + node[0] for r, node in zip(rewards, nodes))))
+    return max(e[4] for e in entries), entries
+
+
+def every_path(spec, actions=(), total=0.0):
+    """(actions, left-to-right reward sum) of each path, in walk order."""
+    for i, (rewards, children) in enumerate(spec):
+        for m, reward in enumerate(rewards):
+            if children is None:
+                yield list(actions) + [10 * i + m], total + reward
+            else:
+                yield from every_path(children[m], actions + (10 * i + m,), total + reward)
+
+
+def brute_force(spec):
+    best_actions, best_value = None, -np.inf
+    for actions, value in every_path(spec):
+        if value > best_value:
+            best_actions, best_value = actions, value
+    return best_actions, best_value
+
+
+def spec_rewards(spec):
+    for rewards, children in spec:
+        yield from rewards
+        for child in children or ():
+            yield from spec_rewards(child)
+
+
+def walk(spec, longest=None):
+    """`oracle_search` on `spec`, given its longest path unless `longest`."""
+    if longest is None:
+        longest = max(len(actions) for actions, _ in every_path(spec))
+    return oracle_search(hand_tree(spec), longest, max(map(abs, spec_rewards(spec))))
+
+
+def assert_finds_the_best_path(spec):
+    plan, value = walk(spec)
+    want_plan, want_value = brute_force(spec)
+    assert (plan, value.hex()) == (want_plan, want_value.hex())
+
+
+def chain(*rewards):
+    """One path of one-model entries."""
+    spec = [([rewards[-1]], None)]
+    for reward in reversed(rewards[:-1]):
+        spec = [([reward], [spec])]
+    return spec
+
+
+@pytest.mark.parametrize("spec", [
+    # real sums tie at 0.3; float sums 0.30000000000000004, 0.3 and 0.30000000000000004
+    [([0.1], [chain(0.2)]), ([0.3], None), ([0.2], [chain(0.1)])],
+    [([0.3], None), ([0.1], [chain(0.2)]), ([0.2], [chain(0.1)])],
+    [([0.2, 0.1], [chain(0.1), chain(0.2)]), ([0.3, 0.3], None)],
+    # exact ties: the first path in walk order wins
+    [([0.5, 0.5], None), ([0.25], [chain(0.25)])],
+    [([0.25, 0.25], [chain(0.25), chain(0.25)]), ([0.5], None)],
+    [([0.0], [chain(0.0, 0.0)]), ([0.0, 0.0], None)],
+    # a path that ties the incumbent left to right, its top an ulp short
+    [([1.0], None), ([0.1], [[([0.7], None), ([0.2], [chain(0.7)])]])],
+], ids=["ulp-first", "ulp-after-exact", "ulp-per-model", "tie-terminal-first",
+        "tie-chain-first", "tie-zero", "tie-under-short-top"])
+def test_oracle_search_matches_every_path_on_hand_built_trees(spec):
+    assert_finds_the_best_path(spec)
+
+
+def test_oracle_search_slack_covers_a_right_to_left_bound_two_ulps_short():
+    # left to right the chain sums to 0.9000000000000001, one ulp above the
+    # incumbent 0.9; its top, summed right to left, is 0.8999999999999999
+    spec = [([0.9], None), ([0.2], [chain(0.1, 0.3, 0.3)])]
+    top, _ = hand_tree(spec[1:])
+    assert top < 0.9 < 0.2 + 0.1 + 0.3 + 0.3
+    assert walk(spec) == ([10, 0, 0, 0], 0.2 + 0.1 + 0.3 + 0.3)
+    # with no slack (a zero path length) the walk would skip the winner
+    assert walk(spec, longest=0) == ([0], 0.9)
+
+
+REWARD = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 0.7, 1.0, -0.1, -0.3])
+ENTRIES, MODELS, ENDS = st.integers(1, 3), st.integers(1, 2), st.booleans()
+
+
+def draw_spec(draw, depth: int):
+    """A tree spec at most `depth` entries deep below its root."""
+    spec = []
+    for _ in range(draw(ENTRIES)):
+        rewards = [draw(REWARD) for _ in range(draw(MODELS))]
+        if depth == 0 or draw(ENDS):
+            spec.append((rewards, None))
+        else:
+            spec.append((rewards, [draw_spec(draw, depth - 1) for _ in rewards]))
+    return spec
+
+
+tree_specs = st.composite(lambda draw: draw_spec(draw, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=tree_specs())
+def test_oracle_search_matches_every_path_on_small_random_trees(spec):
+    assert_finds_the_best_path(spec)

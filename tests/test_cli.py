@@ -194,6 +194,17 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "bench.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [("width_profile", [0]), ("families", [0, 0]),
+                                        ("margin", -5.0)])
+def test_genbench_refuses_a_value_outside_its_domain(tmp_path, capsys, key, value):
+    bad = write_config(tmp_path, {"benchmark": {key: value}})
+    out = tmp_path / "bench.json"
+    assert main(["genbench", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_corrupt_history_file_is_one_line_error(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(tiny_config),

@@ -7,14 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agentroute.backend import (ALL_ROLES, EXECUTOR, PLANNER, THINKER, VERIFIER,
-                                BenchmarkSpec, final_utility, make_benchmark)
+from agentroute.backend import (ALL_ROLES, EXECUTOR, PLANNER, SUMMARIZER, THINKER,
+                                VERIFIER, BenchmarkSpec, final_utility, make_benchmark)
 from agentroute.baselines import RandomRouter
 from agentroute.env import (
     PHASE1,
     Action,
     EnvConfig,
+    Pool,
     RoutingEnv,
     absorb_episode,
 )
@@ -439,6 +442,35 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
     assert ("executor", False) in ends and shared > 0
     if cfg.max_steps == 3:
         assert {("planner", True), ("executor", True), ("thinker", True)} <= ends
+
+
+quality = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), summarized_done=st.booleans(),
+       mode=st.sampled_from(["continuous", "binary"]), k=st.integers(1, 4))
+def test_pool_rebound_is_non_decreasing_in_each_answer_quality(data, summarized_done,
+                                                               mode, k):
+    """The oracle bounds a leaf that reads bound answers by its rebound at
+    each answer's highest bindable quality, so raising one answer's quality
+    must never lower a model's reward. The leaves that read answers: a done
+    episode's final answer with the sub-answers of a summary, and a truncating
+    non-executor action with the last answer."""
+    if summarized_done:
+        role, n_reads = EXECUTOR, data.draw(st.integers(1, 4))
+    else:
+        role, n_reads = data.draw(st.sampled_from([PLANNER, SUMMARIZER, THINKER])), 1
+    pool = Pool(role, summarized_done, summarized_done, mode, rewards=[0.0] * k,
+                qualities=data.draw(st.lists(quality, min_size=k, max_size=k)),
+                costs=data.draw(st.lists(st.floats(-2.0, 0.0), min_size=k, max_size=k)),
+                reads=tuple(f"r{i}" for i in range(n_reads)), response_id="r9")
+    answers = data.draw(st.lists(quality, min_size=n_reads, max_size=n_reads))
+    i = data.draw(st.integers(0, n_reads - 1))
+    raised = list(answers)
+    raised[i] = data.draw(st.floats(answers[i], 1.0))
+    low, high = pool.rebound(tuple(answers)), pool.rebound(tuple(raised))
+    assert all(a <= b for a, b in zip(low, high)), (answers, raised, low, high)
 
 
 def test_a_verifier_reads_the_quality_of_a_thought():
