@@ -142,9 +142,12 @@ def _call_draws(seed: int, query_id: str, role_index: int, model_name: str,
     if noise_sigma is not None:
         noise_rng = det_rng(seed, "noise", query_id, role.name, model_name)
         noise_term = noise_rng.uniform(-noise_sigma, noise_sigma)
-    tok_rng = det_rng(seed, "tokens", query_id, role.name, model_name)
-    t_in = 1 + int(round(math.exp(role.tokens_in_mu + TOKEN_SIGMA * tok_rng.normal())))
-    t_out = 1 + int(round(math.exp(role.tokens_out_mu + TOKEN_SIGMA * tok_rng.normal())))
+    # the same two standard normals `normal()` twice would draw; its 0.0 +
+    # 1.0 * z turns only a -0.0 into +0.0, which mu + sigma * z hides
+    z_in, z_out = det_rng(seed, "tokens", query_id, role.name,
+                          model_name).standard_normal(2).tolist()
+    t_in = 1 + int(round(math.exp(role.tokens_in_mu + TOKEN_SIGMA * z_in)))
+    t_out = 1 + int(round(math.exp(role.tokens_out_mu + TOKEN_SIGMA * z_out)))
     return noise_term, t_in, t_out
 
 
@@ -213,6 +216,10 @@ class Benchmark:
         return self.profiles[0].embedding.shape[0] + 2
 
     def with_noise(self, flag: bool) -> "Benchmark":
+        """This pool with its noise on or off. A noise-free pool draws no
+        quality noise, so every call's quality is the model's systematic
+        one, and no response noise (`invoke`); its token counts are the
+        noisy pool's."""
         return Benchmark(self.spec, self.profiles, self.family_dirs, self.d_q,
                          self.difficulty, self.noise_sigma, noise=flag)
 
@@ -309,23 +316,27 @@ class Benchmark:
                context: list[ResponseNode], draws: dict | None = None) -> ActionOutcome:
         """Simulate one model call; bitwise deterministic per (seed, inputs).
 
+        The response embedding is (2q - 1) times the query's content, plus
+        hashed response noise that only a noisy pool draws. No reward, mask
+        or episode end reads a response embedding.
+
         `draws`, when given, memoises the call's hashed draws (see
         `_call_draws` and `_response_noise`) across calls; one episode and its
         clones share one. `invoke_pool` reads the same quality and token
-        counts for every model at once, without the response embedding or its
-        noise draw; the oracle scores its terminal and its shared roles with
-        it, one pass per (state, role).
+        counts for every model at once, without the response embedding; the
+        oracle scores its terminal and its shared roles with it, one pass per
+        (state, role).
         """
         if not (0 <= model_index < self.n_models):
             raise ValueError(f"unknown model index: {model_index}")
         [(quality, (_, t_in, t_out))] = self._calls(
             role_index, query, context, draws, (model_index,))
-        noise_vec = _memoised(draws, ("resp", self.seed, query.id, role_index,
-                                      self.profiles[model_index].name, self.d_q),
-                              _response_noise)
-        # (2q - 1) * content_of(query) + noise: the noise is 0 at both
-        # reserved coordinates, so the difficulty slot comes out +0.0 either way
-        emb = (2.0 * quality - 1.0) * query.embedding + noise_vec
+        emb = (2.0 * quality - 1.0) * query.embedding
+        if self.noise:
+            # the noise is 0 at both reserved coordinates, which are set below
+            emb += _memoised(draws, ("resp", self.seed, query.id, role_index,
+                                     self.profiles[model_index].name, self.d_q),
+                             _response_noise)
         emb[0] = 0.0
         emb[1] = 1.0 if role_index == THINKER else 0.0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import EXECUTOR, PLANNER, VERIFIER
-from .env import RoutingEnv
+from .env import Action, RoutingEnv
 from . import fields
 from .memory import HubState, QueryNode
 
@@ -174,11 +174,17 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     """Exhaustive search for the reward-optimal action sequence.
 
     Runs on a noise-free copy of the benchmark so every branch value is the
-    model's systematic quality. Two phases. `expand` builds the search tree
-    from env work: the models of a role that ends the episode are scored in
-    one pool pass per (state, role), with no clone, no step and no response
-    embedding (`RoutingEnv.pool`, or with a verifier `pool_rewards`, which
-    builds no record). The models of a role whose response quality
+    model's systematic quality. That pool draws no quality or response
+    noise, so a query keys one hashed stream per distinct (query, role,
+    model) call it scores or steps, for the token counts, and one per
+    planner step, for the decomposition: 24 and 1 on the oracle-search
+    workload. Nothing outlives the call; the next call draws afresh.
+
+    Two phases. `expand` builds the search tree from env work: the models
+    of a role that ends the episode are scored in one pool pass per (state,
+    role), with no clone, no step and no response embedding
+    (`RoutingEnv.pool`, or with a verifier `pool_rewards`, which builds no
+    record). The models of a role whose response quality
     nothing downstream reads but the terminal utilities get their rewards
     from one such pass and share one child, stepped once with model 0. That
     holds for a planner, and for every role when the pool has no verifier:
@@ -235,7 +241,6 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     # a verifier reads the quality of its context: answers, summaries, thoughts
     binds = cfg.n_roles <= VERIFIER
     shared_roles = set(range(cfg.n_roles)) if binds else {PLANNER}
-    actions = [cfg.action_of(a) for a in range(cfg.n_actions)]
     expanded = 0
     longest, largest = 0, 0.0  # most rewards on a path, largest reward size
 
@@ -278,7 +283,7 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
                     entries.append((role * k, rewards, None, pool, max(rewards)))
                 else:
                     child = env if last else env.clone()
-                    child.step(actions[role * k])
+                    child.step(Action(role, 0))
                     if role == EXECUTOR:
                         # the walk binds this answer's quality to each model's
                         q = pool.qualities
@@ -292,7 +297,7 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
                 rewards, children = [], []
                 for m in range(k):
                     child = env if last and m == k - 1 else env.clone()
-                    reward, _, _ = child.step(actions[role * k + m])
+                    reward, _, _ = child.step(Action(role, m))
                     rewards.append(reward)
                     children.append(expand(child, paths, ceilings))
                 entries.append((role * k, rewards, children, None,

@@ -73,6 +73,12 @@ class RunConfig:
                      for name, defaults in SECTIONS.items()})
         if cfg.setting("benchmark", "kind") not in KINDS:
             raise ValueError(f"unknown benchmark kind: {cfg.benchmark['kind']!r}")
+        families = cfg.setting("benchmark", "families")
+        for i, label in enumerate(families if isinstance(families, list) else ()):
+            # bool subclasses int, but a JSON true/false is no label
+            if isinstance(label, bool) or not isinstance(label, (int, str)):
+                raise ValueError(f"benchmark.families: item {i} must be a JSON "
+                                 f"integer or string, got {json.dumps(label)}")
         return cfg
 
     @classmethod

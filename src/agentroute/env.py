@@ -158,8 +158,11 @@ class Pool(NamedTuple):
     def rebound(self, answers) -> list[float]:
         """`rewards` of calls that end the episode, as if the answers that
         `reads` names had the qualities `answers`."""
-        return [cost + end_utility(self.role, self.done, self.summarized, self.mode,
-                                   quality, answers)
+        role, done, summarized, mode = self.role, self.done, self.summarized, self.mode
+        # the sub-answer mean, once for all models, as `RoutingEnv._rewards`
+        sub_mean = float(mean(answers)) if done and answers else None
+        return [cost + end_utility(role, done, summarized, mode, quality, answers,
+                                   sub_mean)
                 for cost, quality in zip(self.costs, self.qualities)]
 
 

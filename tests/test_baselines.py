@@ -1,5 +1,6 @@
 """Baseline router tests: random, nearest-neighbor replay, exhaustive oracle."""
 
+import dataclasses
 import io
 import json
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from agentroute import backend
 from agentroute.backend import (EXECUTOR, KINDS, PLANNER, SUMMARIZER, THINKER, VERIFIER,
                                BenchmarkSpec, make_benchmark)
 from agentroute.baselines import (
@@ -352,44 +354,62 @@ def cloning_oracle(cfg, benchmark, hubs, root):
     return best[1], float(best[0]), expanded, shared
 
 
-@pytest.mark.parametrize("spec_kw, env_kw, roots, counts, reads", [
-    # the oracle benchmark's configuration: 1,608 of the 1,624 states per
-    # query are a planner, sub-query executor or summarizer model other than
-    # 0 or lie below one; each summarized final answer reads two bound
-    # sub-answers
-    (dict(width_profile=(2,)), dict(n_models=4, n_roles=3, p_max=1, width=2,
-                                    max_steps=16, alpha=0.1), range(4), (1624, 1608),
-     {"done"}),
+# (pool, env) settings of the separable seed-7 pool, k_models = n_models
+ORACLE_CONFIGS = {
+    # the oracle benchmark's configuration
+    "oracle-search": (dict(width_profile=(2,)),
+                      dict(n_models=4, n_roles=3, p_max=1, width=2, max_steps=16,
+                           alpha=0.1)),
     # four roles: a thinker shares its child too
-    (dict(width_profile=(2,)), dict(n_models=2, n_roles=4, p_max=1, width=2,
-                                    max_steps=8, alpha=0.1), range(2), (3374, 3285),
-     {"done"}),
-    # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees;
-    # the verifier reads its context's quality, so only planners share
-    (dict(width_profile=(3,)), dict(n_models=2, n_roles=5, p_max=2, width=3,
-                                    max_steps=6, alpha=0.1), range(2), (13414, 8616),
-     set()),
-    # phase-1 templates: a planner as a state's only role, stepped in place
-    (dict(width_profile=(3,)), dict(n_models=3, n_roles=3, phase="phase1",
-                                    phase_depth=2, phase_width=2, alpha=0.1),
-     range(1), (9840, 9830), {"done"}),
-    # a step cap whose truncated leaves score a bound last answer
-    (dict(width_profile=(3,)), dict(n_models=2, n_roles=4, p_max=2, width=3,
-                                    max_steps=5, alpha=0.05), range(2), (1898, 1766),
-     {"truncated"}),
+    "four-role": (dict(width_profile=(2,)),
+                  dict(n_models=2, n_roles=4, p_max=1, width=2, max_steps=8, alpha=0.1)),
+    # five roles, p_max 2: thinker, verifier, summarizer and depth-2 trees
+    "five-role": (dict(width_profile=(3,)),
+                  dict(n_models=2, n_roles=5, p_max=2, width=3, max_steps=6, alpha=0.1)),
+    # phase-1 templates: a planner as a state's only role
+    "phase1": (dict(width_profile=(3,)),
+               dict(n_models=3, n_roles=3, phase="phase1", phase_depth=2,
+                    phase_width=2, alpha=0.1)),
+    # a step cap at depth
+    "truncating": (dict(width_profile=(3,)),
+                   dict(n_models=2, n_roles=4, p_max=2, width=3, max_steps=5,
+                        alpha=0.05)),
     # binary utility at no cost: ties everywhere, broken by action index
-    (dict(width_profile=(2,)), dict(n_models=3, n_roles=3, p_max=2, width=2,
-                                    max_steps=4, alpha=0.0, utility_mode="binary"),
-     range(2), (429, 408), {"truncated"}),
-], ids=["oracle-search", "four-role", "five-role", "phase1", "truncating", "binary"])
-def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, spec_kw, env_kw,
-                                                           roots, counts, reads):
+    "binary": (dict(width_profile=(2,)),
+               dict(n_models=3, n_roles=3, p_max=2, width=2, max_steps=4, alpha=0.0,
+                    utility_mode="binary")),
+}
+
+
+@lru_cache(maxsize=None)
+def oracle_config(name):
+    """The pool, env config and hubs of one `ORACLE_CONFIGS` entry."""
+    spec_kw, env_kw = ORACLE_CONFIGS[name]
     bench = make_benchmark(
         BenchmarkSpec(kind="separable", families=(0, 1, 2), queries_per_family=300,
                       seed=7, **spec_kw),
         k_models=env_kw["n_models"])
     cfg = EnvConfig(**env_kw)
-    hubs = bench.build_hubs(cfg.n_roles)
+    return bench, cfg, bench.build_hubs(cfg.n_roles)
+
+
+@pytest.mark.parametrize("name, roots, counts, reads", [
+    # 1,608 of the 1,624 states per query are a planner, sub-query executor
+    # or summarizer model other than 0 or lie below one; each summarized
+    # final answer reads two bound sub-answers
+    ("oracle-search", range(4), (1624, 1608), {"done"}),
+    ("four-role", range(2), (3374, 3285), {"done"}),
+    # the verifier reads its context's quality, so only planners share
+    ("five-role", range(2), (13414, 8616), set()),
+    # a planner as a state's only role is stepped in place
+    ("phase1", range(1), (9840, 9830), {"done"}),
+    # truncated leaves score a bound last answer
+    ("truncating", range(2), (1898, 1766), {"truncated"}),
+    ("binary", range(2), (429, 408), {"truncated"}),
+], ids=["oracle-search", "four-role", "five-role", "phase1", "truncating", "binary"])
+def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, name, roots,
+                                                           counts, reads):
+    bench, cfg, hubs = oracle_config(name)
     steps, leaves, scored, bound_reads = [0], [0], Counter(), set()
     memos = []  # keeps each scored state's fact memo, and so its id, alive
     step, pool_rewards, pool = RoutingEnv.step, RoutingEnv.pool_rewards, RoutingEnv.pool
@@ -474,6 +494,71 @@ def test_oracle_matches_the_cloning_oracle_on_small_configs(
         raise
     want_plan, want_value, _, _ = cloning_oracle(cfg, bench, hubs, root)
     assert (plan, value.hex()) == (want_plan, want_value.hex())
+
+
+def test_an_oracle_query_draws_only_the_streams_its_plans_read(monkeypatch):
+    """An oracle-search query keys one token stream per distinct (query,
+    role, model) call and one decomposition stream per planner step, and no
+    noise of any kind: its pool is noise-free. Two calls on one root draw
+    the same streams, so nothing one call draws serves the next."""
+    bench, cfg, hubs = oracle_config("oracle-search")
+    root = bench.eval_query(0)
+    labels, det_rng = Counter(), backend.det_rng
+
+    def counted(*parts):
+        labels[parts[1]] += 1
+        return det_rng(*parts)
+
+    monkeypatch.setattr(backend, "det_rng", counted)
+    calls = []
+    for _ in range(2):
+        labels.clear()
+        calls.append((oracle_route(cfg, bench, hubs, root), dict(labels)))
+    assert calls[0] == calls[1]
+    assert calls[0][1] == {"tokens": 24, "decomp": 1}
+
+
+def with_other_embeddings(bench, rng):
+    """`bench` with every `invoke` outcome's response embedding replaced by
+    a vector drawn from `rng`."""
+    invoke = bench.invoke
+
+    def replaced(*args, **kwargs):
+        out = invoke(*args, **kwargs)
+        return dataclasses.replace(
+            out, response_embedding=rng.normal(size=out.response_embedding.shape))
+
+    bench.invoke = replaced
+    return bench
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["oracle-search", "five-role", "phase1", "truncating"]),
+       query=st.integers(0, 5), noise=st.booleans(), data=st.data())
+def test_no_reward_reads_a_response_embedding(name, query, noise, data):
+    """The premise of the noise-free pool's embeddings, which carry no
+    response noise: an episode whose every response embedding is another
+    vector takes the same masks, rewards, ends and utility, step by step,
+    along random legal action sequences."""
+    bench, cfg, hubs = oracle_config(name)
+    root = bench.eval_query(query)
+    drawn = RoutingEnv(cfg, bench.with_noise(noise), hubs)
+    other = RoutingEnv(cfg, with_other_embeddings(bench.with_noise(noise),
+                                                  np.random.default_rng(query)), hubs)
+    drawn.reset(root)
+    other.reset(root)
+    while not drawn.finished:
+        mask = drawn.legal_mask()
+        assert np.array_equal(mask, other.legal_mask())
+        action = cfg.action_of(data.draw(st.sampled_from(np.flatnonzero(mask).tolist())))
+        (reward, done, info), (o_reward, o_done, o_info) = drawn.step(action), \
+            other.step(action)
+        assert (reward.hex(), done, drawn.truncated, drawn.utility.hex(), info) == \
+            (o_reward.hex(), o_done, other.truncated, other.utility.hex(), o_info)
+    assert other.finished
+    # the replacement reached every response
+    for rid, resp in drawn.workflow.responses.items():
+        assert not np.array_equal(resp.embedding, other.workflow.responses[rid].embedding)
 
 
 # -- the oracle's walk against every path ----------------------------------------------

@@ -205,6 +205,28 @@ def test_genbench_refuses_a_value_outside_its_domain(tmp_path, capsys, key, valu
     assert not out.exists()
 
 
+# a family label is a JSON integer or string; these were accepted as labels
+@pytest.mark.parametrize("labels, index", [
+    ([0, True], 1), ([1.5], 0), ([0.0, 1], 0), (["a", None], 1), ([[0]], 0),
+    ([0, "b", {"a": 1}], 2)])
+def test_family_labels_must_be_integers_or_strings(tmp_path, capsys, labels, index):
+    with pytest.raises(ValueError, match=rf"^benchmark\.families: item {index} "):
+        RunConfig.from_dict({"benchmark": {"families": labels}})
+    # a value of the wrong JSON type is a usage error, as in
+    # test_wrong_json_type_is_usage_error
+    bad = write_config(tmp_path, {"benchmark": {"families": labels}})
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["genbench", "--config", str(bad), "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"benchmark.families: item {index} " in errors[0]
+    assert not out.exists()
+    # integer and string labels, mixed, still build a pool
+    spec = RunConfig.from_dict({"benchmark": {"families": [0, "b", 7]}}).make_spec()
+    assert spec.families == (0, "b", 7)
+
+
 def test_corrupt_history_file_is_one_line_error(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(tiny_config),
