@@ -278,16 +278,13 @@ class Benchmark:
         thinker = sum(1 for c in context if c.produced_by[0] == THINKER)
         return min(0.15, 0.05 * (len(context) - thinker)) + (0.15 if thinker else 0.0)
 
-    def _calls(self, role_index: int, query: QueryNode, context: list[ResponseNode],
-               draws: dict | None, models) -> list[tuple[float, tuple]]:
-        """(quality, hashed draws) of a `role_index` call on `query` with
-        `context` by each model of `models`; the context bonus, the difficulty
-        and the context's quality floor are computed once for all of them.
-        `draws`, when given, memoises the draws (`_call_draws`) across calls."""
+    def _shared(self, role_index: int, query: QueryNode,
+                context: list[ResponseNode]) -> tuple:
+        """What every model's `role_index` call on `query` with `context`
+        shares: the context bonus, the difficulty, the context's quality
+        floor (or None) and whether the call is a verify pass."""
         if not (0 <= role_index < len(ALL_ROLES)):
             raise ValueError(f"unknown role index: {role_index}")
-        bonus = self._context_bonus(context)
-        diff = self.difficulty_of(query)
         # A verify pass returns the best draft, never below the verifier's
         # own level; an executor never answers below a verified draft.
         verify = role_index == VERIFIER and bool(context)
@@ -298,19 +295,35 @@ class Benchmark:
                          if c.produced_by[0] == VERIFIER), default=None)
         else:
             floor = None
-        out = []
-        for m in models:
-            profile = self.profiles[m]
-            drawn = _memoised(draws, ("call", self.seed, query.id, role_index,
-                                      profile.name,
-                                      self.noise_sigma if self.noise else None),
-                              _call_draws)
-            skill = float(profile.skill[role_index, query.family])
-            quality = min(max(skill + bonus - 0.5 * diff + drawn[0], 0.0), 1.0)
-            if floor is not None:
-                quality = max(quality, floor, skill) if verify else max(quality, floor)
-            out.append((quality, drawn))
-        return out
+        return self._context_bonus(context), self.difficulty_of(query), floor, verify
+
+    def _call(self, model_index: int, role_index: int, query: QueryNode,
+              shared: tuple, draws: dict | None) -> tuple[float, int, int]:
+        """(quality, tokens_in, tokens_out) of model `model_index`'s call,
+        given what the calls of its state share (`_shared`); `draws`, when
+        given, memoises the hashed draws (`_call_draws`) across calls."""
+        bonus, diff, floor, verify = shared
+        profile = self.profiles[model_index]
+        noise_term, t_in, t_out = _memoised(
+            draws, ("call", self.seed, query.id, role_index, profile.name,
+                    self.noise_sigma if self.noise else None), _call_draws)
+        skill = float(profile.skill[role_index, query.family])
+        quality = min(max(skill + bonus - 0.5 * diff + noise_term, 0.0), 1.0)
+        if floor is not None:
+            quality = max(quality, floor, skill) if verify else max(quality, floor)
+        return quality, t_in, t_out
+
+    def call(self, model_index: int, role_index: int, query: QueryNode,
+             context: list[ResponseNode],
+             draws: dict | None = None) -> tuple[float, int, int]:
+        """(quality, tokens_in, tokens_out) of one model call: `invoke`
+        without the response embedding, bit for bit, reading the draws
+        through the same memo and key. A planner step, which attaches no
+        response, scores its call with it."""
+        if not (0 <= model_index < self.n_models):
+            raise ValueError(f"unknown model index: {model_index}")
+        return self._call(model_index, role_index, query,
+                          self._shared(role_index, query, context), draws)
 
     def invoke(self, model_index: int, role_index: int, query: QueryNode,
                context: list[ResponseNode], draws: dict | None = None) -> ActionOutcome:
@@ -322,15 +335,12 @@ class Benchmark:
 
         `draws`, when given, memoises the call's hashed draws (see
         `_call_draws` and `_response_noise`) across calls; one episode and its
-        clones share one. `invoke_pool` reads the same quality and token
-        counts for every model at once, without the response embedding; the
-        oracle scores its terminal and its shared roles with it, one pass per
-        (state, role).
+        clones share one. `call` reads the same quality and token counts
+        without the response embedding, and `invoke_pool` reads them for
+        every model at once: the oracle scores its terminal and its shared
+        roles with one pool pass per (state, role).
         """
-        if not (0 <= model_index < self.n_models):
-            raise ValueError(f"unknown model index: {model_index}")
-        [(quality, (_, t_in, t_out))] = self._calls(
-            role_index, query, context, draws, (model_index,))
+        quality, t_in, t_out = self.call(model_index, role_index, query, context, draws)
         emb = (2.0 * quality - 1.0) * query.embedding
         if self.noise:
             # the noise is 0 at both reserved coordinates, which are set below
@@ -346,12 +356,11 @@ class Benchmark:
     def invoke_pool(self, role_index: int, query: QueryNode,
                     context: list[ResponseNode],
                     draws: dict | None = None) -> list[tuple[float, int, int]]:
-        """(quality, tokens_in, tokens_out) of `invoke(m, role_index, query,
-        context, draws)` for every model m of the pool, bit for bit, in one
-        pass that reads the draws through the same memo and key and builds no
-        response embedding."""
-        return [(quality, drawn[1], drawn[2]) for quality, drawn
-                in self._calls(role_index, query, context, draws, range(self.n_models))]
+        """`call(m, role_index, query, context, draws)` for every model m of
+        the pool, bit for bit, with what the calls share computed once."""
+        shared = self._shared(role_index, query, context)
+        return [self._call(m, role_index, query, shared, draws)
+                for m in range(self.n_models)]
 
     def decompose(self, query: QueryNode, width: int) -> list[QueryNode]:
         """Split a query into exactly `width` easier children."""

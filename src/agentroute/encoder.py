@@ -15,12 +15,12 @@ per-type projections.
 
 `RoutingPolicy` is the encoder and the head, on plain float64 arrays: what
 depends only on the weights and the history snapshot is computed once per
-snapshot, `forward` runs the rest on N decision points (one for rollouts and
-evaluation, a whole window for the PPO update), and `backward` maps the
-update's loss gradients back to the weights by hand. The test suite keeps a
-reverse-mode tape version of the same encoder (`tests/tape.py`) and pins both
-passes to it bit for bit; gradient checks compare `backward` with finite
-differences.
+snapshot, `forward` runs the rest on a whole window of decision points for
+the PPO update, `act` on the one point of a rollout or evaluation step, and
+`backward` maps the update's loss gradients back to the weights by hand. The
+test suite keeps a reverse-mode tape version of the same encoder
+(`tests/tape.py`) and pins both passes to it bit for bit; gradient checks
+compare `backward` with finite differences.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def init_params(dims: EncoderDims, variant: str = "full", seed: int = 0,
 
 def _stack(parts: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
     """Stack per-graph sums; None (no such node) stacks as zeros, all-None as None."""
-    if len(parts) == 1:
-        return None if parts[0] is None else parts[0][None]
     present = [p for p in parts if p is not None]
     if not present:
         return None
@@ -130,6 +128,27 @@ def _messages(graphs: list[EncoderInput | HubState],
     if any(g.n_hubs != H for g in [*graphs, shared] if g is not None):
         raise ValueError("hub sets differ between the graphs being encoded")
     return (None, ()) if beta == 0.0 else _mean_messages(graphs, shared, beta)
+
+
+def _graph_messages(graph: EncoderInput | HubState,
+                    shared: EncoderInput | HubState | None, beta: float,
+                    H: int) -> Messages:
+    """`_messages` of one graph, built straight from its hub sums without
+    stacking them: the same (H, d) means, bit for bit."""
+    if graph.n_hubs != H or (shared is not None and shared.n_hubs != H):
+        raise ValueError("hub sets differ between the graphs being encoded")
+    if beta == 0.0:
+        return None, ()
+    deg, q_sum, r_sum = graph.hub_sums
+    if shared is not None:
+        deg, q_sum, r_sum = [b if s is None else s if b is None else s + b
+                             for s, b in zip(graph.hub_sums, shared.hub_sums)]
+    kinds = (q_sum is not None, r_sum is not None)
+    if not any(kinds):
+        return None, kinds
+    means = np.concatenate([s for s in (q_sum, r_sum) if s is not None], axis=1)
+    means *= (beta / np.maximum(deg, 1.0))[:, None]
+    return means, kinds
 
 
 def _message_weights(W_q: np.ndarray, W_r: np.ndarray) -> dict:
@@ -183,9 +202,10 @@ class RoutingPolicy:
     computes what depends only on the workflow states, and `forward` runs the
     rest on N decision points with the numpy ops of the tape encoder the tests
     keep, in the same order and on the same shapes, so its probabilities and
-    values are the tape's bit for bit. `act` is `forward` on one point; the
-    PPO update runs it on a whole window and maps the loss gradients back to
-    the weights with `backward`.
+    values are the tape's bit for bit. The PPO update runs `forward` on a
+    whole window and maps the loss gradients back to the weights with
+    `backward`; `act` takes one decision with its own one-point pass, which
+    shares `forward`'s heads and gives its bits.
     """
 
     def __init__(self, params: dict[str, np.ndarray], variant: str = "full",
@@ -207,8 +227,8 @@ class RoutingPolicy:
         w = self.params
         if self.variant == "full":
             feats = hist_input.hub_feats
-            self._his_messages = _messages([hist_input], None, self.beta,
-                                           feats.shape[0])
+            self._his_messages = _graph_messages(hist_input, None, self.beta,
+                                                 feats.shape[0])
             his = _hub_rows(feats @ w["his.W_m"], self._his_messages,
                             _message_weights(w["his.W_q"], w["his.W_r"]), 1)
             self._hubs = his[0]
@@ -232,10 +252,16 @@ class RoutingPolicy:
         """Masked action distributions (N, R*K) and values (N,) of N decision
         points under the prepared snapshot: row i scores the i-th workflow of
         `messages` against queries[i] under masks[i]."""
+        rows = _hub_rows(self._base, messages, self._weights, queries.shape[0])
+        probs, values, fused, norm, z, feat, hidden = self._head(rows, queries, masks)
+        return Forward(probs, values, messages, queries, rows, fused, norm, z,
+                       feat, hidden)
+
+    def _head(self, rows: np.ndarray, queries: np.ndarray, masks: np.ndarray):
+        """The policy and value heads on N points' (N, H, hidden) hub rows:
+        (probs, values) and the intermediates `Forward` keeps for `backward`."""
         w = self.params
-        N = queries.shape[0]
-        rows = _hub_rows(self._base, messages, self._weights, N)
-        _, H, h = rows.shape
+        N, H, h = rows.shape
         # the fused query: row-normalized, then relu
         fused = queries @ w["fuse.W"]
         norm = np.sqrt((fused * fused).sum(axis=1, keepdims=True))
@@ -253,8 +279,7 @@ class RoutingPolicy:
         hidden = feat @ w["value.W1"] + w["value.b1"]
         hidden = hidden * (hidden > 0.0)
         values = (hidden @ w["value.W2"] + w["value.b2"]).reshape(N)
-        return Forward(probs, values, messages, queries, rows, fused, norm, z,
-                       feat, hidden)
+        return probs, values, fused, norm, z, feat, hidden
 
     def backward(self, fwd: Forward, g_probs: np.ndarray,
                  g_values: np.ndarray) -> dict[str, np.ndarray | None]:
@@ -332,15 +357,29 @@ class RoutingPolicy:
 
     def act(self, wf_input: EncoderInput | HubState, query_embedding: np.ndarray,
             mask: np.ndarray, mode: str = "sample",
-            rng: np.random.Generator | None = None):
-        fwd = self.forward(self.messages([wf_input]),
-                           np.asarray(query_embedding, dtype=np.float64)[None, :],
-                           np.asarray(mask, dtype=bool)[None, :])
-        probs = fwd.probs[0]
+            rng: np.random.Generator | None = None) -> tuple[int, float]:
+        """One decision: (action index, value) of `forward` on this one point,
+        bit for bit, the action greedy or sampled from its distribution.
+
+        The one-point pass of sequential episodes: it builds the workflow's
+        (H, d_q + d_r) mean messages straight from its hub sums (plus the
+        history's in a merged variant) with `_graph_messages`, and runs
+        `forward`'s ops on `forward`'s shapes, without the record `backward`
+        reads."""
+        if self.hist_input is None:
+            raise RuntimeError("call prepare() with a history snapshot first")
+        shared = None if self.variant == "full" else self.hist_input
+        base = self._base
+        means, kinds = _graph_messages(wf_input, shared, self.beta, base.shape[0])
+        rows = base if means is None else base + means @ self._weights[kinds]
+        probs, values = self._head(
+            rows[None], np.asarray(query_embedding, dtype=np.float64)[None, :],
+            np.asarray(mask, dtype=bool)[None, :])[:2]
+        probs = probs[0]
         if mode == "greedy":
             idx = int(probs.argmax())
         else:
             if rng is None:
                 raise ValueError("sampling mode needs an rng stream")
             idx = int(rng.choice(probs.shape[0], p=probs))
-        return idx, float(fwd.values[0])
+        return idx, float(values[0])

@@ -9,6 +9,7 @@ r_t = -alpha * C_t with the task utility added on the terminal step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,16 +58,16 @@ class EnvConfig:
             raise ValueError("width must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= self.alpha < math.inf:  # written so that NaN fails too
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         if self.phase not in (PHASE1, PHASE2):
             raise ValueError(f"unknown phase: {self.phase!r}")
         if self.phase == PHASE1 and (self.phase_depth < 0 or self.phase_width < 1):
             raise ValueError("phase1 needs depth >= 0 and width >= 1")
         if self.utility_mode not in ("continuous", "binary"):
             raise ValueError(f"unknown utility mode: {self.utility_mode!r}")
-        if self.cost_scale <= 0:
-            raise ValueError("cost_scale must be positive")
+        if not 0 < self.cost_scale < math.inf:  # written so that NaN fails too
+            raise ValueError(f"cost_scale must be finite and positive, got {self.cost_scale}")
 
     @property
     def n_actions(self) -> int:
@@ -305,8 +306,7 @@ class RoutingEnv:
 
     def _compute_mask(self) -> np.ndarray:
         cfg = self.cfg
-        mask = np.zeros(cfg.n_actions, dtype=bool)
-        roles = mask.reshape(cfg.n_roles, cfg.n_models)  # a view: one row per role
+        roles = [False] * cfg.n_roles  # per role, whether its models are allowed
         if cfg.phase == PHASE1:
             roles[self._template_role()] = True
         else:
@@ -322,11 +322,11 @@ class RoutingEnv:
                     # child answers are an executor's (`_compute_answers`), so
                     # any thinker or verifier response in the context is attached
                     context = self._fact("context")
-                    if not any(r.produced_by[0] == THINKER for r in context):
-                        roles[THINKER] = True
-                    if cfg.n_roles > VERIFIER and context and \
-                            not any(r.produced_by[0] == VERIFIER for r in context):
-                        roles[VERIFIER] = True
+                    drafted = {r.produced_by[0] for r in context}
+                    roles[THINKER] = THINKER not in drafted
+                    if cfg.n_roles > VERIFIER:
+                        roles[VERIFIER] = bool(context) and VERIFIER not in drafted
+        mask = np.array(roles).repeat(cfg.n_models)
         mask.flags.writeable = False
         return mask
 
@@ -374,31 +374,34 @@ class RoutingEnv:
             return self._fact("subs") if self.current.is_summary else ()
         return () if role == EXECUTOR else self._last_answer
 
+    def _end_terms(self, role: int, done: bool) -> tuple:
+        """What the utility of a `role` call that ends the episode from this
+        state reads besides the call's quality: the qualities of the answers
+        it reads (`_reads`) and, when done, their mean (None without any)."""
+        reads = self._reads(role, done)
+        answers = [r.quality for r in reads] if reads else ()
+        return answers, float(mean(answers)) if done and answers else None
+
     def _rewards(self, role: int, done: bool, truncated: bool,
-                 results, models) -> list[tuple[float, float, float, float | None]]:
-        """(dollars, scaled cost, reward, utility) of each `role` call
-        from this state, one per model and its call's (quality, tokens_in,
-        tokens_out); the utility is None unless the action ends the episode.
-        Reads the state's facts and writes nothing."""
+                 results) -> list[tuple[float, float, float]]:
+        """(dollars, scaled cost, reward) of each model's `role` call from
+        this state, given per model its call's (quality, tokens_in,
+        tokens_out); `step` pays the same for one model. Reads the state's
+        facts and writes nothing."""
         profiles, cfg = self.benchmark.profiles, self.cfg
         scale, neg_alpha = cfg.cost_scale, -cfg.alpha
-        ending = done or truncated
-        if ending:
-            reads = self._reads(role, done)
-            answers = [r.quality for r in reads] if reads else ()
-            sub_mean = float(mean(answers)) if done and answers else None
+        if done or truncated:
+            answers, sub_mean = self._end_terms(role, done)
             summarized, mode = self.summary_used, cfg.utility_mode
         out = []
-        for (quality, tokens_in, tokens_out), model in zip(results, models):
-            dollars = cost_of(tokens_in, tokens_out, profiles[model])
+        for (quality, tokens_in, tokens_out), profile in zip(results, profiles):
+            dollars = cost_of(tokens_in, tokens_out, profile)
             scaled = dollars * scale
             reward = neg_alpha * scaled
-            if ending:
-                utility = end_utility(role, done, summarized, mode, quality, answers,
+            if done or truncated:
+                reward += end_utility(role, done, summarized, mode, quality, answers,
                                       sub_mean)
-                out.append((dollars, scaled, reward + utility, utility))
-            else:
-                out.append((dollars, scaled, reward, None))
+            out.append((dollars, scaled, reward))
         return out
 
     def pool_rewards(self, role: int) -> list[float]:
@@ -411,8 +414,7 @@ class RoutingEnv:
         done, truncated = self.ends(role)
         results = self.benchmark.invoke_pool(role, self.current,
                                              self._context(role), self._draws)
-        return [r[2] for r in self._rewards(role, done, truncated, results,
-                                            range(self.cfg.n_models))]
+        return [r[2] for r in self._rewards(role, done, truncated, results)]
 
     def pool(self, role: int) -> Pool:
         """`pool_rewards` with what rescoring the pool under other answer
@@ -424,8 +426,7 @@ class RoutingEnv:
         done, truncated = self.ends(role)
         results = self.benchmark.invoke_pool(role, self.current,
                                              self._context(role), self._draws)
-        scored = self._rewards(role, done, truncated, results,
-                               range(self.cfg.n_models))
+        scored = self._rewards(role, done, truncated, results)
         reads = self._reads(role, done) if done or truncated else ()
         neg_alpha = -self.cfg.alpha
         return Pool(role, done, self.summary_used, self.cfg.utility_mode,
@@ -439,16 +440,28 @@ class RoutingEnv:
 
     def step(self, action: Action) -> tuple[float, bool, dict]:
         """Apply one (role, model) action; returns (reward, done, info)."""
-        self._check(action.role, action.model)
-        bench, cfg, wf, cur = self.benchmark, self.cfg, self.workflow, self.current
-        role = action.role
+        role, model = action.role, action.model
+        self._check(role, model)
+        bench, cfg, wf = self.benchmark, self.cfg, self.workflow
+        cur = wf.queries[self.current_id]
         done, truncated = self._ends(role)
         # What the action reads of the state before it comes from the memo
         # that clones share; the state after it starts a memo of its own.
-        outcome = bench.invoke(action.model, role, cur, self._context(role), self._draws)
-        [(dollars, scaled, reward, utility)] = self._rewards(
-            role, done, truncated,
-            [(outcome.quality, outcome.tokens_in, outcome.tokens_out)], [action.model])
+        if role == PLANNER:  # attaches no response, so draws no embedding
+            quality, tokens_in, tokens_out = bench.call(model, role, cur, (), self._draws)
+        else:
+            outcome = bench.invoke(model, role, cur, self._context(role), self._draws)
+            quality, tokens_in, tokens_out = (outcome.quality, outcome.tokens_in,
+                                              outcome.tokens_out)
+        # `_rewards`'s arithmetic, on this one call
+        dollars = cost_of(tokens_in, tokens_out, bench.profiles[model])
+        scaled = dollars * cfg.cost_scale
+        reward = -cfg.alpha * scaled
+        utility = None
+        if done or truncated:
+            utility = end_utility(role, done, self.summary_used, cfg.utility_mode,
+                                  quality, *self._end_terms(role, done))
+            reward += utility
         if role == SUMMARIZER:
             sq = self._fact("summary")
         self._facts = {}
@@ -467,10 +480,8 @@ class RoutingEnv:
             # attaches to the current query
             resp = ResponseNode(id=self._response_id(),
                                 embedding=outcome.response_embedding,
-                                produced_by=(role, action.model),
-                                tokens_in=outcome.tokens_in,
-                                tokens_out=outcome.tokens_out,
-                                quality=outcome.quality)
+                                produced_by=(role, model), tokens_in=tokens_in,
+                                tokens_out=tokens_out, quality=quality)
             memory.attach_response(wf, cur.id, resp, answers=role == EXECUTOR)
         if role == EXECUTOR:
             self._last_answer = (resp,)
@@ -493,12 +504,12 @@ class RoutingEnv:
 
         info = {
             "role": role,
-            "model": action.model,
-            "quality": None if role == PLANNER else outcome.quality,
+            "model": model,
+            "quality": None if role == PLANNER else quality,
             "dollars": dollars,
             "scaled_cost": scaled,
-            "tokens_in": outcome.tokens_in,
-            "tokens_out": outcome.tokens_out,
+            "tokens_in": tokens_in,
+            "tokens_out": tokens_out,
             "node_id": cur.id,
         }
         return reward, self.finished, info
@@ -525,11 +536,11 @@ class RoutingEnv:
             wf_input, q_emb = self.snapshot()
             mask = self.legal_mask()
             action_index, value = policy.act(wf_input, q_emb, mask, mode, rng)
-            reward, _, info = self.step(self.cfg.action_of(int(action_index)))
-            records.append(StepRecord(
-                wf_input=wf_input, query_embedding=q_emb, mask=mask,
-                action_index=int(action_index), value=float(value),
-                reward=reward, **info))
+            action_index = int(action_index)
+            reward, _, info = self.step(self.cfg.action_of(action_index))
+            # info lists StepRecord's remaining fields in order
+            records.append(StepRecord(wf_input, q_emb, mask, action_index,
+                                      float(value), reward, *info.values()))
         return Episode(records=records, utility=self.utility,
                        truncated=self.truncated, family=root.family,
                        workflow=self.workflow)

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -192,6 +193,31 @@ def test_invalid_env_value_is_runtime_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: catalog entry 0") and err.count("\n") == 1
     assert not (tmp_path / "bench.json").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "cost_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_alpha_or_cost_scale_is_refused_before_training(
+        tmp_path, capsys, key, value):
+    # NaN passed both checks, and Infinity the alpha one: train wrote
+    # config.json, then stopped at a non-finite loss
+    obj = {**TINY, "env": {**TINY["env"], key: value}}
+    with pytest.raises(ValueError, match=f"^{key} "):
+        RunConfig.from_dict(obj).make_env_cfg()
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path, obj)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["agentroute", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("agentroute", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: agentroute ")
 
 
 @pytest.mark.parametrize("key, value", [("width_profile", [0]), ("families", [0, 0]),

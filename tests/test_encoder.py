@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tape as T
 from agentroute import tensor
-from agentroute.backend import BenchmarkSpec, make_benchmark
+from agentroute.backend import ALL_ROLES, BenchmarkSpec, make_benchmark
 from agentroute.encoder import VARIANTS, EncoderDims, RoutingPolicy, init_params
 from agentroute.env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from agentroute.memory import EncoderInput, HeteroGraph, new_workflow
@@ -498,12 +498,24 @@ def test_policy_greedy_is_argmax_and_deterministic():
     assert value == float(values.data[0])
 
 
-def env_point(rng, n_hist, steps):
-    """A history after `n_hist` random episodes, and the workflow state and
-    query after `steps` random steps of a fresh episode (its root when 0)."""
-    bench = small_bench()
-    env_cfg = EnvConfig(n_models=2, n_roles=3, p_max=1)
-    hubs = bench.build_hubs(3)
+# the env pools `env_point` draws from: (EnvConfig keywords, benchmark width
+# profile); the five-role one is multistep-readonly's action space on two
+# models, so thinker and verifier responses, second-level children and
+# summary queries reach the encoder
+ENV_POOLS = {"three-role": (dict(n_roles=3, p_max=1), (1,)),
+             "five-role": (dict(n_roles=5, p_max=2, width=3), (3,))}
+
+
+def env_walk(rng, pool, n_hist, steps):
+    """A history after `n_hist` random episodes on the pool named `pool`,
+    and the env after `steps` random steps of a fresh episode (at its root
+    when 0)."""
+    cfg_kw, widths = ENV_POOLS[pool]
+    bench = make_benchmark(
+        BenchmarkSpec(kind="uniform", families=("a", "b"), queries_per_family=4,
+                      width_profile=widths, seed=5), k_models=2)
+    env_cfg = EnvConfig(n_models=2, **cfg_kw)
+    hubs = bench.build_hubs(env_cfg.n_roles)
     hist = HeteroGraph("history", hubs, capacity=64)
 
     def walk(query, n):
@@ -520,23 +532,44 @@ def env_point(rng, n_hist, steps):
         env = walk(bench.train_query(i), 16)
         absorb_episode(hist, Episode(records=[], utility=0.0, truncated=False,
                                      family=0, workflow=env.workflow))
-    env = walk(bench.eval_query(int(rng.integers(0, 8))), steps)
+    return hist, walk(bench.eval_query(int(rng.integers(0, 8))), steps)
+
+
+def env_point(rng, pool, n_hist, steps):
+    """`env_walk`'s history state, and its episode's workflow state and query."""
+    hist, env = env_walk(rng, pool, n_hist, steps)
     wf, q = env.snapshot()
     return hist.hub_state(), wf, q
 
 
-@settings(max_examples=150, deadline=None)
+def test_the_five_role_env_points_reach_every_node_kind():
+    """Random walks of the five-role pool reach thinker and verifier
+    responses, second-level children and summary queries."""
+    seen = set()
+    for seed in range(40):
+        _, env = env_walk(np.random.default_rng(seed), "five-role", 0, 12)
+        wf = env.workflow
+        seen |= {ALL_ROLES[r.produced_by[0]].name for r in wf.responses.values()}
+        seen |= {f"depth {q.depth}" for q in wf.queries.values()}
+        seen |= {"summary" for q in wf.queries.values() if q.is_summary}
+    assert {"thinker", "verifier", "summarizer", "depth 2", "summary"} <= seen
+
+
+@settings(max_examples=225, deadline=None)
 @given(st.sampled_from(VARIANTS), st.sampled_from([0.0, 1.0]),
-       st.sampled_from(["env", "random"]), st.integers(0, 3), st.integers(0, 6),
+       st.sampled_from([*ENV_POOLS, "random"]), st.integers(0, 3), st.integers(0, 6),
        st.sampled_from(["greedy", "sample"]), st.integers(0, 2**32 - 1))
 def test_act_is_the_tape_forward_bit_for_bit(variant, beta, source, n_hist, steps,
                                              mode, seed):
     """`act` gives the tape `encoder`'s probabilities and value on one point,
-    bit for bit, and the action greedy or sampled decoding of those takes."""
+    bit for bit, and the action greedy or sampled decoding of those takes;
+    like `forward`, it refuses a mask that allows nothing."""
     rng = np.random.default_rng(seed)
-    if source == "env":
+    if source in ENV_POOLS:
         dims = DIMS
-        hist, wf, q = env_point(rng, n_hist, steps)
+        # five-role episodes run longer: walk twice as far into them
+        hist, wf, q = env_point(rng, source, n_hist,
+                                2 * steps if source == "five-role" else steps)
     else:  # arbitrary edges: hubs with no edge, responses with no query
         dims = EncoderDims(d_q=4, d_r=4, d_hub=4, hidden=3)
         hist = random_input(rng, 4, 6, n_hist, int(rng.integers(0, 3)),
@@ -567,6 +600,11 @@ def test_act_is_the_tape_forward_bit_for_bit(variant, beta, source, n_hist, step
     p = probs.data[0]
     assert idx == (int(np.argmax(p)) if mode == "greedy" else
                    int(np.random.default_rng(seed).choice(p.shape[0], p=p)))
+    nothing = np.zeros_like(mask)
+    with pytest.raises(ValueError):
+        policy.forward(policy.messages([wf]), q[None, :], nothing[None, :])
+    with pytest.raises(ValueError):
+        policy.act(wf, q, nothing, mode, np.random.default_rng(seed))
 
 
 def test_policy_sampling_needs_rng():

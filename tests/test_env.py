@@ -19,6 +19,7 @@ from agentroute.env import (
     EnvConfig,
     Pool,
     RoutingEnv,
+    StepRecord,
     absorb_episode,
 )
 from agentroute.memory import HeteroGraph, STATUS_PENDING, STATUS_RESOLVED, serialize
@@ -496,9 +497,11 @@ def test_a_verifier_reads_the_quality_of_a_thought():
 def test_every_step_calls_the_simulator_once_and_numbers_its_response(monkeypatch):
     env, bench = make_env(n_roles=5, p_max=1, width=2)
     calls = []
-    invoke = bench.invoke
-    monkeypatch.setattr(bench, "invoke",
-                        lambda *a, **kw: calls.append(a[1]) or invoke(*a, **kw))
+    # `call` scores one model call: a planner step calls it alone, and every
+    # other step through `invoke`, which adds the response embedding
+    call = bench.call
+    monkeypatch.setattr(bench, "call",
+                        lambda *a, **kw: calls.append(a[1]) or call(*a, **kw))
     env.reset(bench.generate_query(0, 0))
     # plan, answer c0, think and verify on c1, answer it, summarize, answer
     for a in (Action(0, 0), Action(1, 0), Action(3, 1), Action(4, 0),
@@ -509,6 +512,46 @@ def test_every_step_calls_the_simulator_once_and_numbers_its_response(monkeypatc
     assert list(env.workflow.responses) == [f"r{i}" for i in range(6)]
     root = env.workflow.queries[env.root_id]
     assert root.status == STATUS_RESOLVED and env.summary_used
+
+
+def test_a_planner_step_keys_no_response_stream(monkeypatch):
+    """A planner step attaches no response, so on a noisy pool it keys its
+    call's noise and token streams and its decomposition, but no response
+    noise; an executor step keys all three of its call's streams."""
+    from agentroute import backend
+    env, bench = make_env(p_max=1, width=2)
+    assert bench.noise
+    env.reset(bench.generate_query(0, 0))
+    labels, det_rng = [], backend.det_rng
+
+    def counted(*parts):
+        labels.append(parts[1])
+        return det_rng(*parts)
+
+    monkeypatch.setattr(backend, "det_rng", counted)
+    env.step(Action(PLANNER, 1))
+    assert sorted(labels) == ["decomp", "noise", "tokens"]
+    labels.clear()
+    env.step(Action(EXECUTOR, 0))
+    assert sorted(labels) == ["noise", "resp", "tokens"]
+
+
+def test_step_info_lists_the_step_record_fields_in_order():
+    """`run_episode` fills a record's bookkeeping from `step`'s info by
+    position."""
+    env, bench = make_env(p_max=1)
+    env.reset(bench.generate_query(0, 0))
+    _, _, info = env.step(Action(EXECUTOR, 0))
+    names = [f.name for f in dataclasses.fields(StepRecord)]
+    assert list(info) == names[names.index("role"):]
+
+
+def test_config_rejects_a_non_finite_alpha_or_cost_scale():
+    for key in ("alpha", "cost_scale"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                EnvConfig(n_models=K, **{key: value})
+    EnvConfig(n_models=K, alpha=1e300, cost_scale=1e-300)  # large and small are fine
 
 
 # -- cloning and reset hygiene ----------------------------------------------------------
