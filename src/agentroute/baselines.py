@@ -183,8 +183,7 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
     Two phases. `expand` builds the search tree from env work: the models
     of a role that ends the episode are scored in one pool pass per (state,
     role), with no clone, no step and no response embedding
-    (`RoutingEnv.pool`, or with a verifier `pool_rewards`, which builds no
-    record). The models of a role whose response quality
+    (`RoutingEnv.pool`). The models of a role whose response quality
     nothing downstream reads but the terminal utilities get their rewards
     from one such pass and share one child, stepped once with model 0. That
     holds for a planner, and for every role when the pool has no verifier:
@@ -267,11 +266,11 @@ def oracle_route(cfg, benchmark, hubs, root: QueryNode,
             last = role == roles[-1]
             ends = any(env.ends(role))
             if ends or role in shared_roles:
-                # only without a verifier can a leaf read a bound answer
-                pool = env.pool(role) if binds else None
-                rewards = pool.rewards if binds else env.pool_rewards(role)
+                pool = env.pool(role)
+                rewards = pool.rewards
                 if ends:
                     longest = max(longest, env.step_count + 1)
+                    # only without a verifier can a leaf read a bound answer
                     if binds and pool.reads:
                         # the walk rescores this leaf per binding; its entry
                         # holds the rewards at the highest bindable qualities

@@ -88,61 +88,24 @@ def init_params(dims: EncoderDims, variant: str = "full", seed: int = 0,
     return params
 
 
-def _stack(parts: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
-    """Stack per-graph sums; None (no such node) stacks as zeros, all-None as None."""
-    present = [p for p in parts if p is not None]
-    if not present:
-        return None
-    if len(present) < len(parts):
-        zero = np.zeros_like(present[0])
-        parts = [zero if p is None else p for p in parts]
-    return np.stack(parts)
-
-
-def _mean_messages(graphs: list[EncoderInput | HubState],
-                   shared: EncoderInput | HubState | None,
-                   beta: float) -> tuple[np.ndarray | None, tuple[bool, bool]]:
-    """(N*H, d) beta-scaled means of the raw features over each hub's incoming
-    edges in N graphs (`shared`'s sums add to each graph's), and which of
-    (queries, responses) they stack, in that order; None when no graph has
-    either kind of node."""
-    N, H = len(graphs), graphs[0].n_hubs
-    sums = [_stack(parts) for parts in zip(*(g.hub_sums for g in graphs))]
-    if shared is not None:
-        sums = [b if s is None else s if b is None else s + b
-                for s, b in zip(sums, shared.hub_sums)]
-    deg, q_sum, r_sum = sums
-    kinds = (q_sum is not None, r_sum is not None)
-    if not any(kinds):
-        return None, kinds
-    means = np.concatenate([np.broadcast_to(s, (N,) + s.shape) if s.ndim == 2
-                            else s for s in (q_sum, r_sum) if s is not None], axis=2)
-    means *= (beta / np.maximum(deg, 1.0))[:, :, None]
-    return means.reshape(N * H, -1), kinds
-
-
-def _messages(graphs: list[EncoderInput | HubState],
-              shared: EncoderInput | HubState | None, beta: float,
-              H: int) -> Messages:
-    """`_mean_messages` of graphs that must all have H hubs; none at beta = 0."""
-    if any(g.n_hubs != H for g in [*graphs, shared] if g is not None):
-        raise ValueError("hub sets differ between the graphs being encoded")
-    return (None, ()) if beta == 0.0 else _mean_messages(graphs, shared, beta)
-
-
 def _graph_messages(graph: EncoderInput | HubState,
-                    shared: EncoderInput | HubState | None, beta: float,
-                    H: int) -> Messages:
-    """`_messages` of one graph, built straight from its hub sums without
-    stacking them: the same (H, d) means, bit for bit."""
+                    shared: EncoderInput | HubState | None, beta: float, H: int,
+                    fill: tuple[np.ndarray | None, ...] = (None, None)) -> Messages:
+    """(H, d) beta-scaled means of the raw features over each hub's incoming
+    edges of one graph that must have H hubs (`shared`'s sums add to its
+    own), and which of (queries, responses) they stack, in that order; None
+    when neither kind is there, and (None, ()) at beta = 0. `fill` holds the
+    sums to take for a kind the graph lacks."""
     if graph.n_hubs != H or (shared is not None and shared.n_hubs != H):
         raise ValueError("hub sets differ between the graphs being encoded")
     if beta == 0.0:
         return None, ()
     deg, q_sum, r_sum = graph.hub_sums
+    q_sum = fill[0] if q_sum is None else q_sum
+    r_sum = fill[1] if r_sum is None else r_sum
     if shared is not None:
         deg, q_sum, r_sum = [b if s is None else s if b is None else s + b
-                             for s, b in zip(graph.hub_sums, shared.hub_sums)]
+                             for s, b in zip((deg, q_sum, r_sum), shared.hub_sums)]
     kinds = (q_sum is not None, r_sum is not None)
     if not any(kinds):
         return None, kinds
@@ -162,7 +125,7 @@ def _hub_rows(base: np.ndarray, messages: Messages, weights: dict,
               n: int) -> np.ndarray:
     """(n, H, hidden) hub rows of n graphs after one residual mean-message
     round, from the projected hub rows `base` = hubs @ W_m, the graphs'
-    `_messages` and `_message_weights`: base plus the messages times
+    `messages` and `_message_weights`: base plus the messages times
     [W_q; W_r]. Every graph starts from the same hub rows, and hubs without
     edges keep them."""
     means, kinds = messages
@@ -239,13 +202,22 @@ class RoutingPolicy:
         self.hist_input = hist_input
 
     def messages(self, wf_inputs: list[EncoderInput | HubState]) -> Messages:
-        """The mean messages into the workflow hubs of N decision points (over
-        the history's edges too in a merged variant); they depend on no
-        weight."""
+        """The (N*H, d) mean messages into the workflow hubs of N decision
+        points (over the history's edges too in a merged variant); they
+        depend on no weight. Each point's `_graph_messages`, stacked: a point
+        lacking a kind of node that another point has takes zero sums for
+        it, so its rows carry zero columns scaled like its means, the bits of
+        one pass over the N points' stacked sums."""
         if self.hist_input is None:
             raise RuntimeError("call prepare() with a history snapshot first")
         shared = None if self.variant == "full" else self.hist_input
-        return _messages(wf_inputs, shared, self.beta, self._base.shape[0])
+        fill = tuple(next((np.zeros_like(g.hub_sums[i]) for g in wf_inputs
+                           if g.hub_sums[i] is not None), None) for i in (1, 2))
+        built = [_graph_messages(g, shared, self.beta, self._base.shape[0], fill)
+                 for g in wf_inputs]
+        if built[0][0] is None:
+            return built[0]
+        return np.concatenate([means for means, _ in built]), built[0][1]
 
     def forward(self, messages: Messages, queries: np.ndarray,
                 masks: np.ndarray) -> Forward:

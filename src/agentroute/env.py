@@ -160,7 +160,7 @@ class Pool(NamedTuple):
         """`rewards` of calls that end the episode, as if the answers that
         `reads` names had the qualities `answers`."""
         role, done, summarized, mode = self.role, self.done, self.summarized, self.mode
-        # the sub-answer mean, once for all models, as `RoutingEnv._rewards`
+        # the sub-answer mean, once for all models
         sub_mean = float(mean(answers)) if done and answers else None
         return [cost + end_utility(role, done, summarized, mode, quality, answers,
                                    sub_mean)
@@ -203,7 +203,7 @@ class RoutingEnv:
 
     def clone(self) -> "RoutingEnv":
         # The shallow copy copy.copy would make, without its dispatch cost
-        # (the oracle, its one caller, clones 16 times per query on the
+        # (the oracle, its one caller, clones once per query on the
         # oracle-search workload); every field but these two is immutable or
         # shared with the original on purpose, the episode's draw memo and
         # the state's read-only facts among them.
@@ -374,65 +374,34 @@ class RoutingEnv:
             return self._fact("subs") if self.current.is_summary else ()
         return () if role == EXECUTOR else self._last_answer
 
-    def _end_terms(self, role: int, done: bool) -> tuple:
-        """What the utility of a `role` call that ends the episode from this
-        state reads besides the call's quality: the qualities of the answers
-        it reads (`_reads`) and, when done, their mean (None without any)."""
-        reads = self._reads(role, done)
-        answers = [r.quality for r in reads] if reads else ()
-        return answers, float(mean(answers)) if done and answers else None
-
-    def _rewards(self, role: int, done: bool, truncated: bool,
-                 results) -> list[tuple[float, float, float]]:
-        """(dollars, scaled cost, reward) of each model's `role` call from
-        this state, given per model its call's (quality, tokens_in,
-        tokens_out); `step` pays the same for one model. Reads the state's
-        facts and writes nothing."""
-        profiles, cfg = self.benchmark.profiles, self.cfg
-        scale, neg_alpha = cfg.cost_scale, -cfg.alpha
-        if done or truncated:
-            answers, sub_mean = self._end_terms(role, done)
-            summarized, mode = self.summary_used, cfg.utility_mode
-        out = []
-        for (quality, tokens_in, tokens_out), profile in zip(results, profiles):
-            dollars = cost_of(tokens_in, tokens_out, profile)
-            scaled = dollars * scale
-            reward = neg_alpha * scaled
-            if done or truncated:
-                reward += end_utility(role, done, summarized, mode, quality, answers,
-                                      sub_mean)
-            out.append((dollars, scaled, reward))
-        return out
-
-    def pool_rewards(self, role: int) -> list[float]:
+    def pool(self, role: int) -> Pool:
         """Per model m, the reward `step(Action(role, m))` would return, bit
-        for bit, for any role the mask allows. Scores the whole pool in one
+        for bit, for any role the mask allows, with what rescoring the pool
+        under other answer qualities needs: per model its call's quality and
+        its reward less the utility, the answers the utility reads, and the
+        id a step's response takes. Scores the whole pool in one
         `Benchmark.invoke_pool` pass and changes no state but the shared draw
         memo, so the oracle scores a state's terminal actions without a clone
         or a step, and the models of a role whose response quality nothing
-        downstream reads (a planner) with one step for all of them."""
+        downstream reads (a planner) with one step for all of them. Without a
+        verifier the oracle shares one child among all of a role's models,
+        and binds that id's quality to each model's on the child's walks."""
         done, truncated = self.ends(role)
         results = self.benchmark.invoke_pool(role, self.current,
                                              self._context(role), self._draws)
-        return [r[2] for r in self._rewards(role, done, truncated, results)]
-
-    def pool(self, role: int) -> Pool:
-        """`pool_rewards` with what rescoring the pool under other answer
-        qualities needs: per model its call's quality and its reward less
-        the utility, the answers the utility reads, and the id a step's
-        response takes. Without a verifier the oracle shares one child among
-        all of a role's models, and binds that id's quality to each model's
-        on the child's walks."""
-        done, truncated = self.ends(role)
-        results = self.benchmark.invoke_pool(role, self.current,
-                                             self._context(role), self._draws)
-        scored = self._rewards(role, done, truncated, results)
+        # `step`'s cost arithmetic per model; a call that does not end the
+        # episode earns no utility, so its reward is its cost
+        neg_alpha, scale = -self.cfg.alpha, self.cfg.cost_scale
+        costs = [neg_alpha * (cost_of(tokens_in, tokens_out, profile) * scale)
+                 for (_, tokens_in, tokens_out), profile
+                 in zip(results, self.benchmark.profiles)]
         reads = self._reads(role, done) if done or truncated else ()
-        neg_alpha = -self.cfg.alpha
-        return Pool(role, done, self.summary_used, self.cfg.utility_mode,
-                    [r[2] for r in scored], [r[0] for r in results],
-                    [neg_alpha * r[1] for r in scored], tuple(r.id for r in reads),
-                    self._response_id())
+        record = Pool(role, done, self.summary_used, self.cfg.utility_mode, costs,
+                      [r[0] for r in results], costs, tuple(r.id for r in reads),
+                      self._response_id())
+        if done or truncated:
+            record = record._replace(rewards=record.rebound([r.quality for r in reads]))
+        return record
 
     def _response_id(self) -> str:
         # a workflow never evicts, so its size numbers the next response
@@ -453,14 +422,14 @@ class RoutingEnv:
             outcome = bench.invoke(model, role, cur, self._context(role), self._draws)
             quality, tokens_in, tokens_out = (outcome.quality, outcome.tokens_in,
                                               outcome.tokens_out)
-        # `_rewards`'s arithmetic, on this one call
+        # `pool`'s arithmetic, on this one call
         dollars = cost_of(tokens_in, tokens_out, bench.profiles[model])
         scaled = dollars * cfg.cost_scale
         reward = -cfg.alpha * scaled
         utility = None
         if done or truncated:
             utility = end_utility(role, done, self.summary_used, cfg.utility_mode,
-                                  quality, *self._end_terms(role, done))
+                                  quality, [r.quality for r in self._reads(role, done)])
             reward += utility
         if role == SUMMARIZER:
             sq = self._fact("summary")

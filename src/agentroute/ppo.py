@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fields
 from .backend import ALL_ROLES, Benchmark
-from .encoder import EncoderDims, RoutingPolicy, init_params
+from .encoder import VARIANTS, EncoderDims, RoutingPolicy, init_params
 from .env import Episode, EnvConfig, RoutingEnv, absorb_episode
 from .fields import write_atomic
 from .memory import HeteroGraph, serialize
@@ -70,6 +70,8 @@ class TrainConfig:
                      "entropy_coef"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {list(VARIANTS)}, got {self.variant!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.epochs < 1:
@@ -78,7 +80,8 @@ class TrainConfig:
             raise ValueError("gamma must be in (0, 1]")
         if self.episodes_per_update < 1 or self.max_episodes < 1:
             raise ValueError("episode counts must be positive")
-        for name in ("hidden", "policy_lr", "value_lr", "clip_eps", "grad_clip"):
+        for name in ("hidden", "history_capacity", "policy_lr", "value_lr", "clip_eps",
+                     "grad_clip"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.gae_lambda <= 1.0:

@@ -7,8 +7,10 @@ leaves' `.grad`. `encoder` maps a stack of decision points to masked action
 distributions and values with those ops; `RoutingPolicy.forward` and
 `RoutingPolicy.backward` run the same numpy ops on plain arrays, so tests
 compare the two bit for bit, and c01 checks the tape against finite
-differences. `leaves(arrays)` wraps a weight dict as tape leaves that share
-the arrays.
+differences. The tape builds its mean messages for the whole batch at once
+(`mean_messages`), while the program stacks them graph by graph, so the pins
+compare two builders. `leaves(arrays)` wraps a weight dict as tape leaves
+that share the arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from agentroute.encoder import MESSAGE_WEIGHTS, VARIANTS, _messages
+from agentroute.encoder import MESSAGE_WEIGHTS, VARIANTS
 from agentroute.memory import EncoderInput, HubState
 from agentroute.tensor import masked_softmax_array, unbroadcast
 
@@ -268,6 +270,44 @@ def masked_softmax(scores: Tensor, mask: Array) -> Tensor:
 # -- the policy encoder ------------------------------------------------------
 
 
+def stack_sums(parts: tuple[Array | None, ...]) -> Array | None:
+    """Stack per-graph sums; None (no such node) stacks as zeros, all-None as None."""
+    present = [p for p in parts if p is not None]
+    if not present:
+        return None
+    if len(present) < len(parts):
+        zero = np.zeros_like(present[0])
+        parts = [zero if p is None else p for p in parts]
+    return np.stack(parts)
+
+
+def mean_messages(graphs: list[EncoderInput | HubState],
+                  shared: EncoderInput | HubState | None, beta: float,
+                  H: int) -> tuple[Array | None, tuple[bool, ...]]:
+    """(N*H, d) beta-scaled means of the raw features over each hub's incoming
+    edges in N graphs that must all have H hubs (`shared`'s sums add to each
+    graph's), and which of (queries, responses) they stack, in that order;
+    None when no graph has either kind of node, and (None, ()) at beta = 0.
+    Each sum is stacked over the batch before anything is added or scaled."""
+    if any(g.n_hubs != H for g in [*graphs, shared] if g is not None):
+        raise ValueError("hub sets differ between the graphs being encoded")
+    if beta == 0.0:
+        return None, ()
+    N = len(graphs)
+    sums = [stack_sums(parts) for parts in zip(*(g.hub_sums for g in graphs))]
+    if shared is not None:
+        sums = [b if s is None else s if b is None else s + b
+                for s, b in zip(sums, shared.hub_sums)]
+    deg, q_sum, r_sum = sums
+    kinds = (q_sum is not None, r_sum is not None)
+    if not any(kinds):
+        return None, kinds
+    means = np.concatenate([np.broadcast_to(s, (N,) + s.shape) if s.ndim == 2
+                            else s for s in (q_sum, r_sum) if s is not None], axis=2)
+    means *= (beta / np.maximum(deg, 1.0))[:, :, None]
+    return means.reshape(N * H, -1), kinds
+
+
 def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
                  W_q: Tensor, W_r: Tensor, W_m: Tensor, beta: float,
                  shared: EncoderInput | HubState | None = None) -> Tensor:
@@ -286,7 +326,7 @@ def encode_graph(hubs: Tensor, graphs: list[EncoderInput | HubState],
     stays off the tape.
     """
     H = hubs.shape[0]
-    means, kinds = _messages(graphs, shared, beta, H)
+    means, kinds = mean_messages(graphs, shared, beta, H)
     h_hub = matmul(hubs, W_m)
     N, h = len(graphs), h_hub.shape[1]
     base = reshape(h_hub, (1, H, h))

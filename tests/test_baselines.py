@@ -23,7 +23,7 @@ from agentroute.baselines import (
     oracle_route,
     oracle_search,
 )
-from agentroute.env import Action, EnvConfig, RoutingEnv
+from agentroute.env import Action, EnvConfig, Pool, RoutingEnv
 from agentroute.memory import EncoderInput
 
 
@@ -412,35 +412,34 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, name, ro
     bench, cfg, hubs = oracle_config(name)
     steps, leaves, scored, bound_reads = [0], [0], Counter(), set()
     memos = []  # keeps each scored state's fact memo, and so its id, alive
-    step, pool_rewards, pool = RoutingEnv.step, RoutingEnv.pool_rewards, RoutingEnv.pool
+    scoring = [False]  # inside a pool pass, which scores its leaves with `rebound`
+    step, pool, rebound = RoutingEnv.step, RoutingEnv.pool, Pool.rebound
 
     def counted_step(env, action):
         steps[0] += 1
         return step(env, action)
 
-    def count_pass(env, role):
+    def counted_pool(env, role):
         leaves[0] += cfg.n_models if any(env.ends(role)) else 0
         # a state's facts memo is its own: clones share it, a step replaces it
         memos.append(env._facts)
         scored[id(env._facts), role] += 1
-
-    def counted_pool_rewards(env, role):
-        count_pass(env, role)
-        return pool_rewards(env, role)
-
-    def counted_pool(env, role):
-        count_pass(env, role)
+        scoring[0] = True
         record = pool(env, role)
-        if record.reads:
-            bound_reads.add("done" if record.done else "truncated")
+        scoring[0] = False
         return record
+
+    def counted_rebound(record, answers):
+        if not scoring[0]:
+            bound_reads.add("done" if record.done else "truncated")
+        return rebound(record, answers)
 
     for i in roots:
         root = bench.eval_query(i)
         plan, value, expanded, shared = cloning_oracle(cfg, bench, hubs, root)
         monkeypatch.setattr(RoutingEnv, "step", counted_step)
-        monkeypatch.setattr(RoutingEnv, "pool_rewards", counted_pool_rewards)
         monkeypatch.setattr(RoutingEnv, "pool", counted_pool)
+        monkeypatch.setattr(Pool, "rebound", counted_rebound)
         steps[0] = leaves[0] = 0
         scored.clear()
         got_plan, got_value = oracle_route(cfg, bench, hubs, root)
@@ -455,8 +454,8 @@ def test_stepping_the_last_branch_in_place_changes_no_plan(monkeypatch, name, ro
         if counts:
             assert (expanded, shared) == counts
         assert shared > 0
-    # the pool passes whose utility reads an answer bound by a shared
-    # executor, by how the leaf ends; with a verifier no answer is bound
+    # the pools rescored under an answer bound by a shared executor, by how
+    # the leaf ends; with a verifier no answer is bound
     assert bound_reads == reads
 
 

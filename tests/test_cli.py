@@ -212,6 +212,19 @@ def test_a_non_finite_alpha_or_cost_scale_is_refused_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("variant", "bogus"), ("history_capacity", 0)])
+def test_a_bad_train_setting_is_refused_before_anything_is_written(
+        tmp_path, capsys, key, value):
+    # both failed inside train, after config.json was written
+    obj = {**TINY, "train": {**TINY["train"], key: value}}
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(tmp_path, obj)),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["agentroute", "--help"])
     with pytest.raises(SystemExit) as exc:

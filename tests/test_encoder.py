@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tape as T
@@ -340,13 +340,14 @@ def test_history_hub_rows_by_variant():
                             hist) is None
 
 
-def random_input(rng, d, n_hubs, n_queries, n_responses, n_edges):
+def random_input(rng, d, n_hubs, n_queries, n_responses, n_edges, d_r=None):
+    """Random features, d wide (responses d_r), and random edges."""
     n = n_hubs + n_queries + n_responses
     pairs = [tuple(int(x) for x in rng.integers(0, n, size=2))
              for _ in range(n_edges)]
     return raw_input(rng.normal(size=(n_hubs, d)),
                      rng.normal(size=(n_queries, d)),
-                     rng.normal(size=(n_responses, d)),
+                     rng.normal(size=(n_responses, d if d_r is None else d_r)),
                      [(i, j) for i, j in pairs if i != j])
 
 
@@ -423,6 +424,42 @@ def test_batched_rows_match_batch_of_one(variant, beta, n_points, responses,
                                    atol=1e-12)
         np.testing.assert_allclose(values.data[i], v1.data[0], rtol=1e-12,
                                    atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VARIANTS), st.sampled_from([0.0, 0.7]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1,
+                max_size=5),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 2**32 - 1))
+# a point with responses only beside one with queries only
+@example("full", 0.7, [(0, 2), (1, 0)], (0, 0), 0)
+# a merged variant whose history has responses and no workflow does
+@example("hetero", 0.7, [(1, 0), (2, 0)], (1, 2), 0)
+def test_messages_are_the_tape_batch_bit_for_bit(variant, beta, counts, hist_counts,
+                                                 seed):
+    """`messages` stacks the points' own mean messages, and equals the
+    tape's batched builder bit for bit on windows that mix points with and
+    without queries or responses, the history's edges included in a merged
+    variant; at beta = 0 there are none."""
+    rng = np.random.default_rng(seed)
+    d_q, d_r = (3, 3) if variant == "homo" else (3, 2)
+    params = init_params(EncoderDims(d_q=d_q, d_r=d_r, d_hub=d_q, hidden=2),
+                         variant, seed=seed % 5)
+    H = 4
+    hist = random_input(rng, d_q, H, *hist_counts, 12, d_r=d_r)
+    wfs = [random_input(rng, d_q, H, nq, nr, 10, d_r=d_r) for nq, nr in counts]
+    policy = RoutingPolicy(params, variant, beta)
+    policy.prepare(hist)
+    means, kinds = policy.messages(wfs)
+    want, want_kinds = T.mean_messages(wfs, None if variant == "full" else hist,
+                                       beta, H)
+    assert kinds == want_kinds
+    if beta == 0.0:
+        assert (means, kinds) == (None, ())
+    elif want is None:
+        assert means is None and kinds == (False, False)
+    else:
+        assert means.shape == want.shape and means.tobytes() == want.tobytes()
 
 
 def backward_visiting_every_parent(loss):

@@ -150,7 +150,7 @@ def test_illegal_action_rejected():
     # the pool scorer and the end test refuse the roles `step` refuses,
     # with the same error
     for role in (0, 2, 3, -1):
-        for query in (env.pool_rewards, env.ends):
+        for query in (env.pool, env.ends):
             with pytest.raises(ValueError, match="not allowed by the mask"):
                 query(role)
     assert env.step_count == 0 and not env.finished
@@ -163,7 +163,7 @@ def test_finished_episode_refuses_everything():
     assert done
     with pytest.raises(RuntimeError, match="episode already finished"):
         env.step(Action(1, 0))
-    for query in (env.pool_rewards, env.ends):
+    for query in (env.pool, env.ends):
         with pytest.raises(RuntimeError, match="episode already finished"):
             query(1)
     with pytest.raises(RuntimeError):
@@ -343,7 +343,7 @@ def assert_same_subtrees(envs):
         mask = group[0].legal_mask()
         assert all(np.array_equal(e.legal_mask(), mask) for e in group)
         for role in np.flatnonzero(mask[::k]).tolist():
-            views = [(e.ends(role), [r.hex() for r in e.pool_rewards(role)])
+            views = [(e.ends(role), [r.hex() for r in e.pool(role).rewards])
                      for e in group]
             assert all(v == views[0] for v in views)
             if any(views[0][0]):
@@ -380,7 +380,7 @@ def test_leaf_reward_is_the_terminal_step_reward_on_every_branch(cfg_kw, roots):
             assert np.array_equal(mask, np.repeat(mask[::k], k))
             roles = [r for r in range(cfg.n_roles) if mask[r * k]]
             before = episode_state(e)
-            pools = {r: e.pool_rewards(r) for r in roles}
+            pools = {r: e.pool(r).rewards for r in roles}
             records = {r: e.pool(r) for r in roles}
             stops = {r: e.ends(r) for r in roles}
             assert episode_state(e) == before
@@ -490,7 +490,7 @@ def test_a_verifier_reads_the_quality_of_a_thought():
             env.reset(bench.eval_query(i))
             env.step(Action(THINKER, m))
             env.step(Action(VERIFIER, 0))
-            answers.append(env.pool_rewards(EXECUTOR))
+            answers.append(env.pool(EXECUTOR).rewards)
         assert answers[0] != answers[1]
 
 

@@ -395,3 +395,59 @@ def test_no_program_module_uses_the_tape():
     assert tape_uses(Path(T.__file__).read_text())
     offenders = {p.name: tape_uses(p.read_text()) for p in modules}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """Where source takes an underscore name from `agentroute`: a private
+    module or name in an import, or an underscore attribute of a name bound
+    to an `agentroute` module."""
+    def private(dotted: str) -> bool:
+        return any(part.startswith("_") for part in dotted.split("."))
+
+    found, modules = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "agentroute":
+                    if private(alias.name):
+                        found.append(f"line {node.lineno}: {alias.name}")
+                    modules.add(alias.asname or "agentroute")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                (node.module or "").split(".")[0] == "agentroute":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if private(name):
+                    found.append(f"line {node.lineno}: {name}")
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("source, private", [
+    ("from agentroute.encoder import _messages", True),
+    ("from agentroute.encoder import VARIANTS, _stack as stack", True),
+    ("from agentroute import _private", True),
+    ("from agentroute._private import name", True),
+    ("import agentroute._private", True),
+    ("import agentroute.encoder as E\nE._messages(graphs)", True),
+    ("from agentroute import encoder\nencoder._graph_messages(g)", True),
+    ("import agentroute\nagentroute.encoder._messages(g)", True),
+    ("from agentroute.encoder import MESSAGE_WEIGHTS, VARIANTS", False),
+    ("from numpy import _NoValue\nimport numpy as np\nnp._x", False),
+    ("from agentroute.tensor import unbroadcast\nx = a._parents", False),
+])
+def test_the_private_import_guard(source, private):
+    assert bool(private_imports(source)) == private
+
+
+def test_the_tape_takes_no_private_name_from_the_program():
+    """The reference the program is pinned to builds what it compares on its
+    own: it imports no underscore name from `agentroute`."""
+    assert private_imports(Path(T.__file__).read_text()) == []
